@@ -105,7 +105,7 @@ def _build_parser() -> _Parser:
     top.add_argument("--version", action="version", version=f"zonalpd {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    space_help = "S<k> | RP<k> | CP<k> | HP<k> | OP2 | custom:alpha=<f>,beta=<f>,kappa=<0.5|1>"
+    space_help = "S<k> | RP<k> | CP<k> | HP<k> | OP2 | custom:alpha=<f>,beta=<f>[,kappa=<0.5|1>]"
     kernel_help = ("riesz-geodesic:s=<f> | riesz-chordal:s=<f> | log-geodesic | "
                    "log-chordal | gauss-geodesic:lambda=<f> | gauss-chordal:lambda=<f> | "
                    "cospow:n=<i> | jacobi:n=<i> | product(k1,k2) | lincomb(c1*k1+c2*k2)")
@@ -215,7 +215,6 @@ def _resolve_digits(args) -> int:
 
 
 def _report_csv_rows(report: CoefficientReport) -> List[str]:
-    digits = report.digits()
     rows = ["n,value,error,m_n,lambda_n,sign"]
     for d in report.to_json_dict()["entries"]:
         rows.append(f"{d['n']},{d['value']},{d['error']},{d['m_n']},{d['lambda_n']},{d['sign']}")
@@ -438,7 +437,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _UsageError as e:
         print(f"zonalpd: error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError, OSError, KeyError) as e:
+    except (ValueError, ArithmeticError, OSError, KeyError, RuntimeError) as e:
         print(f"zonalpd: error: {e}", file=sys.stderr)
         return 1
 

@@ -203,8 +203,6 @@ def gauss_jacobi_rule(params, m: int) -> QuadratureRule:
     a, b = map(float, _ab(params))
     if m < 1:
         raise ValueError("need at least one node")
-    from scipy.linalg import eigh_tridiagonal
-
     diag = np.empty(m)
     diag[0] = (b - a) / (a + b + 2)
     if m > 1:
@@ -219,8 +217,9 @@ def gauss_jacobi_rule(params, m: int) -> QuadratureRule:
         off[0] = math.sqrt(4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b)))
     else:
         off = np.empty(0)
+    # a dense eigen-solve: m is at most a few hundred here
     try:
-        nodes, vecs = eigh_tridiagonal(diag, off)
+        nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RuntimeError(f"Jacobi-matrix eigen-solve failed for m={m}") from exc
     weights = vecs[0, :] ** 2 * weight_total_mass((a, b))
@@ -237,15 +236,15 @@ def gauss_jacobi_rule_mp(params, m: int) -> tuple[list, list]:
     the same-parameter identity, so each iteration is one recurrence pass);
     weights come from the Christoffel function 1/sum_k phat_k(x)^2 using the
     values of the final pass, scaled by the weight's total mass.  Results
-    are cached per (alpha, beta, m, dps); identical inputs always reproduce
-    identical rules.
+    are cached per exact (alpha, beta) in mpf, m and dps; identical inputs
+    always reproduce identical rules.
     """
     a, b = _ab(params)
-    key = (float(a), float(b), m, mp.mp.dps)
+    am, bm = mp.mpf(a), mp.mpf(b)
+    key = (am, bm, m, mp.mp.dps)
     hit = _MP_RULE_CACHE.get(key)
     if hit is not None:
         return hit
-    am, bm = mp.mpf(a), mp.mpf(b)
     seed_rule = gauss_jacobi_rule((float(a), float(b)), m)
     tol = mp.mpf(10) ** (-(mp.mp.dps - 2))
     hs = [_norm_sq_mp(am, bm, n) for n in range(m)]

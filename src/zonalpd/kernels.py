@@ -6,9 +6,6 @@ metadata drives the quadrature engines:
 
   sing_exponent   sigma >= 0 with (1-t)^sigma F(t) continuous up to t = 1
   log_flag        True when the diagonal singularity is logarithmic
-  t_analytic      True when the envelope G = (1-t)^sigma F is analytic in t
-                  on all of [-1,1]; geodesic-metric kernels are not, because
-                  arccos has a square-root branch at t = -1
   poly_degree     degree when F is a genuine polynomial in t, else None
 
 Evaluation comes in two flavors: `f_t` is a fast double-precision numpy
@@ -112,7 +109,6 @@ class ZonalKernel:
     descriptor: str
     sing_exponent: float
     log_flag: bool
-    t_analytic: bool
     poly_degree: Optional[int]
     eval_g: Callable[[EvalEnv], object]
     f_t: Callable[[np.ndarray], np.ndarray]
@@ -154,6 +150,7 @@ def _sgn(s: float) -> float:
 
 
 def _fmt(v: float) -> str:
+    """Shortest round-trip repr of a float, without a trailing ".0"."""
     r = repr(float(v))
     return r[:-2] if r.endswith(".0") else r
 
@@ -201,7 +198,6 @@ def riesz_geodesic(space: Space, s: float) -> ZonalKernel:
         descriptor=f"riesz-geodesic:s={_fmt(s)}",
         sing_exponent=sigma,
         log_flag=False,
-        t_analytic=False,
         poly_degree=None,
         eval_g=eval_g,
         f_t=f_t,
@@ -239,7 +235,6 @@ def riesz_chordal(space: Space, s: float) -> ZonalKernel:
         descriptor=f"riesz-chordal:s={_fmt(s)}",
         sing_exponent=sigma,
         log_flag=False,
-        t_analytic=True,
         poly_degree=deg,
         eval_g=eval_g,
         f_t=f_t,
@@ -265,7 +260,6 @@ def log_geodesic(space: Space) -> ZonalKernel:
         descriptor="log-geodesic",
         sing_exponent=0.0,
         log_flag=True,
-        t_analytic=False,
         poly_degree=None,
         eval_g=eval_g,
         f_t=f_t,
@@ -287,7 +281,6 @@ def log_chordal(space: Space) -> ZonalKernel:
         descriptor="log-chordal",
         sing_exponent=0.0,
         log_flag=True,
-        t_analytic=True,
         poly_degree=None,
         eval_g=eval_g,
         f_t=f_t,
@@ -319,7 +312,6 @@ def gaussian_kernel(space: Space, metric: str, lam: float) -> ZonalKernel:
             theta = np.arccos(np.clip(t, -1.0, 1.0)) / (2 * kappa)
             return np.exp(-lam * theta**2)
 
-        analytic = False
     else:
 
         def eval_g(env: EvalEnv):
@@ -331,13 +323,10 @@ def gaussian_kernel(space: Space, metric: str, lam: float) -> ZonalKernel:
         def f_t(t: np.ndarray) -> np.ndarray:
             return np.exp(-lam * (1 - t) / 2)
 
-        analytic = True
-
     return ZonalKernel(
         descriptor=f"gauss-{metric}:lambda={_fmt(lam)}",
         sing_exponent=0.0,
         log_flag=False,
-        t_analytic=analytic,
         poly_degree=None,
         eval_g=eval_g,
         f_t=f_t,
@@ -360,7 +349,6 @@ def cos_power_kernel(n: int) -> ZonalKernel:
         descriptor=f"cospow:n={n}",
         sing_exponent=0.0,
         log_flag=False,
-        t_analytic=True,
         poly_degree=n,
         eval_g=eval_g,
         f_t=f_t,
@@ -384,7 +372,6 @@ def jacobi_unit_kernel(params, n: int) -> ZonalKernel:
         descriptor=f"jacobi:n={n}",
         sing_exponent=0.0,
         log_flag=False,
-        t_analytic=True,
         poly_degree=n,
         eval_g=eval_g,
         f_t=f_t,
@@ -413,7 +400,6 @@ def product_kernel(k1: ZonalKernel, k2: ZonalKernel) -> ZonalKernel:
         descriptor=f"product({k1.descriptor},{k2.descriptor})",
         sing_exponent=sigma,
         log_flag=log_flag,
-        t_analytic=k1.t_analytic and k2.t_analytic,
         poly_degree=deg,
         eval_g=eval_g,
         f_t=f_t,
@@ -435,7 +421,8 @@ def linear_combination(terms: Sequence[tuple[float, ZonalKernel]]) -> ZonalKerne
     def eval_g(env: EvalEnv):
         total = None
         for c, k in terms:
-            gap = shift - k.gj_shift
+            # in the env's arithmetic, so an mpf exponent is not float64-rounded
+            gap = env.t * 0 + shift - k.gj_shift
             part = c * k.eval_g(env)
             if gap > 0:
                 part = part * env.one_minus_t**gap
@@ -453,7 +440,6 @@ def linear_combination(terms: Sequence[tuple[float, ZonalKernel]]) -> ZonalKerne
         descriptor=f"lincomb({desc})",
         sing_exponent=sigma,
         log_flag=log_flag,
-        t_analytic=all(k.t_analytic for _, k in terms),
         poly_degree=deg,
         eval_g=eval_g,
         f_t=f_t,

@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .spaces import Space, make_space
 from .jacobi import JacobiParams, jacobi_value_at_one
-from .kernels import ZonalKernel, riesz_chordal, riesz_geodesic, log_geodesic
+from .kernels import ZonalKernel, _fmt, riesz_chordal, riesz_geodesic, log_geodesic
 from .transform import (
     SIGN_NEG,
     SIGN_POS,
@@ -218,7 +218,7 @@ class ScanResult:
     def to_csv(self) -> str:
         lines = ["s,verdict,first_negative_n"]
         for s, v, fn in zip(self.s_values, self.verdicts, self.first_negatives):
-            lines.append(f"{_num(s)},{v.classification},{'' if fn is None else fn}")
+            lines.append(f"{_fmt(s)},{v.classification},{'' if fn is None else fn}")
         return "\n".join(lines) + "\n"
 
 
@@ -373,7 +373,7 @@ class AllSpacesResult:
             "N": self.N,
             "digits": self.digits,
             "a_n": {
-                _num(al): [
+                _fmt(al): [
                     {"n": n, "value": v, "error": e, "sign": s}
                     for n, (v, e, s) in enumerate(
                         zip(self.values[al], self.errors[al], self.signs[al])
@@ -478,7 +478,7 @@ class Table1Result:
         lines = ["space,alpha,beta,first_negative_n,verdict"]
         for name, alpha, beta, first_neg, verdict in self.rows:
             fn = "" if first_neg is None else str(first_neg)
-            lines.append(f"{name},{_num(alpha)},{_num(beta)},{fn},{verdict}")
+            lines.append(f"{name},{_fmt(alpha)},{_fmt(beta)},{fn},{verdict}")
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
@@ -529,8 +529,3 @@ def table1(N: int = 16, digits: int = 50) -> Table1Result:
             verdict = "consistent-with-PD"
         rows.append((name, sp.alpha, sp.beta, first_neg, verdict))
     return Table1Result(N=N, digits=digits, rows=tuple(rows), reports=reports)
-
-
-def _num(x: float) -> str:
-    s = repr(float(x))
-    return s[:-2] if s.endswith(".0") else s

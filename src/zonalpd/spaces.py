@@ -15,10 +15,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from math import gamma, lgamma, pi
+from math import pi
 from typing import Iterable, Optional
 
 import numpy as np
+
+from .jacobi import weight_total_mass
 
 FAMILY_SPHERE = "Sphere"
 FAMILY_RP = "RP"
@@ -79,8 +81,8 @@ _SPEC_RE = re.compile(r"^(S|RP|CP|HP|OP)(\d+)$")
 
 
 def make_space(spec=None, *, family=None, d=None, alpha=None, beta=None, kappa=None) -> Space:
-    """Build a Space from a spec string ("S2", "RP3", "custom:alpha=..,beta=..,kappa=..")
-    or from explicit keyword parameters.
+    """Build a Space from a spec string ("S2", "RP3", "custom:alpha=..,beta=..[,kappa=..]")
+    or from explicit keyword parameters; a custom kappa defaults to 1.
     """
     if spec is not None:
         if not isinstance(spec, str):
@@ -88,10 +90,10 @@ def make_space(spec=None, *, family=None, d=None, alpha=None, beta=None, kappa=N
         text = spec.strip()
         if text.startswith("custom:"):
             params = _parse_kv(text[len("custom:"):])
-            missing = {"alpha", "beta", "kappa"} - params.keys()
+            missing = {"alpha", "beta"} - params.keys()
             if missing:
                 raise ValueError(f"custom space spec missing {sorted(missing)}")
-            return make_space(alpha=params["alpha"], beta=params["beta"], kappa=params["kappa"])
+            return make_space(alpha=params["alpha"], beta=params["beta"], kappa=params.get("kappa"))
         m = _SPEC_RE.match(text)
         if not m:
             raise ValueError(f"unrecognized space spec {spec!r}")
@@ -190,21 +192,10 @@ def clamp_t(t: float) -> float:
 # the orthogonality measure dmu = (1-t)^alpha (1+t)^beta / Z dt on [-1,1]
 
 
-def measure_norm_Z(alpha: float, beta: float) -> float:
-    """Z = 2^(a+b+1) * Gamma(a+1)Gamma(b+1)/Gamma(a+b+2), so that dmu is a
-    probability measure."""
-    return math.exp(
-        (alpha + beta + 1) * math.log(2)
-        + lgamma(alpha + 1)
-        + lgamma(beta + 1)
-        - lgamma(alpha + beta + 2)
-    )
-
-
 def measure_density(space: Space, t):
     """Density of mu_{alpha,beta} at t (scalar or array), probability-normalized."""
     a, b = space.alpha, space.beta
-    Z = measure_norm_Z(a, b)
+    Z = weight_total_mass((a, b))
     arr = np.asarray(t, dtype=float)
     if np.any(arr < -1) or np.any(arr > 1):
         raise ValueError("t outside [-1,1]")
@@ -215,22 +206,6 @@ def measure_density(space: Space, t):
     with np.errstate(divide="ignore"):
         out = (1 - arr) ** a * (1 + arr) ** b / Z
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
-
-
-def measure_cdf(space: Space, t):
-    """CDF of mu_{alpha,beta}: regularized incomplete beta in u = (1+t)/2."""
-    from scipy.special import betainc
-
-    u = (1 + np.asarray(t, dtype=float)) / 2
-    return betainc(space.beta + 1, space.alpha + 1, u)
-
-
-def nu_density_theta(space: Space, theta):
-    """Density of the same measure in the geodesic variable theta."""
-    a, b, k = space.alpha, space.beta, space.kappa
-    C = 2 * gamma(a + b + 2) / (gamma(a + 1) * gamma(b + 1))
-    th = np.asarray(theta, dtype=float)
-    return C * k * np.sin(k * th) ** (2 * a + 1) * np.cos(k * th) ** (2 * b + 1)
 
 
 # ---------------------------------------------------------------------------

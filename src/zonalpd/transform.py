@@ -4,19 +4,19 @@ The n-th coefficient of a zonal kernel F on X_{alpha,beta} is
 
     Fhat(n) = (m_n / P_n(1)^2) * int F(t) P_n(t) dmu(t),
 
-with dmu the probability Jacobi measure.  Two independent integrators
-compute the integral:
+with dmu the probability Jacobi measure.  Both integrators work in the
+angle u = kappa*theta, where dmu = C sin(u)^(2a+1) cos(u)^(2b+1) du, and
+share one node evaluation and accumulation step:
 
-  * a double-exponential (tanh-sinh) rule in the angle u = kappa*theta,
-    which tolerates endpoint singularities of any integrable strength and
-    logarithms, and
+  * a double-exponential (tanh-sinh) rule, which tolerates endpoint
+    singularities of any integrable strength and logarithms, and
 
-  * Gauss-Jacobi rules that absorb the algebraic singularity (1-t)^{-sigma}
-    into the weight.  Kernels whose envelope is analytic in t use the
-    weight (alpha-sigma, beta) directly; kernels built on the geodesic
-    angle have a square-root branch at t=-1, so they are integrated in the
-    angle variable against the weight that the substitution induces there.
+  * a Gauss-Jacobi rule in v = 4u/pi - 1 whose weight absorbs the powers of
+    sin and cos, including the algebraic singularity (1-t)^{-sigma}; the
+    residual is analytic in the angle for every non-logarithmic kernel,
+    geodesic ones included, whose arccos branch at t=-1 is smooth in u.
 
+Weight exponents are formed in mpf from the binary inputs, never in float64.
 Certification runs both, folds the cross-method discrepancy into the error
 bound, and escalates precision until every requested sign is decided or a
 cap is reached.  Everything runs in mpmath arbitrary precision; the mpmath
@@ -39,7 +39,6 @@ from .jacobi import (
     gauss_jacobi_rule_mp,
     jacobi_eval_all,
     jacobi_value_at_one,
-    pochhammer,
 )
 from .kernels import EvalEnv, ZonalKernel
 from .spaces import Space, make_space
@@ -101,22 +100,30 @@ class CoefficientReport:
         return int(self.levels.get("digits", DEFAULT_DIGITS))
 
     def to_json_dict(self) -> dict:
+        """Printed values carry `digits` significant digits; each printed
+        error adds the rounding of its value and is rounded up, so the
+        printed interval contains the computed one."""
         d = self.digits()
+        entries = []
+        with mp.workdps(d + 20):
+            for e in self.entries:
+                value = mp.nstr(e.value, d, strip_zeros=False)
+                error = e.error + abs(mp.mpf(value) - e.value)
+                entries.append(
+                    {
+                        "n": e.n,
+                        "value": value,
+                        "error": _nstr_up(error, 8),
+                        "m_n": e.m_n,
+                        "lambda_n": e.lambda_n,
+                        "sign": e.sign,
+                    }
+                )
         return {
             "space": self.space.descriptor(),
             "kernel": self.kernel,
             "N": self.N,
-            "entries": [
-                {
-                    "n": e.n,
-                    "value": mp.nstr(e.value, d, strip_zeros=False),
-                    "error": mp.nstr(e.error, 8),
-                    "m_n": e.m_n,
-                    "lambda_n": e.lambda_n,
-                    "sign": e.sign,
-                }
-                for e in self.entries
-            ],
+            "entries": entries,
             "method": self.method,
             "levels": self.levels,
         }
@@ -127,10 +134,7 @@ class CoefficientReport:
     @staticmethod
     def from_json_dict(data: dict) -> "CoefficientReport":
         sp = data["space"]
-        if str(sp["name"]).startswith("custom:"):
-            space = make_space(sp["name"])
-        else:
-            space = make_space(sp["name"])
+        space = make_space(sp["name"])
         if not (
             abs(space.alpha - sp["alpha"]) < 1e-12
             and abs(space.beta - sp["beta"]) < 1e-12
@@ -162,6 +166,17 @@ class CoefficientReport:
         return CoefficientReport.from_json_dict(json.loads(text))
 
 
+def _nstr_up(x: mp.mpf, sig: int) -> str:
+    """Decimal string of x >= 0 with at most sig+1 significant digits that is
+    never below x (mp.nstr rounds to nearest)."""
+    if x == 0 or not mp.isfinite(x):
+        return mp.nstr(x, sig)
+    k = int(mp.floor(mp.log10(x))) + 1 - sig
+    # x / 10^k rounded up; 10^|k| is an exact integer
+    y = mp.fmul(x, 10**-k, rounding="u") if k < 0 else mp.fdiv(x, 10**k, rounding="u")
+    return mp.nstr(mp.mpf(f"{int(mp.ceil(y))}e{k}"), sig + 1)
+
+
 def _sign_for(
     value: mp.mpf, error: mp.mpf, n: int, kernel: Optional[ZonalKernel], space: Space
 ) -> str:
@@ -181,37 +196,92 @@ def _sign_for(
     return SIGN_UNDECIDED
 
 
-def _prefactors_mp(space: Space, N: int) -> tuple[list, list]:
-    """(m_n / P_n(1)^2) and P_n(1) as exact-as-possible mpf values."""
-    a, b = mp.mpf(space.alpha), mp.mpf(space.beta)
-    pref, p1s = [], []
-    for n in range(N + 1):
-        p1 = pochhammer(a + 1, n) / mp.factorial(n)
-        if n == 0:
-            mn = mp.mpf(1)
-        else:
-            mn = (
-                (2 * n + a + b + 1)
-                * pochhammer(a + b + 1, n)
-                * pochhammer(a + 1, n)
-                / ((a + b + 1) * mp.factorial(n) * pochhammer(b + 1, n))
-            )
-        pref.append(mn / (p1 * p1))
-        p1s.append(p1)
-    return pref, p1s
+def _prefactors_mp(space: Space, N: int) -> list:
+    """m_n / P_n(1)^2 for n = 0..N, in the ambient mpf precision."""
+    ab = (mp.mpf(space.alpha), mp.mpf(space.beta))
+    return [dim_m_n(ab, n) / jacobi_value_at_one(ab, n) ** 2 for n in range(N + 1)]
 
 
-def _measure_const_mp(space: Space) -> mp.mpf:
-    """C with dnu = C sin(u)^(2a+1) cos(u)^(2b+1) du a probability measure on
-    (0, pi/2), u = kappa*theta."""
-    a, b = mp.mpf(space.alpha), mp.mpf(space.beta)
-    return 2 * mp.gamma(a + b + 2) / (mp.gamma(a + 1) * mp.gamma(b + 1))
-
-
-def _pow(base: mp.mpf, expo: float) -> mp.mpf:
+def _pow(base: mp.mpf, expo: mp.mpf) -> mp.mpf:
     if expo == int(expo):
         return base ** int(expo)
-    return base ** mp.mpf(expo)
+    return base ** expo
+
+
+def _report(
+    space: Space, kernel: ZonalKernel, values, errors, method: str, levels: dict
+) -> CoefficientReport:
+    entries = [
+        CoefficientEntry(
+            n=n,
+            value=v,
+            error=e,
+            m_n=float(dim_m_n(space, n)),
+            lambda_n=eigenvalue_lambda_n(space, n),
+            sign=_sign_for(v, e, n, kernel, space),
+        )
+        for n, (v, e) in enumerate(zip(values, errors))
+    ]
+    return CoefficientReport(
+        space=space,
+        kernel=kernel.descriptor,
+        N=len(entries) - 1,
+        entries=entries,
+        method=method,
+        levels=levels,
+    )
+
+
+class _AngleSums:
+    """Running sums S[n] of f * P_n(t) over nodes in the angle u = kappa*theta.
+
+    With g = (1-t)^sigma F and 1-t = 2 sin(u)^2,
+        int F P_n dnu = C 2^-sigma int sin(u)^e_sin cos(u)^e_cos g P_n du,
+    e_sin = 2a+1-2sigma, e_cos = 2b+1.  The exponents and the constant are
+    formed once, in mpf from the binary inputs.  With sinc=True the nodes
+    come from a Gauss-Jacobi rule in v, u = (pi/4)(1+v), whose weight
+    (1-v)^e_cos (1+v)^e_sin already carries the powers of u and pi/2-u: the
+    powers are then taken of sin(u)/u and cos(u)/(pi/2-u), and the constant
+    gains the (pi/4)^(e_sin+e_cos+1) of the substitution.
+    """
+
+    def __init__(self, space: Space, kernel: ZonalKernel, N: int, sinc: bool = False):
+        a, b = mp.mpf(space.alpha), mp.mpf(space.beta)
+        shift = mp.mpf(kernel.gj_shift)
+        self.ab = (a, b)
+        self.N = N
+        self.kernel = kernel
+        self.sinc = sinc
+        self.kappa = mp.mpf(space.kappa)
+        self.e_sin = 2 * a + 1 - 2 * shift
+        self.e_cos = 2 * b + 1
+        # dnu = C sin(u)^(2a+1) cos(u)^(2b+1) du is a probability measure
+        C = 2 * mp.gamma(a + b + 2) / (mp.gamma(a + 1) * mp.gamma(b + 1))
+        self.const = C * _pow(mp.mpf(2), -shift)
+        if sinc:
+            self.const *= _pow(mp.pi / 4, self.e_sin + self.e_cos + 1)
+        self.S = [mp.mpf(0) for _ in range(N + 1)]
+
+    def add(self, u: mp.mpf, comp: mp.mpf, factor: mp.mpf) -> mp.mpf:
+        """Add the node u (comp = pi/2 - u, free of cancellation) with rule
+        weight `factor`; returns |f| for the caller's tail test."""
+        sinu = mp.sin(u)
+        cosu = mp.sin(comp)
+        t = 1 - 2 * sinu * sinu
+        env = EvalEnv(
+            t=t,
+            one_minus_t=2 * sinu * sinu,
+            one_plus_t=2 * cosu * cosu,
+            theta=u / self.kappa,
+            kappa=self.kappa,
+        )
+        s, c = (sinu / u, cosu / comp) if self.sinc else (sinu, cosu)
+        f = self.const * factor * _pow(s, self.e_sin) * _pow(c, self.e_cos)
+        f *= self.kernel.eval_g(env)
+        P = jacobi_eval_all(self.ab, self.N, t)
+        for n in range(self.N + 1):
+            self.S[n] += f * P[n]
+        return abs(f)
 
 
 # ---------------------------------------------------------------------------
@@ -242,42 +312,11 @@ def _de_sums(space: Space, kernel: ZonalKernel, N: int, max_level: int, dps: int
     cumulative; the error per n is the last level-to-level difference plus
     a rounding floor.
     """
-    a, b = space.alpha, space.beta
-    kappa = mp.mpf(space.kappa)
-    shift = kernel.gj_shift
-    e_sin = 2 * a + 1 - 2 * shift
-    e_cos = 2 * b + 1
-    if 2 * a + 1 - 2 * kernel.sing_exponent <= -1:
-        raise ValueError(
-            f"kernel {kernel.descriptor} not integrable on {space.name}"
-        )
-    C = _measure_const_mp(space) * _pow(mp.mpf(2), -shift)
-    ab = (mp.mpf(a), mp.mpf(b))
-    pmax = float(jacobi_value_at_one((a, b), N)) if N else 1.0
+    sums = _AngleSums(space, kernel, N)
+    pmax = float(jacobi_value_at_one((space.alpha, space.beta), N)) if N else 1.0
     pmax = max(1.0, abs(pmax))
     floor = mp.mpf(10) ** (-(dps + 8))
-
-    S = [mp.mpf(0) for _ in range(N + 1)]
     scale = mp.mpf(1)
-
-    def add_node(tau: mp.mpf) -> mp.mpf:
-        u, comp, w = _de_node(tau)
-        sinu = mp.sin(u)
-        cosu = mp.sin(comp)
-        t = 1 - 2 * sinu * sinu
-        env = EvalEnv(
-            t=t,
-            one_minus_t=2 * sinu * sinu,
-            one_plus_t=2 * cosu * cosu,
-            theta=u / kappa,
-            kappa=kappa,
-        )
-        g = kernel.eval_g(env)
-        f = C * _pow(sinu, e_sin) * _pow(cosu, e_cos) * w * g
-        P = jacobi_eval_all(ab, N, t)
-        for n in range(N + 1):
-            S[n] += f * P[n]
-        return abs(f)
 
     I_prev = None
     I_cur = None
@@ -286,11 +325,11 @@ def _de_sums(space: Space, kernel: ZonalKernel, N: int, max_level: int, dps: int
     for level in range(max_level + 1):
         h = mp.mpf(1) / (1 << level) if level else mp.mpf(1)
         if level == 0:
-            add_node(mp.mpf(0))
+            sums.add(*_de_node(mp.mpf(0)))
             for direction in (1, -1):
                 k, quiet = 1, 0
                 while quiet < 3 and k < 200:
-                    sz = add_node(mp.mpf(direction * k))
+                    sz = sums.add(*_de_node(mp.mpf(direction * k)))
                     quiet = quiet + 1 if sz * pmax < floor * scale else 0
                     k += 1
         else:
@@ -298,11 +337,11 @@ def _de_sums(space: Space, kernel: ZonalKernel, N: int, max_level: int, dps: int
                 j, quiet = 0, 0
                 while quiet < 3 and j < 200000:
                     tau = direction * (2 * j + 1) * h
-                    sz = add_node(tau)
+                    sz = sums.add(*_de_node(tau))
                     quiet = quiet + 1 if sz * pmax < floor * scale else 0
                     j += 1
         I_prev = I_cur
-        I_cur = [h * s for s in S]
+        I_cur = [h * s for s in sums.S]
         scale = max(mp.mpf(1), abs(I_cur[0]))
         level_used = level
         if I_prev is not None:
@@ -329,108 +368,34 @@ def coefficients_de(
         raise ValueError("N must be >= 0")
     with mp.workdps(digits + 10):
         I, raw_err, level_used = _de_sums(space, kernel, N, level, digits)
-        pref, _ = _prefactors_mp(space, N)
-        entries = []
-        for n in range(N + 1):
-            v = pref[n] * I[n]
-            e = pref[n] * raw_err[n]
-            entries.append(
-                CoefficientEntry(
-                    n=n,
-                    value=v,
-                    error=e,
-                    m_n=float(dim_m_n(space, n)),
-                    lambda_n=eigenvalue_lambda_n(space, n),
-                    sign=_sign_for(v, e, n, kernel, space),
-                )
-            )
-    return CoefficientReport(
-        space=space,
-        kernel=kernel.descriptor,
-        N=N,
-        entries=entries,
-        method="de",
-        levels={"digits": digits, "de_level": level_used, "de_max_level": level},
-    )
+        pref = _prefactors_mp(space, N)
+        return _report(
+            space,
+            kernel,
+            [p * i for p, i in zip(pref, I)],
+            [p * e for p, e in zip(pref, raw_err)],
+            "de",
+            {"digits": digits, "de_level": level_used, "de_max_level": level},
+        )
 
 
 # ---------------------------------------------------------------------------
 # Gauss-Jacobi engine
 
 
-def _gj_once_t(space: Space, kernel: ZonalKernel, N: int, m: int):
-    """int G P_n (1-t)^(a-shift) (1+t)^b dt / Z(a,b) via an m-node rule."""
-    a, b = space.alpha, space.beta
-    sigma = kernel.gj_shift
-    nodes, weights = gauss_jacobi_rule_mp((a - sigma, b), m)
-    kappa = space.kappa
-    Z = (
-        mp.power(2, a + b + 1)
-        * mp.gamma(mp.mpf(a) + 1)
-        * mp.gamma(mp.mpf(b) + 1)
-        / mp.gamma(mp.mpf(a) + b + 2)
-    )
-    S = [mp.mpf(0) for _ in range(N + 1)]
-    ab = (mp.mpf(a), mp.mpf(b))
-    for x, w in zip(nodes, weights):
-        env = EvalEnv(
-            t=x,
-            one_minus_t=1 - x,
-            one_plus_t=1 + x,
-            theta=mp.acos(x) / (2 * kappa),
-            kappa=mp.mpf(kappa),
-        )
-        f = w * kernel.eval_g(env)
-        P = jacobi_eval_all(ab, N, x)
-        for n in range(N + 1):
-            S[n] += f * P[n]
-    return [s / Z for s in S]
-
-
 def _gj_once_u(space: Space, kernel: ZonalKernel, N: int, m: int):
-    """Angle-variable Gauss rule for kernels with an arccos branch in t.
+    """m-node Gauss-Jacobi sums of int F P_n dnu in the angle variable.
 
-    With u = (pi/4)(1+v) the integral int F P_n dnu becomes a Jacobi-weight
-    integral in v with weight (2b+1, 2a+1-2sigma); the residual factor uses
-    sin(u)/u and sin(w)/w forms so nothing cancels at the endpoints.
+    With u = (pi/4)(1+v) the integral becomes a Jacobi-weight integral in v
+    with weight (2b+1, 2a+1-2sigma); the residual factor uses sin(u)/u and
+    cos(u)/(pi/2-u) forms so nothing cancels at the endpoints.
     """
-    a, b = space.alpha, space.beta
-    sigma = kernel.gj_shift
-    A = 2 * b + 1
-    B = 2 * a + 1 - 2 * sigma
-    nodes, weights = gauss_jacobi_rule_mp((A, B), m)
-    kappa = mp.mpf(space.kappa)
+    sums = _AngleSums(space, kernel, N, sinc=True)
+    nodes, weights = gauss_jacobi_rule_mp((sums.e_cos, sums.e_sin), m)
     quarter_pi = mp.pi / 4
-    e_sin = 2 * a + 1 - 2 * sigma
-    e_cos = 2 * b + 1
-    const = (
-        _measure_const_mp(space)
-        * _pow(mp.mpf(2), -sigma)
-        * _pow(quarter_pi, e_sin + e_cos + 1)
-    )
-    S = [mp.mpf(0) for _ in range(N + 1)]
-    ab = (mp.mpf(a), mp.mpf(b))
     for v, w in zip(nodes, weights):
-        u = quarter_pi * (1 + v)
-        comp = quarter_pi * (1 - v)
-        sinu = mp.sin(u)
-        cosu = mp.sin(comp)
-        s1 = sinu / u
-        s2 = cosu / comp
-        t = 1 - 2 * sinu * sinu
-        env = EvalEnv(
-            t=t,
-            one_minus_t=2 * sinu * sinu,
-            one_plus_t=2 * cosu * cosu,
-            theta=u / kappa,
-            kappa=kappa,
-        )
-        g = kernel.eval_g(env)
-        f = w * const * _pow(s1, e_sin) * _pow(s2, e_cos) * g
-        P = jacobi_eval_all(ab, N, t)
-        for n in range(N + 1):
-            S[n] += f * P[n]
-    return S
+        sums.add(quarter_pi * (1 + v), quarter_pi * (1 - v), w)
+    return sums.S
 
 
 def coefficients_gj(
@@ -442,9 +407,12 @@ def coefficients_gj(
 ) -> CoefficientReport:
     """Coefficients by singularity-absorbing Gauss-Jacobi quadrature.
 
-    Logarithmic kernels are excluded (their singularity is not a power of
-    1-t); use the tanh-sinh engine for those.  The error bound comes from
-    comparing rules of order m and m + max(10, m/4).
+    The rule works in the angle variable: its weight carries the powers of
+    sin and cos of the measure and the kernel's (1-t)^{-sigma}, leaving an
+    analytic residual for every non-logarithmic kernel.  Logarithmic kernels
+    are excluded (their singularity is not a power of 1-t); use the
+    tanh-sinh engine for those.  The error bound comes from comparing rules
+    of order m and m + max(10, m/4).
     """
     kernel.require_integrable(space)
     if kernel.log_flag:
@@ -459,33 +427,23 @@ def coefficients_gj(
         m_nodes = int(0.7 * digits) + int(0.8 * N) + 12
     m2 = m_nodes + max(10, m_nodes // 4)
     with mp.workdps(digits + 10):
-        once = _gj_once_t if kernel.t_analytic else _gj_once_u
-        I_lo = once(space, kernel, N, m_nodes)
-        I_hi = once(space, kernel, N, m2)
-        pref, _ = _prefactors_mp(space, N)
+        I_lo = _gj_once_u(space, kernel, N, m_nodes)
+        I_hi = _gj_once_u(space, kernel, N, m2)
+        pref = _prefactors_mp(space, N)
         floor = mp.mpf(10) ** (-(digits + 6))
-        entries = []
-        for n in range(N + 1):
-            v = pref[n] * I_hi[n]
-            e = pref[n] * abs(I_hi[n] - I_lo[n]) + floor * (1 + abs(v))
-            entries.append(
-                CoefficientEntry(
-                    n=n,
-                    value=v,
-                    error=e,
-                    m_n=float(dim_m_n(space, n)),
-                    lambda_n=eigenvalue_lambda_n(space, n),
-                    sign=_sign_for(v, e, n, kernel, space),
-                )
-            )
-    return CoefficientReport(
-        space=space,
-        kernel=kernel.descriptor,
-        N=N,
-        entries=entries,
-        method="gj",
-        levels={"digits": digits, "gj_nodes": m_nodes, "gj_nodes_check": m2},
-    )
+        values = [p * i for p, i in zip(pref, I_hi)]
+        errors = [
+            p * abs(hi - lo) + floor * (1 + abs(v))
+            for p, hi, lo, v in zip(pref, I_hi, I_lo, values)
+        ]
+        return _report(
+            space,
+            kernel,
+            values,
+            errors,
+            "gj",
+            {"digits": digits, "gj_nodes": m_nodes, "gj_nodes_check": m2},
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -512,37 +470,20 @@ def certify_coefficients(
     for digits in ladder:
         de = coefficients_de(space, kernel, N, level=DE_MAX_LEVEL, digits=digits)
         levels = {"digits": digits, "de_level": de.levels["de_level"]}
+        values = [e.value for e in de.entries]
+        errors = [e.error for e in de.entries]
         if use_gj:
             gj = coefficients_gj(space, kernel, N, digits=digits)
             levels.update(
                 gj_nodes=gj.levels["gj_nodes"], gj_nodes_check=gj.levels["gj_nodes_check"]
             )
-        entries = []
-        with mp.workdps(digits + 10):
-            for n in range(N + 1):
-                v = de.entries[n].value
-                e = de.entries[n].error
-                if use_gj:
-                    e = e + gj.entries[n].error + abs(v - gj.entries[n].value)
-                entries.append(
-                    CoefficientEntry(
-                        n=n,
-                        value=v,
-                        error=e,
-                        m_n=de.entries[n].m_n,
-                        lambda_n=de.entries[n].lambda_n,
-                        sign=_sign_for(v, e, n, kernel, space),
-                    )
-                )
-        report = CoefficientReport(
-            space=space,
-            kernel=kernel.descriptor,
-            N=N,
-            entries=entries,
-            method="both" if use_gj else "de",
-            levels=levels,
-        )
-        if all(e.sign != SIGN_UNDECIDED for e in entries):
+            with mp.workdps(digits + 10):
+                errors = [
+                    e + g.error + abs(v - g.value)
+                    for v, e, g in zip(values, errors, gj.entries)
+                ]
+        report = _report(space, kernel, values, errors, "both" if use_gj else "de", levels)
+        if all(e.sign != SIGN_UNDECIDED for e in report.entries):
             break
     return report
 

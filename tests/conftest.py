@@ -44,3 +44,27 @@ def synthetic_report(space_name, values, errors=None, signs=None, kernel="synthe
 
 def p_at_one(space_name, n):
     return float(jacobi_value_at_one(make_space(space_name), n))
+
+
+def riesz_chordal_exact(space, s, n):
+    """Closed-form n-th coefficient of riesz-chordal:s at the ambient mp precision.
+
+    F = sgn(s) chi^(-s) = sgn(s) 2^(s/2) (1-t)^(-s/2).  With rho = alpha - s/2,
+        int (1-t)^rho (1+t)^beta P_n dt
+            = 2^(rho+beta+1) G(rho+1) G(beta+n+1) (alpha-rho)_n / (n! G(rho+beta+n+2))
+    (Askey, Orthogonal Polynomials and Special Functions, 1975), and the
+    coefficient of P_n is that integral over the unnormalized norm
+        H_n = 2^(a+b+1) G(n+a+1) G(n+b+1) / ((2n+a+b+1) n! G(n+a+b+1)).
+    The exponent s is taken as the exact binary double.
+    """
+    a, b, s = mp.mpf(space.alpha), mp.mpf(space.beta), mp.mpf(s)
+    rho = a - s / 2
+    integral = (
+        mp.power(2, rho + b + 1) * mp.gamma(rho + 1) * mp.gamma(b + n + 1)
+        * mp.rf(a - rho, n) / (mp.factorial(n) * mp.gamma(rho + b + n + 2))
+    )
+    norm = (
+        mp.power(2, a + b + 1) * mp.gamma(n + a + 1) * mp.gamma(n + b + 1)
+        / ((2 * n + a + b + 1) * mp.factorial(n) * mp.gamma(n + a + b + 1))
+    )
+    return mp.sign(s) * mp.power(2, s / 2) * integral / norm

@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 
+import mpmath as mp
 import pytest
 
+from conftest import riesz_chordal_exact
 from zonalpd import __version__
 from zonalpd.cli import main
 from zonalpd.spaces import make_space
@@ -227,6 +229,34 @@ def test_poisson_cli(capsys):
     assert code == 1 and "r must lie" in err
     code, _, err = run(capsys, "poisson", "--space", "RP2", "--r", "0.5", "--theta", "3.0")
     assert code == 1 and "theta" in err
+
+
+def test_runtime_error_exits_1(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("hypergeometric series did not converge")
+
+    monkeypatch.setattr("zonalpd.cli.poisson_kernel", fail)
+    code, out, err = run(capsys, "poisson", "--space", "RP2", "--r", "0.5", "--theta", "0")
+    assert code == 1 and out == ""
+    assert "zonalpd: error" in err
+    assert "Traceback" not in err
+
+
+def test_printed_intervals_contain_closed_form(capsys):
+    """The printed value +- error holds the exact coefficient, in both formats."""
+    argv = ["coeffs", "--space", "CP2", "--kernel", "riesz-chordal:s=1",
+            "--nmax", "8", "--digits", "30"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    printed = [(e["n"], e["value"], e["error"]) for e in json.loads(out)["entries"]]
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = [ln.split(",") for ln in out.splitlines() if ln and not ln.startswith(("#", "n,"))]
+    assert [(int(r[0]), r[1], r[2]) for r in rows] == printed
+    with mp.workdps(60):
+        for n, value, error in printed:
+            exact = riesz_chordal_exact(make_space("CP2"), 1.0, n)
+            assert abs(mp.mpf(value) - exact) <= mp.mpf(error), n
 
 
 def test_verify_flag_all_formats(capsys):

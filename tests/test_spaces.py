@@ -16,7 +16,6 @@ from zonalpd.spaces import (
     load_points,
     make_rng,
     make_space,
-    measure_cdf,
     measure_density,
     random_isometry,
     rephase_point,
@@ -61,6 +60,15 @@ def test_make_space_custom_and_errors():
         make_space("custom:alpha=-1.5,beta=0,kappa=1")
     with pytest.raises(ValueError):
         make_space("custom:alpha=1,beta=-1,kappa=1")
+
+
+def test_make_space_custom_kappa_defaults_to_one():
+    sp = make_space("custom:alpha=1,beta=0")
+    assert sp == make_space(alpha=1, beta=0)
+    assert sp.kappa == 1.0
+    assert make_space(sp.name) == sp
+    with pytest.raises(ValueError):
+        make_space("custom:alpha=1")
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -135,6 +143,14 @@ def test_sample_mean_of_t():
         t = distance_t_arrays(sp, X, Y)
         stderr = t.std(ddof=1) / math.sqrt(n)
         assert abs(t.mean() - mean) < 3 * stderr + 1e-6, name
+
+
+def measure_cdf(space, t):
+    """CDF of mu_{alpha,beta}: regularized incomplete beta in u = (1+t)/2."""
+    from scipy.special import betainc
+
+    u = (1 + np.asarray(t, dtype=float)) / 2
+    return betainc(space.beta + 1, space.alpha + 1, u)
 
 
 @pytest.mark.parametrize("name", SAMPLED)

@@ -1,11 +1,13 @@
 import json
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import synthetic_report
+from conftest import riesz_chordal_exact, synthetic_report
+from zonalpd import jacobi
 from zonalpd.jacobi import dim_m_n, jacobi_eval, jacobi_eval_all, jacobi_value_at_one
 from zonalpd.kernels import (
     cos_power_kernel,
@@ -254,3 +256,25 @@ def test_non_integrable_rejected():
 def test_gj_rejects_log_kernels():
     with pytest.raises(ValueError):
         coefficients_gj(S2, parse_kernel("log-chordal", S2), N=4)
+
+
+def test_certified_intervals_contain_closed_form():
+    """Non-dyadic exponents: every in-memory interval holds the exact value."""
+    for name, s in (("HP2", 0.7), ("RP3", -0.6), ("S4", 1.3), ("OP2", 0.9)):
+        sp = make_space(name)
+        rep = certify_coefficients(sp, riesz_chordal(sp, s), N=8, target_digits=30)
+        with mp.workdps(60):
+            for e in rep.entries:
+                exact = riesz_chordal_exact(sp, s, e.n)
+                assert abs(e.value - exact) <= e.error, (name, s, e.n)
+
+
+def test_certify_without_scipy(monkeypatch):
+    """scipy is a test extra only: certification must not import it."""
+    # an already imported submodule would be found without its parent
+    for mod in ["scipy"] + [m for m in sys.modules if m.startswith("scipy.")]:
+        monkeypatch.setitem(sys.modules, mod, None)
+    monkeypatch.setattr(jacobi, "_MP_RULE_CACHE", {})
+    rep = certify_coefficients(CP2, riesz_chordal(CP2, 1.0), N=4, target_digits=20)
+    assert rep.method == "both"
+    assert all(e.sign == "+" for e in rep.entries)
