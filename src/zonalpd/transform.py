@@ -34,6 +34,7 @@ import mpmath as mp
 import numpy as np
 
 from .jacobi import (
+    _recurrence_coeffs,
     dim_m_n,
     eigenvalue_lambda_n,
     gauss_jacobi_rule_mp,
@@ -542,7 +543,9 @@ def hyp2f1(args: Hyp2F1Args, digits: int = 25) -> float:
     (1-z)^(c-a-b) 2F1(c-a, c-b; c; z) terminates and is summed exactly.
     Otherwise the defining series is summed in elevated precision; for the
     parameter families used here all terms beyond the alternating head have
-    one sign, so the only cost near z=1 is term count, monitored by a cap.
+    one sign, so the only cost near z=1 is term count.  When the predicted
+    count exceeds the series cap, mpmath's hyp2f1 (which transforms z -> 1-z)
+    gives the value at the same working precision instead.
     """
     if not isinstance(args, Hyp2F1Args):
         args = Hyp2F1Args(*args)
@@ -556,7 +559,27 @@ def hyp2f1(args: Hyp2F1Args, digits: int = 25) -> float:
             return float(mp.power(1 - za, c - a - b) * _series_2f1(ca, cb, c, za, terminating=True))
         if cb == int(cb) and cb <= 0:
             return float(mp.power(1 - za, c - a - b) * _series_2f1(ca, cb, c, za, terminating=True))
+        if _series_terms_needed(a, b, c, z, mp.mp.dps + 2) > _SERIES_CAP:
+            return float(mp.hyp2f1(mp.mpf(a), mp.mpf(b), mp.mpf(c), za))
         return float(_series_2f1(mp.mpf(a), mp.mpf(b), mp.mpf(c), za))
+
+
+# terms the 2F1 series may sum before it gives up
+_SERIES_CAP = 2_000_000
+
+
+def _series_terms_needed(a: float, b: float, c: float, z: float, digits: int) -> float:
+    """Predicted term count for the 2F1 series to fall below 10^-digits.
+
+    Term k behaves like k^p z^k with p = a+b-c-1, so k solves
+    k ln(1/z) = digits ln 10 + p ln k; p < 0 only helps and is dropped.
+    """
+    rate = -math.log(z)
+    p = max(a + b - c - 1, 0.0)
+    k = digits * math.log(10) / rate
+    for _ in range(4):
+        k = (digits * math.log(10) + p * math.log(max(k, 1.0))) / rate
+    return k
 
 
 def _series_2f1(a, b, c, z, terminating: bool = False):
@@ -564,7 +587,6 @@ def _series_2f1(a, b, c, z, terminating: bool = False):
     term = mp.mpf(1)
     total = mp.mpf(1)
     eps = mp.mpf(10) ** (-(mp.mp.dps + 2))
-    cap = 2_000_000
     k = 0
     while True:
         term = term * (a + k) * (b + k) / ((c + k) * (k + 1)) * z
@@ -576,8 +598,10 @@ def _series_2f1(a, b, c, z, terminating: bool = False):
             break
         if not terminating and abs(term) < eps * abs(total) and k > 4:
             break
-        if k >= cap:
-            raise RuntimeError(f"hypergeometric series did not converge within {cap} terms")
+        if k >= _SERIES_CAP:
+            raise RuntimeError(
+                f"hypergeometric series did not converge within {_SERIES_CAP} terms"
+            )
     return total
 
 
@@ -636,10 +660,7 @@ def poisson_kernel(
                 if n == 1:
                     p_cur = (am + 1) + (am + bm + 2) * (t - 1) / 2
                 else:
-                    c1 = 2 * n * (n + am + bm) * (2 * n + am + bm - 2)
-                    c2 = (2 * n + am + bm - 1) * (am * am - bm * bm)
-                    c3 = (2 * n + am + bm - 2) * (2 * n + am + bm - 1) * (2 * n + am + bm)
-                    c4 = 2 * (n + am - 1) * (n + bm - 1) * (2 * n + am + bm)
+                    c1, c2, c3, c4 = _recurrence_coeffs(n, am, bm)
                     p_cur = ((c2 + c3 * t) * p_prev - c4 * p_prev2) / c1
                 p_prev2, p_prev = p_prev, p_cur
                 total += coef_n * rn * p_cur

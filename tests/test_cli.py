@@ -3,10 +3,12 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+import zonalpd
 from conftest import riesz_chordal_exact
 from zonalpd import __version__
 from zonalpd.cli import main
@@ -282,7 +284,11 @@ def test_out_writes_file_byte_identical(tmp_path, capsys):
 
 
 def _run_proc(argv, env_extra=None):
+    # the child imports the package under test, also when pytest alone put
+    # it on sys.path
+    src = str(Path(zonalpd.__file__).resolve().parents[1])
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     env.update(env_extra or {})
     return subprocess.run(
         [sys.executable, "-m", "zonalpd", *argv],

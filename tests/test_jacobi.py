@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -314,3 +316,79 @@ def test_pochhammer():
     assert pochhammer(3.0, 0) == 1.0
     assert pochhammer(3.0, 4) == pytest.approx(3 * 4 * 5 * 6, rel=1e-15)
     assert float(pochhammer(mp.mpf(2), 3)) == 24.0
+
+
+def eval_all_uncached(a, b, n_max, t):
+    """The three-term recurrence with its coefficients rebuilt at every call."""
+    values = [t * 0 + 1]
+    if n_max == 0:
+        return values
+    values.append((a + 1) + (a + b + 2) * (t - 1) / 2)
+    for n in range(2, n_max + 1):
+        c1 = 2 * n * (n + a + b) * (2 * n + a + b - 2)
+        c2 = (2 * n + a + b - 1) * (a * a - b * b)
+        c3 = (2 * n + a + b - 2) * (2 * n + a + b - 1) * (2 * n + a + b)
+        c4 = 2 * (n + a - 1) * (n + b - 1) * (2 * n + a + b)
+        values.append(((c2 + c3 * t) * values[n - 1] - c4 * values[n - 2]) / c1)
+    return values
+
+
+def test_cached_recurrence_bit_identical_across_precisions():
+    # the same mpf (alpha, beta) at dps 20, 60, then 20 again: a table built
+    # at one precision must not serve another
+    a, b = mp.mpf(0.3), mp.mpf(-0.45)
+    for dps in (20, 60, 20):
+        with mp.workdps(dps):
+            for t in (mp.mpf(1) / 3, mp.mpf("-0.77")):
+                got = jacobi_eval_all((a, b), 30, t)
+                want = eval_all_uncached(a, b, 30, t)
+                assert all(g == w for g, w in zip(got, want)), dps
+                assert len(got) == len(want) == 31
+
+
+def test_cached_recurrence_keeps_float_type():
+    # mpf(0.5) == 0.5 and both hash alike; a float call after an mpf call
+    # with equal values must still run in float arithmetic
+    mp_vals = jacobi_eval_all((mp.mpf(0.5), mp.mpf(-0.5)), 20, mp.mpf(0.3))
+    assert all(isinstance(v, mp.mpf) for v in mp_vals)
+    got = jacobi_eval_all((0.5, -0.5), 20, 0.3)
+    assert all(type(v) is float for v in got)
+    assert got == eval_all_uncached(0.5, -0.5, 20, 0.3)
+
+
+def test_cached_recurrence_numpy_elementwise():
+    t = np.linspace(-1.0, 1.0, 41)
+    jacobi_eval_all((1.5, 0.5), 25, 0.1)
+    got = jacobi_eval_all((1.5, 0.5), 25, t)
+    want = eval_all_uncached(1.5, 0.5, 25, t)
+    for g, w in zip(got, want):
+        assert isinstance(g, np.ndarray) and np.array_equal(g, w)
+
+
+def test_cached_recurrence_under_threads():
+    # more threads than cores, with frequent switches, over a shared mix of
+    # parameter pairs and types; every result must equal the uncached one
+    pairs = [(0.5 + 0.25 * k, -0.5) for k in range(6)]
+    failures = []
+
+    def work(seed):
+        for i in range(40):
+            a, b = pairs[(seed + i) % len(pairs)]
+            if i % 2:
+                a, b = mp.mpf(a), mp.mpf(b)
+            n_max = 10 + (seed + i) % 5
+            if jacobi_eval_all((a, b), n_max, 0.2) != eval_all_uncached(a, b, n_max, 0.2):
+                failures.append((seed, i))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert failures == []

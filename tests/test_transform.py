@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import time
 
 import mpmath as mp
 import numpy as np
@@ -186,6 +187,17 @@ def test_poisson_series_closed_mutual(subtests=None):
                 a = poisson_kernel(params, r, theta, method="closed")
                 b = poisson_kernel(params, r, theta, method="series")
                 assert a == pytest.approx(b, abs=1e-10 * max(1, abs(a)))
+
+
+def test_poisson_closed_near_z_one():
+    """r = 0.99 puts z within 3e-5 of 1, past what the 2F1 series can sum
+    within its term cap; the closed form must still answer, fast."""
+    t0 = time.perf_counter()
+    closed = poisson_kernel(RP2, 0.99, 0.0, method="closed")
+    elapsed = time.perf_counter() - t0
+    series = poisson_kernel(RP2, 0.99, 0.0, method="series")
+    assert closed == pytest.approx(series, abs=1e-9 * max(1, abs(series)))
+    assert elapsed < 1.0
 
 
 def triple_quadrature_energy(kernel, n, m=80, n_phi=256):
