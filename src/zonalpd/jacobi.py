@@ -81,14 +81,12 @@ def _recurrence_coeffs(n: int, a, b) -> tuple:
     return c1, c2, c3, c4
 
 
-@functools.lru_cache(maxsize=_RECURRENCE_CACHE_SIZE)
-def _recurrence_table(a_type: type, b_type: type, a, b, n_max: int, prec: int) -> tuple:
+@functools.lru_cache(maxsize=_RECURRENCE_CACHE_SIZE, typed=True)
+def _recurrence_table(a, b, n_max: int, prec: int) -> tuple:
     """_recurrence_coeffs for n = 2..n_max.
 
-    The types and the precision serve only as key: mpf(0.5) == 0.5 with equal
-    hashes, so without the types a float call could be served mpf
-    coefficients, and without the precision a table built at low precision
-    could be reused at a higher one.
+    The precision serves only as key, so a table built at low precision is
+    never reused at a higher one.
     """
     return tuple(_recurrence_coeffs(n, a, b) for n in range(2, n_max + 1))
 
@@ -111,7 +109,7 @@ def jacobi_eval_all(params, n_max: int, t):
     if n_max == 0:
         return values
     values.append((a + 1) + (a + b + 2) * (t - 1) / 2)
-    table = _recurrence_table(type(a), type(b), a, b, n_max, mp.mp.prec)
+    table = _recurrence_table(a, b, n_max, mp.mp.prec)
     for n, (c1, c2, c3, c4) in enumerate(table, start=2):
         values.append(((c2 + c3 * t) * values[n - 1] - c4 * values[n - 2]) / c1)
     return values

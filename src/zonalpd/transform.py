@@ -541,11 +541,8 @@ def hyp2f1(args: Hyp2F1Args, digits: int = 25) -> float:
 
     When c-a (or c-b) is a non-positive integer the Euler transformation
     (1-z)^(c-a-b) 2F1(c-a, c-b; c; z) terminates and is summed exactly.
-    Otherwise the defining series is summed in elevated precision; for the
-    parameter families used here all terms beyond the alternating head have
-    one sign, so the only cost near z=1 is term count.  When the predicted
-    count exceeds the series cap, mpmath's hyp2f1 (which transforms z -> 1-z)
-    gives the value at the same working precision instead.
+    Otherwise mpmath's hyp2f1, which transforms z -> 1-z near z=1, gives the
+    value at the same elevated working precision.
     """
     if not isinstance(args, Hyp2F1Args):
         args = Hyp2F1Args(*args)
@@ -555,53 +552,22 @@ def hyp2f1(args: Hyp2F1Args, digits: int = 25) -> float:
     with mp.workdps(digits + 10):
         za = mp.mpf(z)
         ca, cb = c - a, c - b
-        if ca == int(ca) and ca <= 0:
-            return float(mp.power(1 - za, c - a - b) * _series_2f1(ca, cb, c, za, terminating=True))
-        if cb == int(cb) and cb <= 0:
-            return float(mp.power(1 - za, c - a - b) * _series_2f1(ca, cb, c, za, terminating=True))
-        if _series_terms_needed(a, b, c, z, mp.mp.dps + 2) > _SERIES_CAP:
-            return float(mp.hyp2f1(mp.mpf(a), mp.mpf(b), mp.mpf(c), za))
-        return float(_series_2f1(mp.mpf(a), mp.mpf(b), mp.mpf(c), za))
+        if (ca == int(ca) and ca <= 0) or (cb == int(cb) and cb <= 0):
+            return float(mp.power(1 - za, c - a - b) * _terminating_2f1(ca, cb, c, za))
+        return float(mp.hyp2f1(a, b, c, za))
 
 
-# terms the 2F1 series may sum before it gives up
-_SERIES_CAP = 2_000_000
-
-
-def _series_terms_needed(a: float, b: float, c: float, z: float, digits: int) -> float:
-    """Predicted term count for the 2F1 series to fall below 10^-digits.
-
-    Term k behaves like k^p z^k with p = a+b-c-1, so k solves
-    k ln(1/z) = digits ln 10 + p ln k; p < 0 only helps and is dropped.
-    """
-    rate = -math.log(z)
-    p = max(a + b - c - 1, 0.0)
-    k = digits * math.log(10) / rate
-    for _ in range(4):
-        k = (digits * math.log(10) + p * math.log(max(k, 1.0))) / rate
-    return k
-
-
-def _series_2f1(a, b, c, z, terminating: bool = False):
+def _terminating_2f1(a, b, c, z):
+    """2F1(a, b; c; z) with a or b a non-positive integer: a polynomial,
+    summed up to its first zero term."""
     a, b, c = mp.mpf(a), mp.mpf(b), mp.mpf(c)
     term = mp.mpf(1)
     total = mp.mpf(1)
-    eps = mp.mpf(10) ** (-(mp.mp.dps + 2))
     k = 0
-    while True:
+    while term != 0:
         term = term * (a + k) * (b + k) / ((c + k) * (k + 1)) * z
         total += term
         k += 1
-        if term == 0:
-            break
-        if terminating and k > max(-float(a), -float(b)) + 2:
-            break
-        if not terminating and abs(term) < eps * abs(total) and k > 4:
-            break
-        if k >= _SERIES_CAP:
-            raise RuntimeError(
-                f"hypergeometric series did not converge within {_SERIES_CAP} terms"
-            )
     return total
 
 

@@ -190,8 +190,8 @@ def test_poisson_series_closed_mutual(subtests=None):
 
 
 def test_poisson_closed_near_z_one():
-    """r = 0.99 puts z within 3e-5 of 1, past what the 2F1 series can sum
-    within its term cap; the closed form must still answer, fast."""
+    """r = 0.99 puts z within 3e-5 of 1, where summing the 2F1 series would
+    take millions of terms; the closed form must still answer, fast."""
     t0 = time.perf_counter()
     closed = poisson_kernel(RP2, 0.99, 0.0, method="closed")
     elapsed = time.perf_counter() - t0
