@@ -66,7 +66,9 @@ def pochhammer(x, n: int):
 
 # Tables held at once.  A scan builds rules for a fresh (alpha, beta) at each
 # exponent, so old tables must age out; one table is 4(N-1) scalars, about
-# 44 KiB in mpf at N=48, dps 40.  The RP2 scan at N=16 uses 9 tables.
+# 44 KiB in mpf at N=48, dps 40.  Counted per CLI job: the RP2 scan at N=16
+# asks for 9 distinct tables, table1 for 7, a coeffs job for 3, a perturbed
+# energy for 4, so no table is built twice.
 _RECURRENCE_CACHE_SIZE = 32
 
 
