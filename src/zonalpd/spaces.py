@@ -327,70 +327,6 @@ def distance_t(x: Point, y: Point) -> float:
     return float(distance_t_arrays(x.space, x.coords[None, :], y.coords[None, :])[0])
 
 
-def rephase_point(p: Point, rng: np.random.Generator) -> Point:
-    """Multiply by a random unit field scalar; a projective no-op."""
-    sp = p.space
-    if sp.family == FAMILY_RP:
-        return Point(sp, p.coords * rng.choice([-1.0, 1.0]))
-    if sp.family == FAMILY_CP:
-        phi = rng.uniform(0, 2 * pi)
-        z = _as_complex(p.coords, sp.d)[0] * np.exp(1j * phi)
-        return Point(sp, np.stack([z.real, z.imag], axis=-1).ravel())
-    if sp.family == FAMILY_HP:
-        lam = rng.normal(size=4)
-        lam /= np.linalg.norm(lam)
-        q = p.coords.reshape(sp.d, 4)
-        return Point(sp, _quat_mul(q, lam[None, :]).ravel())
-    raise ValueError(f"{sp.name} is not projective")
-
-
-def random_isometry(space: Space, rng: np.random.Generator) -> np.ndarray:
-    """A random orthogonal/unitary/quaternion-unitary matrix for the model.
-
-    Returned in a form `apply_isometry` understands; used for invariance tests.
-    """
-    if space.family in (FAMILY_SPHERE, FAMILY_RP):
-        n = space.d
-        q, r = np.linalg.qr(rng.normal(size=(n, n)))
-        return q * np.sign(np.diag(r))
-    if space.family == FAMILY_CP:
-        n = space.d
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        q, r = np.linalg.qr(g)
-        return q * (np.diag(r) / np.abs(np.diag(r))).conj()
-    if space.family == FAMILY_HP:
-        n = space.d
-        g = rng.normal(size=(n, n, 4))
-        # Gram-Schmidt over H with right coefficients: v <- v - u <u,v>
-        for i in range(n):
-            for j in range(i):
-                u = g[j]
-                ip = _quat_mul(_quat_conj(u), g[i]).sum(axis=0)
-                g[i] = g[i] - _quat_mul(u, np.broadcast_to(ip, u.shape))
-            nrm = math.sqrt((g[i] ** 2).sum())
-            g[i] = g[i] / nrm
-        return g
-    raise ValueError(f"{space.name} has no point model")
-
-
-def apply_isometry(space: Space, M, p: Point) -> Point:
-    if space.family in (FAMILY_SPHERE, FAMILY_RP):
-        return Point(space, M @ p.coords)
-    if space.family == FAMILY_CP:
-        z = _as_complex(p.coords, space.d)[0]
-        w = M @ z
-        return Point(space, np.stack([w.real, w.imag], axis=-1).ravel())
-    if space.family == FAMILY_HP:
-        # rows of M are orthonormal under sum_k conj(u_k) v_k, which over H
-        # makes x -> M^T x (not M x) the inner-product preserving map
-        x = p.coords.reshape(space.d, 4)
-        out = np.zeros_like(x)
-        for i in range(space.d):
-            out[i] = _quat_mul(M[:, i], x).sum(axis=0)
-        return Point(space, out.ravel())
-    raise ValueError(f"{space.name} has no point model")
-
-
 # ---------------------------------------------------------------------------
 # point files: `# space=<name> field=<R|C|H> d=<int>` then one point per row
 

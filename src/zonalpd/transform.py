@@ -26,7 +26,6 @@ precision setting (the scan drivers do).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -62,6 +61,8 @@ __all__ = [
 DEFAULT_DIGITS = 50
 DEFAULT_N = 32
 DE_MAX_LEVEL = 12
+# term cap of the spectral Poisson series; reaching it raises
+POISSON_SERIES_MAX_TERMS = 200000
 
 SIGN_POS = "+"
 SIGN_NEG = "-"
@@ -597,8 +598,10 @@ def poisson_kernel(
     if r == 0:
         return 1.0
     if method == "closed":
-        cz = math.cos(kappa * theta) ** 2
-        z = 4 * r * cz / (1 + r) ** 2
+        # z in mpf: near r = 1 and theta = 0, 1 - z is a few float64 ulps
+        with mp.workdps(digits + 10):
+            rm = mp.mpf(r)
+            z = 4 * rm * mp.cos(mp.mpf(kappa) * mp.mpf(theta)) ** 2 / (1 + rm) ** 2
         pref = (1 - r) / (1 + r) ** (a + b + 2)
         val = hyp2f1(Hyp2F1Args((a + b + 2) / 2, (a + b + 3) / 2, b + 1, z), digits=digits)
         return pref * val
@@ -616,9 +619,7 @@ def poisson_kernel(
             rn = mp.mpf(1)
             p_prev2 = None
             p_prev = mp.mpf(1)
-            n = 0
-            while n < 200000:
-                n += 1
+            for n in range(1, POISSON_SERIES_MAX_TERMS + 1):
                 poch *= (am + bm + n) / (bm + n)
                 p1 *= (am + n) / n
                 rn *= rm
@@ -632,6 +633,8 @@ def poisson_kernel(
                 total += coef_n * rn * p_cur
                 # |P_n| <= P_n(1) on the geometric parameter range
                 if coef_n * rn * p1 < eps * max(1, abs(total)):
-                    break
-            return float(total)
+                    return float(total)
+        raise RuntimeError(
+            f"Poisson series did not converge in {POISSON_SERIES_MAX_TERMS} terms (r={r!r})"
+        )
     raise ValueError(f"unknown poisson method {method!r}")

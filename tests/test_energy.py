@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from zonalpd import energy as energy_mod
 from zonalpd.energy import (
+    MC_BATCH,
     DiscreteMeasure,
     PerturbedMeasureSpec,
     canonical_point,
@@ -21,7 +23,7 @@ from zonalpd.kernels import (
     riesz_chordal,
     riesz_geodesic,
 )
-from zonalpd.spaces import Point, make_rng, make_space, sample_uniform_points
+from zonalpd.spaces import Point, distance_t, make_rng, make_space, sample_uniform_points
 from zonalpd.transform import coefficients_de
 
 S2 = make_space("S2")
@@ -122,6 +124,91 @@ def test_gaussian_zero_sum_energies_nonnegative(name):
         w -= w.mean()
         m = DiscreteMeasure(sp, [Point(sp, c) for c in coords], weights=w)
         assert energy_discrete(m, ker, include_diagonal=True) >= -1e-10
+
+
+def _pair_loop_terms(measure, kernel, include_diagonal=False, scalar_f=False):
+    """Terms of the per-pair double loop that the vectorized pass replaced.
+
+    Kept as an oracle.  The loop evaluated F on a 0-d np.float64; numpy
+    sends such scalars through libm but arrays through its SIMD routines,
+    which may round pow and arccos differently in the last bit.  So by
+    default F is evaluated on a one-element array, the form that the
+    vectorized pass must match bit for bit; `scalar_f` restores the old
+    scalar call.
+    """
+    pts = measure.points
+    w = measure.weights
+    terms = []
+    for i in range(len(pts)):
+        for j in range(len(pts)):
+            if i == j and not include_diagonal:
+                continue
+            t = distance_t(pts[i], pts[j]) if i != j else 1.0
+            f = kernel.f_t(np.float64(t)) if scalar_f else kernel.f_t(np.array([t]))[0]
+            terms.append(w[i] * w[j] * float(f))
+    return terms
+
+
+ORACLE_KERNELS = (
+    "riesz-chordal:s=1",
+    "riesz-geodesic:s=-0.6",
+    "log-geodesic",
+    "gauss-geodesic:lambda=2",
+    "jacobi:n=3",
+)
+
+
+@pytest.mark.parametrize("text", ORACLE_KERNELS)
+@pytest.mark.parametrize("name", ("S2", "RP2", "CP2", "HP2"))
+def test_energy_discrete_matches_pair_loop(name, text):
+    sp = make_space(name)
+    ker = parse_kernel(text, sp)
+    rng = make_rng(31, 0)
+    points = [Point(sp, c) for c in sample_uniform_points(sp, rng, 30)]
+    singular = ker.sing_exponent > 0 or ker.log_flag
+    for weights in (None, rng.normal(size=30)):
+        m = DiscreteMeasure(sp, points, weights=weights)
+        for diag in (False, True):
+            if diag and singular:
+                with pytest.raises(ValueError):
+                    energy_discrete(m, ker, include_diagonal=True)
+                continue
+            got = energy_discrete(m, ker, include_diagonal=diag)
+            assert got == math.fsum(_pair_loop_terms(m, ker, diag))
+            # the old scalar evaluation differs by at most a few ulps a term
+            old = _pair_loop_terms(m, ker, diag, scalar_f=True)
+            bound = 4 * np.finfo(float).eps * math.fsum(abs(x) for x in old)
+            assert abs(got - math.fsum(old)) <= bound
+
+
+def test_energy_discrete_blocks_bounded(monkeypatch):
+    # 400 points on HP2 give 159600 ordered pairs, more than one MC_BATCH
+    sp = make_space("HP2")
+    rng = make_rng(37, 0)
+    points = [Point(sp, c) for c in sample_uniform_points(sp, rng, 400)]
+    m = DiscreteMeasure(sp, points, weights=rng.normal(size=400))
+    ker = parse_kernel("riesz-chordal:s=1", sp)
+    sizes = []
+    real = energy_mod.distance_t_arrays
+
+    def spy(space, X, Y):
+        sizes.append(len(X))
+        return real(space, X, Y)
+
+    monkeypatch.setattr(energy_mod, "distance_t_arrays", spy)
+    got = energy_discrete(m, ker)
+    assert len(sizes) >= 2 and max(sizes) <= MC_BATCH
+    assert sum(sizes) == 400 * 399
+    assert got == math.fsum(_pair_loop_terms(m, ker))
+
+
+def test_energy_discrete_keeps_clamp_check():
+    # two copies of a point whose norm is 1 + 1e-13 (within Point's 1e-12)
+    # give t = 1 + 2e-13, far beyond the clamp tolerance
+    row = [1.0 + 1e-13, 0.0, 0.0]
+    m = DiscreteMeasure(S2, pts(S2, [row, row]))
+    with pytest.raises(ValueError, match="clamping"):
+        energy_discrete(m, gaussian_kernel(S2, "chordal", 1.0))
 
 
 # ---------------------------------------------------------------------------

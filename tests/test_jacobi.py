@@ -20,7 +20,6 @@ from zonalpd.jacobi import (
     jacobi_norm_sq,
     jacobi_normalized,
     jacobi_value_at_one,
-    koornwinder_p_n,
     pochhammer,
     weight_total_mass,
 )
@@ -242,6 +241,56 @@ def test_normalization_consistency(space):
         pn = np.array([jacobi_eval(space, n, ti) for ti in t])
         val = dim_m_n(space, n) / jacobi_value_at_one(space, n) ** 2 * float(np.dot(w, pn**2))
         assert val == pytest.approx(1.0, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# integral representation of the normalized polynomials (independent oracle)
+
+
+def koornwinder_p_n(params, n: int, theta: float) -> float:
+    """p_n(cos 2*theta) through its addition-type integral representation.
+
+    For beta >= 0 the representation is a double average of
+    (cos^2 th - r^2 sin^2 th + i r cos(phi) sin 2th)^n over r in [0,1] with
+    density ~ (1-r^2)^(a-b-1) r^(2b+1) and phi in [0,pi] with density
+    ~ sin^(2b) phi.  For beta = -1/2 the phi average degenerates and a single
+    average over x in [-1,1] with density ~ (1-x^2)^(a-1/2) remains.
+
+    Written with probability-normalized Gauss rules the constants cancel and
+    the value is a plain weighted mean, exact up to rounding for each fixed n
+    once the rule order exceeds the polynomial degree.  Oracle-quality only:
+    intended for n <= 20 cross-checks against the recurrence.
+    """
+    a, b = map(float, params)
+    if b < -0.5 or (-0.5 < b < 0):
+        raise ValueError("integral representation needs beta >= 0 or beta == -1/2")
+    c, s = math.cos(theta), math.sin(theta)
+    m = n + 2
+
+    if b == -0.5:
+        rule = gauss_jacobi_rule((a - 0.5, a - 0.5), m)
+        x = rule.nodes
+        w = rule.weights / rule.total_mass()
+        vals = (c * c - x * x * s * s + 2j * x * c * s) ** n
+        return float(np.dot(w, vals.real))
+
+    if a - b - 1 <= -1:
+        # alpha = beta: radial density degenerates to the endpoint r = 1
+        r = np.array([1.0])
+        wr = np.array([1.0])
+    else:
+        # u = r^2 ~ Jacobi weight (a-b-1, b) on [-1,1] after u = (1+x)/2
+        ru = gauss_jacobi_rule((a - b - 1, b), m)
+        r = np.sqrt((1 + ru.nodes) / 2)
+        wr = ru.weights / ru.total_mass()
+    rphi = gauss_jacobi_rule((b - 0.5, b - 0.5), m)
+    cphi = rphi.nodes
+    wphi = rphi.weights / rphi.total_mass()
+
+    R, CP = np.meshgrid(r, cphi, indexing="ij")
+    W = np.outer(wr, wphi)
+    vals = (c * c - R * R * s * s + 1j * R * CP * 2 * s * c) ** n
+    return float((W * vals.real).sum())
 
 
 KOORNWINDER_CASES = [

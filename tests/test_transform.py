@@ -200,6 +200,28 @@ def test_poisson_closed_near_z_one():
     assert elapsed < 1.0
 
 
+def test_poisson_closed_at_r_near_one():
+    """At theta = 0 the RP2 Poisson kernel is (1+3r)/(1-r)^2; with r one
+    step of 1e-7 from 1, z must be formed beyond float64 to get it right."""
+    r = 0.9999999
+    want = (1 + 3 * r) / (1 - r) ** 2
+    assert poisson_kernel(RP2, r, 0.0, method="closed") == pytest.approx(want, rel=1e-9)
+
+
+def test_poisson_series_raises_at_term_cap(monkeypatch):
+    import zonalpd.transform as transform
+
+    assert poisson_kernel(RP2, 0.99, 0.3, method="series") == pytest.approx(
+        poisson_kernel(RP2, 0.99, 0.3, method="closed"), rel=1e-9
+    )
+    monkeypatch.setattr(transform, "POISSON_SERIES_MAX_TERMS", 100)
+    assert poisson_kernel(RP2, 0.3, 0.3, method="series") == pytest.approx(
+        poisson_kernel(RP2, 0.3, 0.3, method="closed"), rel=1e-12
+    )
+    with pytest.raises(RuntimeError, match="100 terms"):
+        poisson_kernel(RP2, 0.9, 0.3, method="series")
+
+
 def triple_quadrature_energy(kernel, n, m=80, n_phi=256):
     """E pairing of F with P_n(t(x,z)) P_n(t(y,z)) on S^2 by direct 3-fold quadrature."""
     x, w = np.polynomial.legendre.leggauss(m)
