@@ -6,9 +6,12 @@ and mpmath scalars alike, so high-precision paths never round-trip through
 doubles.  Its coefficients depend only on (alpha, beta) and the degree, so
 they are built once per (type, alpha, beta, N, mpmath precision) and cached;
 the cache changes no value, it only skips rebuilding the same numbers at
-every node and every Newton step.  Rules carry unnormalized weights (they
-sum to the weight's total mass Z); probability-normalized variants divide by
-Z at the call site.
+every node.  The high-precision Gauss-Jacobi rule polishes its nodes with
+the same recurrence in fixed-point integers (its ratios c2/c1, c3/c1, c4/c1
+scaled by 2^W, W a few dozen bits above the working precision), so a Newton
+pass costs integer products, not mpf operations.  Rules carry unnormalized
+weights (they sum to the weight's total mass Z); probability-normalized
+variants divide by Z at the call site.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ from typing import Sequence
 
 import mpmath as mp
 import numpy as np
+from mpmath import libmp
 
 __all__ = [
     "JacobiParams",
@@ -259,71 +263,98 @@ def gauss_jacobi_rule(params, m: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights, JacobiParams(a, b), m)
 
 
-_MP_RULE_CACHE: dict = {}
+def _guard_bits(a: float, b: float, m: int) -> int:
+    """Bits below the ambient precision that the fixed-point Newton polish
+    carries: log2 of the largest |P_k|, k <= m, that the recurrence can reach,
+    max(1, (a+1)_m / m!, (b+1)_m / m!), plus 3 log2 m + 24.  The polish stops
+    2 log2 m + 8 bits below the precision, which leaves log2 m + 16 bits
+    between that bound and the rounding error of m recurrence steps."""
+    lg_m = math.lgamma(m + 1)
+    peak = max(0.0, *(math.lgamma(e + 1 + m) - math.lgamma(e + 1) - lg_m for e in (a, b)))
+    return math.ceil(peak / math.log(2)) + 3 * m.bit_length() + 24
 
 
 def gauss_jacobi_rule_mp(params, m: int) -> tuple[list, list]:
-    """High-precision rule at the ambient mp.mp.dps; weights unnormalized.
+    """High-precision rule at the ambient mp.mp.prec; weights unnormalized.
 
-    Double-precision nodes seed Newton iterations on P_m (derivative from
-    the same-parameter identity, so each iteration is one recurrence pass);
-    weights come from the Christoffel function 1/sum_k phat_k(x)^2 using the
-    values of the final pass, scaled by the weight's total mass.  Results
-    are cached per exact (alpha, beta) in mpf, m and dps; identical inputs
-    always reproduce identical rules.
+    Double-precision nodes from `gauss_jacobi_rule` seed Newton iterations
+    on P_m that run in fixed-point integers scaled by 2^W, W = prec +
+    `_guard_bits`.  The recurrence ratios c2/c1, c3/c1, c4/c1 become
+    integers once per rule, so a pass costs three integer products and
+    shifts per degree; P_m' comes from the same-parameter identity.  Once a
+    step predicts that the next one is below 2^-(prec + 2 log2 m + 8), that
+    next pass also sums the Christoffel function sum_k P_k^2/h_k (1/h_k in
+    fixed point), and a step below that bound ends the node.  The weight is
+    the total mass over that sum, divided in mpf at W bits.  Nodes and
+    weights are rounded to the ambient precision once, at the end.
+
+    Against an mpf polish at 20 more digits, nodes agree to half an ulp and
+    weights to one ulp relative (dps 30-100, m <= 90; at dps 40, 5.7e-42 and
+    1.1e-41).  The arithmetic is integer, so equal inputs give bit-identical
+    rules.
     """
     a, b = _ab(params)
     am, bm = mp.mpf(a), mp.mpf(b)
-    key = (am, bm, m, mp.mp.dps)
-    hit = _MP_RULE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    seed_rule = gauss_jacobi_rule((float(a), float(b)), m)
-    tol = mp.mpf(10) ** (-(mp.mp.dps - 2))
-    hs = [_norm_sq_mp(am, bm, n) for n in range(m)]
-    mass = _total_mass_mp(am, bm)
-    s_ab = am + bm
+    seeds = gauss_jacobi_rule((float(a), float(b)), m).nodes
+    prec = mp.mp.prec
+    tol_bits = prec + 2 * m.bit_length() + 8
+    wbits = prec + _guard_bits(float(a), float(b), m)
+    one = 1 << wbits
+    # a step below tol finishes the node; one below near predicts that the
+    # next Newton step is below tol, so the next pass also forms the weight
+    tol = 1 << (wbits - tol_bits)
+    near = 1 << (wbits - tol_bits // 2 - m.bit_length())
+
+    with mp.workprec(wbits):
+
+        def fix(v):
+            return libmp.to_fixed(mp.mpf(v)._mpf_, wbits)
+
+        table = []
+        for n in range(2, m + 1):
+            c1, c2, c3, c4 = _recurrence_coeffs(n, am, bm)
+            table.append((fix(c2 / c1), fix(c3 / c1), fix(c4 / c1)))
+        p1_const, p1_slope = fix(am + 1), fix((am + bm + 2) / 2)
+        # (2m+a+b)(1-x^2) P_m' = m(a-b-(2m+a+b)x) P_m + 2(m+a)(m+b) P_{m-1}
+        k_ab, k_x = fix(m * (am - bm)), fix(m * (2 * m + am + bm))
+        k_prev, k_lhs = fix(2 * (m + am) * (m + bm)), fix(2 * m + am + bm)
+        # 1/h_n = (2n+a+b+1) n! (a+b+2)_{n-1} / ((a+1)_n (b+1)_n), n >= 1
+        inv_h = [one]
+        inv_r = 1 / ((am + 1) * (bm + 1))
+        for n in range(1, m):
+            if n > 1:
+                inv_r = inv_r * n * (am + bm + n) / ((am + n) * (bm + n))
+            inv_h.append(fix((2 * n + am + bm + 1) * inv_r))
+        mass = _total_mass_mp(am, bm)
+
     nodes, weights = [], []
-    for seed in seed_rule.nodes:
-        x = mp.mpf(float(seed))
-        vals = None
+    for seed in seeds:
+        num, den = float(seed).as_integer_ratio()
+        x = (num << wbits) // den
+        step = None
         for _ in range(12):
-            vals = jacobi_eval_all((am, bm), m, x)
-            p, p_prev = vals[m], vals[m - 1]
-            # (2m+a+b)(1-x^2) P_m' = m(a-b-(2m+a+b)x) P_m + 2(m+a)(m+b) P_{m-1}
-            dp = (
-                m * (am - bm - (2 * m + s_ab) * x) * p + 2 * (m + am) * (m + bm) * p_prev
-            ) / ((2 * m + s_ab) * (1 - x * x))
-            step = p / dp
-            if abs(step) < tol:
-                break
+            final = step is not None and abs(step) < near
+            p_prev, p = one, p1_const + (p1_slope * (x - one) >> wbits)
+            if final:
+                acc = one * one * one
+                for (r2, r3, r4), ih in zip(table, inv_h[1:]):
+                    acc += p * p * ih
+                    p_prev, p = p, ((r2 + (r3 * x >> wbits)) * p - r4 * p_prev) >> wbits
+            else:
+                for r2, r3, r4 in table:
+                    p_prev, p = p, ((r2 + (r3 * x >> wbits)) * p - r4 * p_prev) >> wbits
+            dp = ((k_ab - (k_x * x >> wbits)) * p + k_prev * p_prev) >> wbits
+            step = p * (k_lhs * (one - (x * x >> wbits)) >> wbits) // dp
             x -= step
+            if final and abs(step) < tol:
+                break
         else:  # pragma: no cover
             raise RuntimeError("Newton polish of quadrature node did not converge")
-        nodes.append(x)
-        chr_sum = mp.mpf(0)
-        for n in range(m):
-            chr_sum += vals[n] ** 2 / hs[n]
-        weights.append(mass / chr_sum)
-    _MP_RULE_CACHE[key] = (nodes, weights)
+        nodes.append(mp.mpf((x, -wbits)))
+        with mp.workprec(wbits):
+            w = mass / mp.mpf((acc, -3 * wbits))
+        weights.append(+w)
     return nodes, weights
-
-
-def _norm_sq_mp(a, b, n):
-    if n == 0:
-        return mp.mpf(1)
-    return (
-        mp.gamma(n + a + 1)
-        * mp.gamma(n + b + 1)
-        * mp.gamma(a + b + 2)
-        / (
-            mp.factorial(n)
-            * mp.gamma(n + a + b + 1)
-            * mp.gamma(a + 1)
-            * mp.gamma(b + 1)
-            * (2 * n + a + b + 1)
-        )
-    )
 
 
 def _total_mass_mp(a, b):

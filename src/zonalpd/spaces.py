@@ -20,8 +20,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .jacobi import weight_total_mass
-
 FAMILY_SPHERE = "Sphere"
 FAMILY_RP = "RP"
 FAMILY_CP = "CP"
@@ -186,26 +184,6 @@ def clamp_t(t: float) -> float:
             raise ValueError(f"t={t!r} outside [-1,1]")
         return -1.0
     return float(t)
-
-
-# ---------------------------------------------------------------------------
-# the orthogonality measure dmu = (1-t)^alpha (1+t)^beta / Z dt on [-1,1]
-
-
-def measure_density(space: Space, t):
-    """Density of mu_{alpha,beta} at t (scalar or array), probability-normalized."""
-    a, b = space.alpha, space.beta
-    Z = weight_total_mass((a, b))
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < -1) or np.any(arr > 1):
-        raise ValueError("t outside [-1,1]")
-    at_lo = arr == -1.0
-    at_hi = arr == 1.0
-    if (a < 0 and np.any(at_hi)) or (b < 0 and np.any(at_lo)):
-        raise ValueError("density diverges at an endpoint with negative exponent")
-    with np.errstate(divide="ignore"):
-        out = (1 - arr) ** a * (1 + arr) ** b / Z
-    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

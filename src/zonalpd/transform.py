@@ -606,12 +606,26 @@ def poisson_kernel(
         val = hyp2f1(Hyp2F1Args((a + b + 2) / 2, (a + b + 3) / 2, b + 1, z), digits=digits)
         return pref * val
     if method == "series":
+        capped = RuntimeError(
+            f"Poisson series did not converge in {POISSON_SERIES_MAX_TERMS} terms (r={r!r})"
+        )
         with mp.workdps(digits + 10):
             am, bm = mp.mpf(a), mp.mpf(b)
             t = mp.cos(2 * kappa * mp.mpf(theta))
             rm = mp.mpf(r)
             total = mp.mpf(1)
             eps = mp.mpf(10) ** (-(digits + 5))
+            # The stopping test compares m_n r^n with eps * max(1, |total|).
+            # For a >= b >= -1/2, m_n >= 1, and |total| never exceeds
+            # sum_n m_n r^n, the kernel at theta = 0.  So if r^cap is still
+            # at least eps * max(1, that sum), no n up to the cap can stop
+            # the series: refuse before summing.  The factor 2 covers the
+            # float rounding of the closed form.
+            far = rm ** POISSON_SERIES_MAX_TERMS
+            if a >= b >= -0.5 and far >= 2 * eps:
+                peak = poisson_kernel(space_or_params, r, 0.0, "closed", digits)
+                if far >= 2 * eps * peak:
+                    raise capped
             # incremental state: poch = (a+b+1)_n/(b+1)_n, p1 = P_n(1), r^n,
             # and the last two recurrence values
             poch = mp.mpf(1)
@@ -634,7 +648,5 @@ def poisson_kernel(
                 # |P_n| <= P_n(1) on the geometric parameter range
                 if coef_n * rn * p1 < eps * max(1, abs(total)):
                     return float(total)
-        raise RuntimeError(
-            f"Poisson series did not converge in {POISSON_SERIES_MAX_TERMS} terms (r={r!r})"
-        )
+        raise capped
     raise ValueError(f"unknown poisson method {method!r}")

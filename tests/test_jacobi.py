@@ -441,3 +441,89 @@ def test_cached_recurrence_under_threads():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert failures == []
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point Newton polish of gauss_jacobi_rule_mp against an mpf one
+
+
+def norm_sq_mp(a, b, n):
+    """h_n against the probability-normalized weight, from gamma functions."""
+    if n == 0:
+        return mp.mpf(1)
+    return (
+        mp.gamma(n + a + 1)
+        * mp.gamma(n + b + 1)
+        * mp.gamma(a + b + 2)
+        / (
+            mp.factorial(n)
+            * mp.gamma(n + a + b + 1)
+            * mp.gamma(a + 1)
+            * mp.gamma(b + 1)
+            * (2 * n + a + b + 1)
+        )
+    )
+
+
+def rule_mp_mpf_polish(params, m):
+    """The former mpf polish: the same float seeds and derivative identity,
+    one mpf recurrence pass per Newton step, weights mass / sum P_k^2/h_k."""
+    am, bm = mp.mpf(params[0]), mp.mpf(params[1])
+    seeds = gauss_jacobi_rule((float(params[0]), float(params[1])), m).nodes
+    tol = mp.mpf(10) ** (-(mp.mp.dps - 2))
+    hs = [norm_sq_mp(am, bm, n) for n in range(m)]
+    mass = mp.power(2, am + bm + 1) * mp.beta(am + 1, bm + 1)
+    nodes, weights = [], []
+    for seed in seeds:
+        x = mp.mpf(float(seed))
+        for _ in range(12):
+            vals = jacobi_eval_all((am, bm), m, x)
+            p, p_prev = vals[m], vals[m - 1]
+            dp = (
+                m * (am - bm - (2 * m + am + bm) * x) * p + 2 * (m + am) * (m + bm) * p_prev
+            ) / ((2 * m + am + bm) * (1 - x * x))
+            step = p / dp
+            if abs(step) < tol:
+                break
+            x -= step
+        else:
+            raise RuntimeError("mpf Newton polish did not converge")
+        nodes.append(x)
+        weights.append(mass / mp.fsum(vals[n] ** 2 / hs[n] for n in range(m)))
+    return nodes, weights
+
+
+POLISH_PARAMS = [(7, 15.6), (7, 16.4), (1, -0.8), (3, 0.2), (0, 0.4), (2, 9.3)]
+POLISH_DPS = (30, 40, 70, 100)
+
+
+@pytest.mark.parametrize("m", (12, 45, 90))
+@pytest.mark.parametrize("params", POLISH_PARAMS, ids=str)
+def test_rule_mp_fixed_point_polish(params, m):
+    # one oracle at 20 digits beyond the largest dps serves every dps
+    with mp.workdps(max(POLISH_DPS) + 20):
+        want_nodes, want_weights = rule_mp_mpf_polish(params, m)
+        mass = mp.power(2, params[0] + params[1] + 1) * mp.beta(params[0] + 1, params[1] + 1)
+    for dps in POLISH_DPS:
+        with mp.workdps(dps):
+            nodes, weights = gauss_jacobi_rule_mp(params, m)
+            again = gauss_jacobi_rule_mp(params, m)
+            assert len(nodes) == len(weights) == m
+            # mpf values already rounded to the ambient precision
+            assert all(isinstance(v, mp.mpf) and +v == v for v in nodes + weights)
+            # bit-identical rebuild: integer arithmetic end to end
+            assert (nodes, weights) == again
+            # exact for every polynomial of degree <= 2m-1: P_1..P_{2m-1}
+            # integrate to zero against the weight
+            exact = (mp.mpf(params[0]), mp.mpf(params[1]))
+            cols = [jacobi_eval_all(exact, 2 * m - 1, x) for x in nodes]
+            for k in range(1, 2 * m):
+                total = mp.fsum(w * col[k] for w, col in zip(weights, cols))
+                assert abs(total) <= mp.mpf(10) ** (3 - dps) * mass, (dps, k)
+        with mp.workdps(max(POLISH_DPS) + 20):
+            node_tol = mp.mpf(10) ** -(dps + 1)
+            weight_tol = mp.mpf(10) ** -dps
+            for x, y in zip(nodes, want_nodes):
+                assert abs(x - y) <= node_tol, dps
+            for w, v in zip(weights, want_weights):
+                assert abs(w / v - 1) <= weight_tol, dps

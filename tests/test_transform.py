@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from conftest import riesz_chordal_exact, synthetic_report
-from zonalpd import jacobi
 from zonalpd.jacobi import dim_m_n, jacobi_eval, jacobi_eval_all, jacobi_value_at_one
 from zonalpd.kernels import (
     cos_power_kernel,
@@ -222,6 +221,27 @@ def test_poisson_series_raises_at_term_cap(monkeypatch):
         poisson_kernel(RP2, 0.9, 0.3, method="series")
 
 
+def test_poisson_series_refuses_before_summing(monkeypatch):
+    """RP2 at theta = 0 and r one step of 1e-7 from 1 needs far more terms
+    than the cap; the series must say so before one recurrence step."""
+    import zonalpd.transform as transform
+
+    calls = []
+    coeffs = transform._recurrence_coeffs
+
+    def counted(*args):
+        calls.append(args)
+        return coeffs(*args)
+
+    monkeypatch.setattr(transform, "_recurrence_coeffs", counted)
+    with pytest.raises(RuntimeError, match="did not converge in 200000 terms"):
+        poisson_kernel(RP2, 0.9999999, 0.0, method="series")
+    assert calls == []
+    # a series that converges within the cap still runs the recurrence
+    poisson_kernel(RP2, 0.5, 0.3, method="series")
+    assert calls
+
+
 def triple_quadrature_energy(kernel, n, m=80, n_phi=256):
     """E pairing of F with P_n(t(x,z)) P_n(t(y,z)) on S^2 by direct 3-fold quadrature."""
     x, w = np.polynomial.legendre.leggauss(m)
@@ -308,7 +328,6 @@ def test_certify_without_scipy(monkeypatch):
     # an already imported submodule would be found without its parent
     for mod in ["scipy"] + [m for m in sys.modules if m.startswith("scipy.")]:
         monkeypatch.setitem(sys.modules, mod, None)
-    monkeypatch.setattr(jacobi, "_MP_RULE_CACHE", {})
     rep = certify_coefficients(CP2, riesz_chordal(CP2, 1.0), N=4, target_digits=20)
     assert rep.method == "both"
     assert all(e.sign == "+" for e in rep.entries)
