@@ -2,12 +2,11 @@
 homogeneous spaces: coefficient transforms, positive-definiteness verdicts,
 Riesz phase-transition scans, Poisson smoothing, and energy functionals.
 """
-from .spaces import Space, make_space, catalog_spaces
+from .spaces import Space, make_space
 from .jacobi import (
     JacobiParams,
     QuadratureRule,
     jacobi_eval_all,
-    jacobi_normalized,
     dim_m_n,
     eigenvalue_lambda_n,
     gauss_jacobi_rule,
@@ -57,11 +56,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Space",
     "make_space",
-    "catalog_spaces",
     "JacobiParams",
     "QuadratureRule",
     "jacobi_eval_all",
-    "jacobi_normalized",
     "dim_m_n",
     "eigenvalue_lambda_n",
     "gauss_jacobi_rule",

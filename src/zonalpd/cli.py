@@ -345,14 +345,20 @@ def _cmd_poisson(args) -> Tuple[str, int]:
             f"theta must lie in [0, {space.diameter:.6g}] on {space.name}"
         )
     closed = poisson_kernel(space, args.r, args.theta, method="closed", digits=digits)
-    series = poisson_kernel(space, args.r, args.theta, method="series", digits=digits)
-    payload = {"value": float(closed), "closed": float(closed),
-               "series": float(series), "diff": float(abs(closed - series)),
-               "r": args.r, "theta": args.theta}
+    payload = {"value": float(closed), "closed": float(closed), "r": args.r, "theta": args.theta}
+    try:
+        series = poisson_kernel(space, args.r, args.theta, method="series", digits=digits)
+        payload.update(series=float(series), diff=float(abs(closed - series)))
+    except RuntimeError as exc:
+        # near r = 1 the series cannot converge within its term cap, but the
+        # closed form stands: print it and say why the check is missing
+        payload.update(series=None, diff=None, note=f"series unavailable: {exc}")
     if args.format == "csv":
+        cells = ["" if payload[k] is None else repr(payload[k]) for k in ("series", "diff")]
         rows = ["value,closed,series,diff",
-                f"{payload['value']!r},{payload['closed']!r},"
-                f"{payload['series']!r},{payload['diff']!r}"]
+                f"{payload['value']!r},{payload['closed']!r},{cells[0]},{cells[1]}"]
+        if "note" in payload:
+            rows.append(f"# note={payload['note']}")
         return _render_csv(rows, args), 0
     return _render_json(payload, args), 0
 

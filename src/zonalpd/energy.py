@@ -29,10 +29,11 @@ import mpmath as mp
 import numpy as np
 
 from .jacobi import JacobiParams, dim_m_n, jacobi_eval_all, jacobi_value_at_one
-from .kernels import ZonalKernel
+from .kernels import ZonalKernel, env_from_theta
 from .spaces import (
     Point,
     Space,
+    _coords_per_point,
     distance_t,
     distance_t_arrays,
     make_rng,
@@ -151,8 +152,6 @@ class PerturbedMeasureSpec:
 
 def canonical_point(space: Space) -> Point:
     """A fixed reference point (first coordinate vector)."""
-    from .spaces import _coords_per_point  # same-package helper
-
     c = np.zeros(_coords_per_point(space))
     c[0] = 1.0
     return Point(space, c)
@@ -169,8 +168,6 @@ def _quad_theta_integral(space: Space, kernel: ZonalKernel, dps: int):
     (Gauss-Legendre adaptive vs tanh-sinh levels) and different variable
     splits.  Returns (value, error_estimate) as mpf.
     """
-    from .kernels import env_from_theta
-
     with mp.workdps(dps):
         a = mp.mpf(space.alpha)
         b = mp.mpf(space.beta)

@@ -5,18 +5,20 @@ The three-term recurrence is written once and serves floats, numpy arrays,
 and mpmath scalars alike, so high-precision paths never round-trip through
 doubles.  Its coefficients depend only on (alpha, beta) and the degree, so
 they are built once per (type, alpha, beta, N, mpmath precision) and cached;
-the cache changes no value, it only skips rebuilding the same numbers at
-every node.  The high-precision Gauss-Jacobi rule polishes its nodes with
-the same recurrence in fixed-point integers (its ratios c2/c1, c3/c1, c4/c1
-scaled by 2^W, W a few dozen bits above the working precision), so a Newton
-pass costs integer products, not mpf operations.  Rules carry unnormalized
-weights (they sum to the weight's total mass Z); probability-normalized
-variants divide by Z at the call site.
+the cache changes no value.  The high-precision paths, the Newton polish of
+`gauss_jacobi_rule_mp` and the coefficient sums of `transform`, step one
+fixed-point copy of the recurrence, `_fixed_recurrence`: ratios c2/c1,
+c3/c1, c4/c1 scaled by 2^W, W a few dozen bits above the working precision,
+so a degree costs integer products and shifts, with the rounding bounded by
+`_fixed_rounding`.  Rules carry unnormalized weights (they sum to the
+weight's total mass Z); probability-normalized variants divide by Z at the
+call site.
 """
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from math import lgamma
 from typing import Sequence
@@ -30,9 +32,7 @@ __all__ = [
     "QuadratureRule",
     "jacobi_eval_all",
     "jacobi_eval",
-    "jacobi_normalized",
     "jacobi_value_at_one",
-    "jacobi_norm_sq",
     "dim_m_n",
     "eigenvalue_lambda_n",
     "gauss_jacobi_rule",
@@ -133,31 +133,6 @@ def jacobi_value_at_one(params, n: int):
     return math.exp(math.lgamma(a + 1 + n) - math.lgamma(a + 1) - math.lgamma(n + 1))
 
 
-def jacobi_normalized(params, n_max: int, t):
-    """p_n = P_n / P_n(1), so p_n(1) = 1; |p_n| <= 1 on [-1,1] for the
-    geometric parameter range (alpha >= beta >= -1/2)."""
-    vals = jacobi_eval_all(params, n_max, t)
-    return [v / jacobi_value_at_one(params, n) for n, v in enumerate(vals)]
-
-
-def jacobi_norm_sq(params, n: int) -> float:
-    """h_n = int P_n^2 dmu against the probability-normalized weight mu."""
-    a, b = _ab(params)
-    if n == 0:
-        return 1.0
-    log_h = (
-        lgamma(n + a + 1)
-        + lgamma(n + b + 1)
-        + lgamma(a + b + 2)
-        - lgamma(n + 1)
-        - lgamma(n + a + b + 1)
-        - lgamma(a + 1)
-        - lgamma(b + 1)
-        - math.log(2 * n + a + b + 1)
-    )
-    return math.exp(log_h)
-
-
 def dim_m_n(params, n: int):
     """Multiplicity of the n-th eigenspace:
 
@@ -217,9 +192,6 @@ class QuadratureRule:
         if np.any(w <= 0):
             raise ValueError("weights must be positive")
 
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
-
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
@@ -264,7 +236,7 @@ def gauss_jacobi_rule(params, m: int) -> QuadratureRule:
 
 
 def _guard_bits(a: float, b: float, m: int) -> int:
-    """Bits below the ambient precision that the fixed-point Newton polish
+    """Bits below the ambient precision that the fixed-point recurrence
     carries: log2 of the largest |P_k|, k <= m, that the recurrence can reach,
     max(1, (a+1)_m / m!, (b+1)_m / m!), plus 3 log2 m + 24.  The polish stops
     2 log2 m + 8 bits below the precision, which leaves log2 m + 16 bits
@@ -274,14 +246,93 @@ def _guard_bits(a: float, b: float, m: int) -> int:
     return math.ceil(peak / math.log(2)) + 3 * m.bit_length() + 24
 
 
+@functools.lru_cache(maxsize=4)
+def _fixed_recurrence(a, b, n_max: int, prec: int) -> tuple:
+    """(W, ratios, seed): the recurrence at W = prec + `_guard_bits` bits.
+
+    ratios are c2/c1, c3/c1, c4/c1 for n = 2..n_max and seed the P_1
+    constant a+1 and slope (a+b+2)/2, formed in mpf at W bits (in a private
+    context, so the global precision is never touched) and truncated to
+    integers times 2^W.  With X = t 2^W, P_0 = 2^W, P_1 = const + (slope
+    (X - 2^W) >> W) and P_n = ((r2 + (r3 X >> W)) P_{n-1} - r4 P_{n-2}) >> W.
+    a and b are floats or mpf at the precision prec.  Four tables suffice:
+    a rung reads the table of its sums three times, a rule's serves one rule.
+    """
+    wbits = prec + _guard_bits(float(a), float(b), n_max)
+    ctx = _context(wbits)
+
+    def fix(v):
+        return libmp.to_fixed(ctx.mpf(v)._mpf_, wbits)
+
+    am, bm = ctx.mpf(a), ctx.mpf(b)
+    ratios = []
+    for n in range(2, n_max + 1):
+        c1, c2, c3, c4 = _recurrence_coeffs(n, am, bm)
+        ratios.append((fix(c2 / c1), fix(c3 / c1), fix(c4 / c1)))
+    return wbits, tuple(ratios), (fix(am + 1), fix((am + bm + 2) / 2))
+
+
+_LOCAL = threading.local()
+
+
+def _context(prec: int):
+    """This thread's private mpmath context, set to prec bits; the process-
+    global precision, which concurrent certifications share, stays as is."""
+    if not hasattr(_LOCAL, "ctx"):
+        _LOCAL.ctx = mp.MPContext()
+    _LOCAL.ctx.prec = prec
+    return _LOCAL.ctx
+
+
+@functools.lru_cache(maxsize=_RECURRENCE_CACHE_SIZE)
+def _fixed_rounding(a: float, b: float, n_max: int) -> tuple:
+    """(B, E), n = 0..n_max: B[n] >= |P_n(t)| and 2^-W E[n] >= |p_n - P_n(t)|
+    on [-1, 1], p_n the `_fixed_recurrence` value at X = t 2^W truncated.
+
+    Truncation errs by less than u = 2^-W, so with ratios r + rho and
+    X = (t + xi) 2^W, |rho|, |xi| < u, each step is exact up to d_n:
+        p_n = (r2 + r3 t) p_{n-1} - r4 p_{n-2} + d_n,
+        |d_n| < u ((4 + |r3|) |p_{n-1}| + |p_{n-2}| + 1),  |d_1| < u (5 + |slope|),
+    with |p_k| <= B[k] + u E[k] <= B[k] + 1.  The error recurrence is linear:
+    p_n - P_n(t) = sum_k G(n, k)(t) d_k, G(n, k) its solution from
+    G(k-1, k) = 0, G(k, k) = 1.  P_n and G(n, k) are polynomials, bounded on
+    [-1, 1] by the sum of their absolute Chebyshev coefficients; doubling
+    covers carrying those in float64.  E[n] is about B[n] n^2, 2^24 n below
+    the 2^(W - prec) that `_guard_bits` leaves.
+    """
+    size = n_max + 1
+    # row 0 holds P_n, row k >= 1 holds G(n, k); columns are Chebyshev terms
+    prev, cur = np.zeros((size, size)), np.zeros((size, size))
+    slope = (a + b + 2) / 2
+    prev[0, 0] = 1.0
+    if n_max:
+        cur[0, :2] = (a + 1 - slope, slope)
+        cur[1, 0] = 1.0
+    local, B, E = [0.0, 5 + abs(slope)], [1.0], [0.0]
+    for n in range(1, size):
+        if n > 1:
+            c1, c2, c3, c4 = _recurrence_coeffs(n, a, b)
+            # t T_0 = T_1, t T_j = (T_{j-1} + T_{j+1}) / 2
+            tc = np.zeros((size, size))
+            tc[:, 1:] = cur[:, :-1] / 2
+            tc[:, 1] += cur[:, 0] / 2
+            tc[:, :-1] += cur[:, 1:] / 2
+            prev, cur = cur, (c2 * cur + c3 * tc - c4 * prev) / c1
+            cur[n, 0] = 1.0
+            local.append((4 + abs(c3 / c1)) * (B[n - 1] + 1) + B[n - 2] + 2)
+        norms = np.abs(cur).sum(axis=1)
+        B.append(2 * float(norms[0]))
+        E.append(2 * float((norms[1 : n + 1] * local[1:]).sum()))
+    return tuple(B), tuple(E)
+
+
 def gauss_jacobi_rule_mp(params, m: int) -> tuple[list, list]:
     """High-precision rule at the ambient mp.mp.prec; weights unnormalized.
 
     Double-precision nodes from `gauss_jacobi_rule` seed Newton iterations
-    on P_m that run in fixed-point integers scaled by 2^W, W = prec +
-    `_guard_bits`.  The recurrence ratios c2/c1, c3/c1, c4/c1 become
-    integers once per rule, so a pass costs three integer products and
-    shifts per degree; P_m' comes from the same-parameter identity.  Once a
+    on P_m that step `_fixed_recurrence` in integers scaled by 2^W, W =
+    prec + `_guard_bits`, so a pass costs three integer products and shifts
+    per degree; P_m' comes from the same-parameter identity.  Once a
     step predicts that the next one is below 2^-(prec + 2 log2 m + 8), that
     next pass also sums the Christoffel function sum_k P_k^2/h_k (1/h_k in
     fixed point), and a step below that bound ends the node.  The weight is
@@ -294,38 +345,35 @@ def gauss_jacobi_rule_mp(params, m: int) -> tuple[list, list]:
     rules.
     """
     a, b = _ab(params)
-    am, bm = mp.mpf(a), mp.mpf(b)
     seeds = gauss_jacobi_rule((float(a), float(b)), m).nodes
     prec = mp.mp.prec
     tol_bits = prec + 2 * m.bit_length() + 8
-    wbits = prec + _guard_bits(float(a), float(b), m)
+    wbits, table, (p1_const, p1_slope) = _fixed_recurrence(mp.mpf(a), mp.mpf(b), m, prec)
     one = 1 << wbits
     # a step below tol finishes the node; one below near predicts that the
     # next Newton step is below tol, so the next pass also forms the weight
     tol = 1 << (wbits - tol_bits)
     near = 1 << (wbits - tol_bits // 2 - m.bit_length())
 
-    with mp.workprec(wbits):
+    ctx = _context(wbits)
 
-        def fix(v):
-            return libmp.to_fixed(mp.mpf(v)._mpf_, wbits)
+    def fix(v):
+        return libmp.to_fixed(ctx.mpf(v)._mpf_, wbits)
 
-        table = []
-        for n in range(2, m + 1):
-            c1, c2, c3, c4 = _recurrence_coeffs(n, am, bm)
-            table.append((fix(c2 / c1), fix(c3 / c1), fix(c4 / c1)))
-        p1_const, p1_slope = fix(am + 1), fix((am + bm + 2) / 2)
-        # (2m+a+b)(1-x^2) P_m' = m(a-b-(2m+a+b)x) P_m + 2(m+a)(m+b) P_{m-1}
-        k_ab, k_x = fix(m * (am - bm)), fix(m * (2 * m + am + bm))
-        k_prev, k_lhs = fix(2 * (m + am) * (m + bm)), fix(2 * m + am + bm)
-        # 1/h_n = (2n+a+b+1) n! (a+b+2)_{n-1} / ((a+1)_n (b+1)_n), n >= 1
-        inv_h = [one]
-        inv_r = 1 / ((am + 1) * (bm + 1))
-        for n in range(1, m):
-            if n > 1:
-                inv_r = inv_r * n * (am + bm + n) / ((am + n) * (bm + n))
-            inv_h.append(fix((2 * n + am + bm + 1) * inv_r))
-        mass = _total_mass_mp(am, bm)
+    am, bm = ctx.mpf(mp.mpf(a)), ctx.mpf(mp.mpf(b))
+    # (2m+a+b)(1-x^2) P_m' = m(a-b-(2m+a+b)x) P_m + 2(m+a)(m+b) P_{m-1}
+    k_ab, k_x = fix(m * (am - bm)), fix(m * (2 * m + am + bm))
+    k_prev, k_lhs = fix(2 * (m + am) * (m + bm)), fix(2 * m + am + bm)
+    # 1/h_n = (2n+a+b+1) n! (a+b+2)_{n-1} / ((a+1)_n (b+1)_n), n >= 1
+    inv_h = [one]
+    inv_r = 1 / ((am + 1) * (bm + 1))
+    for n in range(1, m):
+        if n > 1:
+            inv_r = inv_r * n * (am + bm + n) / ((am + n) * (bm + n))
+        inv_h.append(fix((2 * n + am + bm + 1) * inv_r))
+    # Z = int (1-t)^a (1+t)^b dt = 2^(a+b+1) G(a+1) G(b+1) / G(a+b+2)
+    mass = ctx.power(2, am + bm + 1) * ctx.gamma(am + 1) * ctx.gamma(bm + 1)
+    mass /= ctx.gamma(am + bm + 2)
 
     nodes, weights = [], []
     for seed in seeds:
@@ -351,11 +399,5 @@ def gauss_jacobi_rule_mp(params, m: int) -> tuple[list, list]:
         else:  # pragma: no cover
             raise RuntimeError("Newton polish of quadrature node did not converge")
         nodes.append(mp.mpf((x, -wbits)))
-        with mp.workprec(wbits):
-            w = mass / mp.mpf((acc, -3 * wbits))
-        weights.append(+w)
+        weights.append(mp.mpf(mass / ctx.mpf((acc, -3 * wbits))))
     return nodes, weights
-
-
-def _total_mass_mp(a, b):
-    return mp.power(2, a + b + 1) * mp.gamma(a + 1) * mp.gamma(b + 1) / mp.gamma(a + b + 2)

@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import mpmath as mp
 import numpy as np
 
 from .jacobi import jacobi_eval, jacobi_eval_all
@@ -62,16 +63,12 @@ class EvalEnv:
         x = self.kappa * self.theta
         if x == 0:
             return self.kappa
-        import mpmath as mp
-
         s = mp.sin(x) if isinstance(x, mp.mpf) else math.sin(x)
         return s / self.theta
 
 
 def env_from_theta(space_kappa, theta):
     """EvalEnv at geodesic angle theta, in theta's own arithmetic."""
-    import mpmath as mp
-
     k = theta * 0 + space_kappa
     u = k * theta
     if isinstance(theta, mp.mpf):
@@ -84,23 +81,6 @@ def env_from_theta(space_kappa, theta):
         one_plus_t=2 * cu * cu,
         theta=theta,
         kappa=k,
-    )
-
-
-def env_from_t(space_kappa, t):
-    """EvalEnv at zonal variable t strictly inside (-1,1)."""
-    import mpmath as mp
-
-    if isinstance(t, mp.mpf):
-        theta = mp.acos(t) / (2 * space_kappa)
-    else:
-        theta = math.acos(t) / (2 * space_kappa)
-    return EvalEnv(
-        t=t,
-        one_minus_t=1 - t,
-        one_plus_t=1 + t,
-        theta=theta,
-        kappa=t * 0 + space_kappa,
     )
 
 
@@ -246,8 +226,6 @@ def log_geodesic(space: Space) -> ZonalKernel:
     kappa = space.kappa
 
     def eval_g(env: EvalEnv):
-        import mpmath as mp
-
         th = env.theta
         return -(mp.log(th) if isinstance(th, mp.mpf) else math.log(th))
 
@@ -268,8 +246,6 @@ def log_geodesic(space: Space) -> ZonalKernel:
 
 def log_chordal(space: Space) -> ZonalKernel:
     def eval_g(env: EvalEnv):
-        import mpmath as mp
-
         x = env.one_minus_t / 2
         return -(mp.log(x) if isinstance(x, mp.mpf) else math.log(x)) / 2
 
@@ -303,8 +279,6 @@ def gaussian_kernel(space: Space, metric: str, lam: float) -> ZonalKernel:
     if metric == "geodesic":
 
         def eval_g(env: EvalEnv):
-            import mpmath as mp
-
             x = -lam * env.theta**2
             return mp.exp(x) if isinstance(x, mp.mpf) else math.exp(x)
 
@@ -315,8 +289,6 @@ def gaussian_kernel(space: Space, metric: str, lam: float) -> ZonalKernel:
     else:
 
         def eval_g(env: EvalEnv):
-            import mpmath as mp
-
             x = -lam * env.one_minus_t / 2
             return mp.exp(x) if isinstance(x, mp.mpf) else math.exp(x)
 

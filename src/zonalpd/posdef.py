@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .spaces import Space, make_space
 from .jacobi import JacobiParams, jacobi_value_at_one
@@ -269,9 +269,7 @@ def scan_riesz(
     count = int(math.floor((s_max - s_min) / step + 1e-9)) + 1
     grid = [round(s_min + i * step, 12) for i in range(count)]
 
-    verdicts: List[PDVerdict] = []
-    for s in grid:
-        verdicts.append(_certify_cpd(space, metric, s, N, digits))
+    verdicts = [_certify_cpd(space, metric, s, N, digits) for s in grid]
 
     if all(v.classification == "undecided" for v in verdicts):
         raise ValueError(
@@ -279,17 +277,9 @@ def scan_riesz(
             "raise digits or lower N"
         )
 
-    first_negs: List[Optional[int]] = []
-    for s, v in zip(grid, verdicts):
-        if v.classification == "not-CPD":
-            first_negs.append(v.witness)
-        else:
-            first_negs.append(None)
-
+    first_negs = [v.witness if v.classification == "not-CPD" else None for v in verdicts]
     neg_ss = [s for s, v in zip(grid, verdicts) if v.classification == "not-CPD"]
-    note = ""
-    transition = None
-    bracket = None
+    note, transition, bracket = "", None, None
     if neg_ss:
         lo = max(neg_ss)
         ok_above = [s for s, v in zip(grid, verdicts) if v.is_nonnegative and s > lo]
@@ -434,14 +424,9 @@ def all_spaces_check(
         errors[al] = tuple(es)
         signs[al] = tuple(ss)
 
-    limits: List[Optional[float]] = []
-    for n in range(N + 1):
-        if len(alphas) >= 2:
-            a_prev = values[alphas[-2]][n]
-            a_last = values[alphas[-1]][n]
-            limits.append(2.0 * a_last - a_prev)
-        else:
-            limits.append(None)
+    limits = [None] * (N + 1)
+    if len(alphas) >= 2:
+        limits = [2.0 * last - prev for prev, last in zip(*(values[al] for al in alphas[-2:]))]
 
     verdict = "not-PD-for-large-alpha" if witness else "consistent-with-all-spaces-PD"
     return AllSpacesResult(

@@ -12,7 +12,6 @@ OP^2 and custom spaces are zonal-only: no point model.
 """
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from math import pi
@@ -145,47 +144,6 @@ def _parse_kv(text: str) -> dict:
     return out
 
 
-def catalog_spaces() -> list[Space]:
-    """The representative spaces used by the cross-space test batteries."""
-    return [make_space(s) for s in ("S2", "S4", "RP2", "RP3", "RP4", "CP2", "CP3", "HP2", "OP2")]
-
-
-# ---------------------------------------------------------------------------
-# variable conversions
-
-
-def t_from_theta(space: Space, theta: float) -> float:
-    """Zonal variable t = cos(2*kappa*theta)."""
-    if theta < -1e-15 or theta > space.diameter * (1 + 1e-12) + 1e-15:
-        raise ValueError(f"theta={theta} outside [0, {space.diameter}]")
-    return clamp_t(math.cos(2 * space.kappa * theta))
-
-
-def theta_from_t(space: Space, t: float) -> float:
-    t = clamp_t(t)
-    return math.acos(t) / (2 * space.kappa)
-
-
-def chi_from_t(t):
-    """Chordal distance chi = sin(kappa*theta) = sqrt((1-t)/2)."""
-    if isinstance(t, np.ndarray):
-        return np.sqrt((1 - np.clip(t, -1.0, 1.0)) / 2)
-    return math.sqrt((1 - clamp_t(t)) / 2)
-
-
-def clamp_t(t: float) -> float:
-    """Clamp floating-point t into [-1,1]; excursions beyond 1e-15 are errors."""
-    if t > 1.0:
-        if t - 1.0 > _CLAMP_TOL * max(1.0, abs(t)):
-            raise ValueError(f"t={t!r} outside [-1,1]")
-        return 1.0
-    if t < -1.0:
-        if -1.0 - t > _CLAMP_TOL * max(1.0, abs(t)):
-            raise ValueError(f"t={t!r} outside [-1,1]")
-        return -1.0
-    return float(t)
-
-
 # ---------------------------------------------------------------------------
 # point models
 
@@ -238,34 +196,9 @@ def sample_uniform_points(space: Space, rng: np.random.Generator, count: int) ->
     return g
 
 
-def sample_uniform_point(space: Space, rng: np.random.Generator) -> Point:
-    return Point(space, sample_uniform_points(space, rng, 1)[0])
-
-
 def _as_complex(coords: np.ndarray, d: int) -> np.ndarray:
     c = coords.reshape(-1, d, 2)
     return c[..., 0] + 1j * c[..., 1]
-
-
-def _quat_conj(q):
-    out = q.copy()
-    out[..., 1:] *= -1
-    return out
-
-
-def _quat_mul(q1, q2):
-    """Hamilton product on (...,4) arrays."""
-    a1, b1, c1, d1 = (q1[..., i] for i in range(4))
-    a2, b2, c2, d2 = (q2[..., i] for i in range(4))
-    return np.stack(
-        [
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        ],
-        axis=-1,
-    )
 
 
 def _inner_abs2(space: Space, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -278,10 +211,22 @@ def _inner_abs2(space: Space, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         ip = np.einsum("ij,ij->i", xc.conj(), yc)
         return np.abs(ip) ** 2
     if space.family == FAMILY_HP:
-        xq = X.reshape(-1, space.d, 4)
-        yq = Y.reshape(-1, space.d, 4)
-        ip = _quat_mul(_quat_conj(xq), yq).sum(axis=1)
-        return (ip**2).sum(axis=-1)
+        # components of sum_i conj(x_i) y_i by the Hamilton product, with the
+        # conjugate's signs folded in; summed over i in order
+        a1, b1, c1, d1 = (X.reshape(-1, space.d, 4)[..., k] for k in range(4))
+        a2, b2, c2, d2 = (Y.reshape(-1, space.d, 4)[..., k] for k in range(4))
+        out = 0
+        for part in (
+            a1 * a2 + b1 * b2 + c1 * c2 + d1 * d2,
+            a1 * b2 - b1 * a2 - c1 * d2 + d1 * c2,
+            a1 * c2 + b1 * d2 - c1 * a2 - d1 * b2,
+            a1 * d2 - b1 * c2 + c1 * b2 - d1 * a2,
+        ):
+            ip = part[:, 0]
+            for i in range(1, space.d):
+                ip = ip + part[:, i]
+            out = out + ip * ip
+        return out
     raise ValueError(f"{space.name} has no point model")
 
 

@@ -19,20 +19,28 @@ share one node evaluation and accumulation step:
 Weight exponents are formed in mpf from the binary inputs, never in float64.
 Certification runs both, folds the cross-method discrepancy into the error
 bound, and escalates precision until every requested sign is decided or a
-cap is reached.  Everything runs in mpmath arbitrary precision; the mpmath
-context is process-global, so concurrent certifications must share one
-precision setting (the scan drivers do).
+cap is reached.  Nodes, weights and the integrand run in mpmath; the sums
+f P_n run in fixed-point integers on the recurrence of
+`jacobi._fixed_recurrence`, with their rounding bound folded into the error.
+What does not depend on the kernel is built once and shared: DE node
+geometry per working precision, and the measure constant, prefactors and
+fixed-point tables per (space, N, precision).  The mpmath context is
+process-global, so concurrent certifications must share one precision
+setting (the scan drivers do).
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import mpmath as mp
-import numpy as np
+from mpmath import libmp
 
 from .jacobi import (
+    _fixed_recurrence,
+    _fixed_rounding,
     _recurrence_coeffs,
     dim_m_n,
     eigenvalue_lambda_n,
@@ -94,9 +102,6 @@ class CoefficientReport:
 
     def signs(self) -> list[str]:
         return [e.sign for e in self.entries]
-
-    def values_float(self) -> np.ndarray:
-        return np.array([float(e.value) for e in self.entries])
 
     def digits(self) -> int:
         return int(self.levels.get("digits", DEFAULT_DIGITS))
@@ -198,10 +203,13 @@ def _sign_for(
     return SIGN_UNDECIDED
 
 
-def _prefactors_mp(space: Space, N: int) -> list:
-    """m_n / P_n(1)^2 for n = 0..N, in the ambient mpf precision."""
-    ab = (mp.mpf(space.alpha), mp.mpf(space.beta))
-    return [dim_m_n(ab, n) / jacobi_value_at_one(ab, n) ** 2 for n in range(N + 1)]
+@functools.lru_cache(maxsize=8)
+def _rung_constants(alpha: float, beta: float, N: int, prec: int) -> tuple:
+    """(C, m_n / P_n(1)^2 for n <= N) in mpf at prec, the caller's ambient
+    precision, with C sin(u)^(2a+1) cos(u)^(2b+1) du a probability measure."""
+    ab = a, b = mp.mpf(alpha), mp.mpf(beta)
+    C = 2 * mp.gamma(a + b + 2) / (mp.gamma(a + 1) * mp.gamma(b + 1))
+    return C, tuple(dim_m_n(ab, n) / jacobi_value_at_one(ab, n) ** 2 for n in range(N + 1))
 
 
 def _pow(base: mp.mpf, expo: mp.mpf) -> mp.mpf:
@@ -245,45 +253,69 @@ class _AngleSums:
     (1-v)^e_cos (1+v)^e_sin already carries the powers of u and pi/2-u: the
     powers are then taken of sin(u)/u and cos(u)/(pi/2-u), and the constant
     gains the (pi/4)^(e_sin+e_cos+1) of the substitution.
+
+    t and f become integers at the W bits of `_fixed_recurrence` for (a, b,
+    N), and f P_n adds exactly into S[n] at scale 2^(2W); `values` converts.
     """
 
     def __init__(self, space: Space, kernel: ZonalKernel, N: int, sinc: bool = False):
         a, b = mp.mpf(space.alpha), mp.mpf(space.beta)
         shift = mp.mpf(kernel.gj_shift)
-        self.ab = (a, b)
-        self.N = N
-        self.kernel = kernel
-        self.sinc = sinc
-        self.kappa = mp.mpf(space.kappa)
-        self.e_sin = 2 * a + 1 - 2 * shift
-        self.e_cos = 2 * b + 1
-        # dnu = C sin(u)^(2a+1) cos(u)^(2b+1) du is a probability measure
-        C = 2 * mp.gamma(a + b + 2) / (mp.gamma(a + 1) * mp.gamma(b + 1))
+        self.ab = (space.alpha, space.beta)
+        self.kernel, self.sinc, self.kappa = kernel, sinc, mp.mpf(space.kappa)
+        self.e_sin, self.e_cos = 2 * a + 1 - 2 * shift, 2 * b + 1
+        C = _rung_constants(space.alpha, space.beta, N, mp.mp.prec)[0]
         self.const = C * _pow(mp.mpf(2), -shift)
         if sinc:
             self.const *= _pow(mp.pi / 4, self.e_sin + self.e_cos + 1)
-        self.S = [mp.mpf(0) for _ in range(N + 1)]
+        self.wbits, self.ratios, self.seed = _fixed_recurrence(*self.ab, N, mp.mp.prec)
+        self.S = [0] * (N + 1)
+        # node count, sum of |f| in units of 2^-W, and whether every f was finite
+        self.count, self.abs_f, self.finite = 0, 0, True
 
-    def add(self, u: mp.mpf, comp: mp.mpf, factor: mp.mpf) -> mp.mpf:
-        """Add the node u (comp = pi/2 - u, free of cancellation) with rule
-        weight `factor`; returns |f| for the caller's tail test."""
-        sinu = mp.sin(u)
-        cosu = mp.sin(comp)
-        t = 1 - 2 * sinu * sinu
-        env = EvalEnv(
-            t=t,
-            one_minus_t=2 * sinu * sinu,
-            one_plus_t=2 * cosu * cosu,
-            theta=u / self.kappa,
-            kappa=self.kappa,
-        )
+    def add(self, u: mp.mpf, sinu: mp.mpf, cosu: mp.mpf, factor: mp.mpf, comp=None):
+        """Add the node u, with its sine and cosine, and rule weight `factor`
+        (comp = pi/2 - u free of cancellation, needed with sinc=True);
+        returns |f| for the caller's tail test."""
+        one_minus_t = 2 * sinu * sinu
+        t = 1 - one_minus_t
+        env = EvalEnv(t, one_minus_t, 2 * cosu * cosu, u / self.kappa, self.kappa)
         s, c = (sinu / u, cosu / comp) if self.sinc else (sinu, cosu)
         f = self.const * factor * _pow(s, self.e_sin) * _pow(c, self.e_cos)
         f *= self.kernel.eval_g(env)
-        P = jacobi_eval_all(self.ab, self.N, t)
-        for n in range(self.N + 1):
-            self.S[n] += f * P[n]
+        self.finite = self.finite and mp.isfinite(f)
+        W, S = self.wbits, self.S
+        x, F = libmp.to_fixed(t._mpf_, W), libmp.to_fixed(f._mpf_, W)
+        self.count += 1
+        self.abs_f += abs(F)
+        S[0] += F << W
+        if len(S) > 1:
+            one, (const, slope) = 1 << W, self.seed
+            p_prev, p = one, const + (slope * (x - one) >> W)
+            S[1] += F * p
+            for n, (r2, r3, r4) in enumerate(self.ratios, start=2):
+                p_prev, p = p, ((r2 + (r3 * x >> W)) * p - r4 * p_prev) >> W
+                S[n] += F * p
         return abs(f)
+
+    def values(self) -> list:
+        """S[n] in mpf at the ambient precision (nan once an f was not finite)."""
+        return [mp.mpf((s, -2 * self.wbits)) if self.finite else mp.nan for s in self.S]
+
+    def rounding(self) -> list:
+        """Bound per n on |values() - sum_j f_j P_n(t_j)|, the exact sums
+        over the same mpf nodes, short of the final rounding to mpf.
+
+        Truncating f_j errs by less than u = 2^-W; by `_fixed_rounding` the
+        integer P_n errs by at most u E[n] and is at most B[n] + 1.  Products
+        and sums are exact, so K nodes add at most sum_j u (B[n] + 1) +
+        (|f_j| + u) u E[n].  With W = prec + `_guard_bits` that is about
+        2^-(prec+20) sum_j |f_j|, far below the routes' floors.
+        """
+        B, E = _fixed_rounding(*self.ab, len(self.S) - 1)
+        u, k = mp.mpf((1, -self.wbits)), self.count
+        mass = mp.mpf((self.abs_f, -self.wbits)) + k * u
+        return [u * (k * (bn + 1) + en * mass) for bn, en in zip(B, E)]
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +339,39 @@ def _de_node(tau: mp.mpf):
     return u, comp, w
 
 
+# DE node geometry depends only on the working precision, so every route at
+# one precision shares it: one dict {(level, i): node at tau = i 2^-level}
+# per precision, for the four most recent; a certification ladder uses three.
+_DE_NODE_PRECISIONS = 4
+
+
+@functools.lru_cache(maxsize=_DE_NODE_PRECISIONS)
+def _de_nodes_at(prec: int) -> dict:
+    return {}
+
+
+def _de_geometry(nodes: dict, level: int, i: int) -> tuple:
+    """(u, sin u, cos u, w) at tau = i 2^-level, built on first use (threads
+    racing on a node build equal values; setdefault keeps one).  All four
+    are positive, so a node is held as its mantissas and exponents only."""
+    packed = nodes.get((level, i))
+    if packed is None:
+        u, comp, w = _de_node(mp.ldexp(i, -level))
+        values = (u, mp.sin(u), mp.sin(comp), w)
+        packed = nodes.setdefault((level, i), tuple(x for v in values for x in v._mpf_[1:3]))
+    pairs = zip(packed[::2], packed[1::2])
+    return tuple(mp.make_mpf((0, m, e, m.bit_length())) for m, e in pairs)
+
+
 def _de_sums(space: Space, kernel: ZonalKernel, N: int, max_level: int, dps: int):
     """Raw tanh-sinh accumulation of int F P_n dnu for n = 0..N.
 
     Returns (I, err, level_used) with I, err lists of mpf.  Levels are
     cumulative; the error per n is the last level-to-level difference plus
-    a rounding floor.
+    a rounding floor and the rounding bound of the fixed-point sums.
     """
     sums = _AngleSums(space, kernel, N)
+    nodes = _de_nodes_at(mp.mp.prec)
     pmax = float(jacobi_value_at_one((space.alpha, space.beta), N)) if N else 1.0
     pmax = max(1.0, abs(pmax))
     floor = mp.mpf(10) ** (-(dps + 8))
@@ -325,31 +382,25 @@ def _de_sums(space: Space, kernel: ZonalKernel, N: int, max_level: int, dps: int
     err = [mp.mpf("inf")] * (N + 1)
     level_used = 0
     for level in range(max_level + 1):
-        h = mp.mpf(1) / (1 << level) if level else mp.mpf(1)
+        h = mp.ldexp(1, -level)
+        # level 0 takes tau = 0, +-1, +-2, ...; level L the odd multiples of h
         if level == 0:
-            sums.add(*_de_node(mp.mpf(0)))
-            for direction in (1, -1):
-                k, quiet = 1, 0
-                while quiet < 3 and k < 200:
-                    sz = sums.add(*_de_node(mp.mpf(direction * k)))
-                    quiet = quiet + 1 if sz * pmax < floor * scale else 0
-                    k += 1
-        else:
-            for direction in (1, -1):
-                j, quiet = 0, 0
-                while quiet < 3 and j < 200000:
-                    tau = direction * (2 * j + 1) * h
-                    sz = sums.add(*_de_node(tau))
-                    quiet = quiet + 1 if sz * pmax < floor * scale else 0
-                    j += 1
+            sums.add(*_de_geometry(nodes, 0, 0))
+        step, cap = (1, 199) if level == 0 else (2, 200000)
+        for direction in (1, -1):
+            j, quiet = 0, 0
+            while quiet < 3 and j < cap:
+                sz = sums.add(*_de_geometry(nodes, level, direction * (step * j + 1)))
+                quiet = quiet + 1 if sz * pmax < floor * scale else 0
+                j += 1
         I_prev = I_cur
-        I_cur = [h * s for s in sums.S]
+        I_cur = [h * s for s in sums.values()]
         scale = max(mp.mpf(1), abs(I_cur[0]))
         level_used = level
         if I_prev is not None:
             err = [
-                abs(I_cur[n] - I_prev[n]) + floor * (1 + abs(I_cur[n]))
-                for n in range(N + 1)
+                abs(cur - prev) + floor * (1 + abs(cur)) + h * r
+                for cur, prev, r in zip(I_cur, I_prev, sums.rounding())
             ]
             tol = mp.mpf(10) ** (-(dps - 6))
             if all(err[n] <= tol * (1 + abs(I_cur[n])) for n in range(N + 1)):
@@ -370,7 +421,7 @@ def coefficients_de(
         raise ValueError("N must be >= 0")
     with mp.workdps(digits + 10):
         I, raw_err, level_used = _de_sums(space, kernel, N, level, digits)
-        pref = _prefactors_mp(space, N)
+        pref = _rung_constants(space.alpha, space.beta, N, mp.mp.prec)[1]
         return _report(
             space,
             kernel,
@@ -390,14 +441,16 @@ def _gj_once_u(space: Space, kernel: ZonalKernel, N: int, m: int):
 
     With u = (pi/4)(1+v) the integral becomes a Jacobi-weight integral in v
     with weight (2b+1, 2a+1-2sigma); the residual factor uses sin(u)/u and
-    cos(u)/(pi/2-u) forms so nothing cancels at the endpoints.
+    cos(u)/(pi/2-u) forms so nothing cancels at the endpoints.  Returns
+    the sums and their fixed-point rounding bounds.
     """
     sums = _AngleSums(space, kernel, N, sinc=True)
     nodes, weights = gauss_jacobi_rule_mp((sums.e_cos, sums.e_sin), m)
     quarter_pi = mp.pi / 4
     for v, w in zip(nodes, weights):
-        sums.add(quarter_pi * (1 + v), quarter_pi * (1 - v), w)
-    return sums.S
+        u, comp = quarter_pi * (1 + v), quarter_pi * (1 - v)
+        sums.add(u, mp.sin(u), mp.sin(comp), w, comp)
+    return sums.values(), sums.rounding()
 
 
 def coefficients_gj(
@@ -429,14 +482,14 @@ def coefficients_gj(
         m_nodes = int(0.7 * digits) + int(0.8 * N) + 12
     m2 = m_nodes + max(10, m_nodes // 4)
     with mp.workdps(digits + 10):
-        I_lo = _gj_once_u(space, kernel, N, m_nodes)
-        I_hi = _gj_once_u(space, kernel, N, m2)
-        pref = _prefactors_mp(space, N)
+        I_lo, _ = _gj_once_u(space, kernel, N, m_nodes)
+        I_hi, rounding = _gj_once_u(space, kernel, N, m2)
+        pref = _rung_constants(space.alpha, space.beta, N, mp.mp.prec)[1]
         floor = mp.mpf(10) ** (-(digits + 6))
         values = [p * i for p, i in zip(pref, I_hi)]
         errors = [
-            p * abs(hi - lo) + floor * (1 + abs(v))
-            for p, hi, lo, v in zip(pref, I_hi, I_lo, values)
+            p * (abs(hi - lo) + r) + floor * (1 + abs(v))
+            for p, hi, lo, r, v in zip(pref, I_hi, I_lo, rounding, values)
         ]
         return _report(
             space,

@@ -1,6 +1,9 @@
-import mpmath as mp
+import math
 
-from zonalpd.jacobi import dim_m_n, eigenvalue_lambda_n, jacobi_value_at_one
+import mpmath as mp
+import numpy as np
+
+from zonalpd.jacobi import _ab, dim_m_n, eigenvalue_lambda_n, jacobi_eval_all, jacobi_value_at_one
 from zonalpd.spaces import make_space
 from zonalpd.transform import CoefficientEntry, CoefficientReport
 
@@ -8,6 +11,37 @@ from zonalpd.transform import CoefficientEntry, CoefficientReport
 CATALOG = ("S2", "S4", "RP2", "RP3", "RP4", "CP2", "CP3", "HP2", "OP2")
 # the ones with a concrete point model (OP2 is zonal-only)
 SAMPLED = ("S2", "S4", "RP2", "RP3", "RP4", "CP2", "CP3", "HP2")
+
+
+def jacobi_normalized(params, n_max, t):
+    """p_n = P_n / P_n(1), so p_n(1) = 1; |p_n| <= 1 on [-1,1] for the
+    geometric parameter range (alpha >= beta >= -1/2)."""
+    vals = jacobi_eval_all(params, n_max, t)
+    return [v / jacobi_value_at_one(params, n) for n, v in enumerate(vals)]
+
+
+def jacobi_norm_sq(params, n):
+    """h_n = int P_n^2 dmu against the probability-normalized weight mu."""
+    a, b = _ab(params)
+    if n == 0:
+        return 1.0
+    lg = math.lgamma
+    log_h = (
+        lg(n + a + 1)
+        + lg(n + b + 1)
+        + lg(a + b + 2)
+        - lg(n + 1)
+        - lg(n + a + b + 1)
+        - lg(a + 1)
+        - lg(b + 1)
+        - math.log(2 * n + a + b + 1)
+    )
+    return math.exp(log_h)
+
+
+def integrate(rule, f):
+    """A QuadratureRule applied to f: sum_k w_k f(x_k)."""
+    return float(np.dot(rule.weights, f(rule.nodes)))
 
 
 def synthetic_report(space_name, values, errors=None, signs=None, kernel="synthetic"):

@@ -13,6 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import integrate, jacobi_norm_sq, jacobi_normalized
 from zonalpd.energy import (
     DiscreteMeasure,
     PerturbedMeasureSpec,
@@ -26,8 +27,6 @@ from zonalpd.jacobi import (
     gauss_jacobi_rule,
     jacobi_eval,
     jacobi_eval_all,
-    jacobi_norm_sq,
-    jacobi_normalized,
     jacobi_value_at_one,
 )
 from zonalpd.kernels import jacobi_unit_kernel, parse_kernel, riesz_chordal
@@ -237,7 +236,7 @@ def test_quadrature_exactness():
         rule = gauss_jacobi_rule(jp, 14)
         mass = rule.total_mass()
         for k in range(1, 28):
-            val = rule.integrate(lambda t, k=k: jacobi_eval(jp, k, t))
+            val = integrate(rule, lambda t, k=k: jacobi_eval(jp, k, t))
             assert abs(val) <= 1e-13 * mass, (params, k)
 
 

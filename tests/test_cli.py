@@ -244,6 +244,26 @@ def test_runtime_error_exits_1(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_poisson_near_r_one_prints_closed_form(capsys):
+    """Near r = 1 the series cannot converge within its cap: the closed form
+    is printed with the series marked unavailable, and the exit code is 0."""
+    argv = ["poisson", "--space", "RP2", "--r", "0.9999999", "--theta", "0", "--verify"]
+    r = 0.9999999
+    want = (1 + 3 * r) / (1 - r) ** 2
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["value"] == doc["closed"] == pytest.approx(want, rel=1e-9)
+    assert doc["series"] is None and doc["diff"] is None
+    assert doc["note"].startswith("series unavailable: Poisson series did not converge")
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    row = lines[lines.index("value,closed,series,diff") + 1].split(",")
+    assert float(row[0]) == float(row[1]) == doc["value"] and row[2:] == ["", ""]
+    assert lines[-1] == f"# note={doc['note']}"
+
+
 def test_printed_intervals_contain_closed_form(capsys):
     """The printed value +- error holds the exact coefficient, in both formats."""
     argv = ["coeffs", "--space", "CP2", "--kernel", "riesz-chordal:s=1",

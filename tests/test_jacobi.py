@@ -9,16 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_jacobi
 
-from conftest import CATALOG
+from mpmath import libmp
+
+from conftest import CATALOG, integrate, jacobi_norm_sq, jacobi_normalized
 from zonalpd.jacobi import (
+    _fixed_recurrence,
+    _fixed_rounding,
     dim_m_n,
     eigenvalue_lambda_n,
     gauss_jacobi_rule,
     gauss_jacobi_rule_mp,
     jacobi_eval,
     jacobi_eval_all,
-    jacobi_norm_sq,
-    jacobi_normalized,
     jacobi_value_at_one,
     pochhammer,
     weight_total_mass,
@@ -158,12 +160,12 @@ def test_gauss_legendre_two_point():
 
 def test_gauss_odd_symmetry():
     rule = gauss_jacobi_rule((0.0, 0.0), 8)
-    assert abs(rule.integrate(lambda t: t**15)) < 1e-14
+    assert abs(integrate(rule, lambda t: t**15)) < 1e-14
 
 
 def test_gauss_norm_h5():
     rule = gauss_jacobi_rule((2.0, 0.0), 16)
-    val = rule.integrate(lambda t: jacobi_eval((2.0, 0.0), 5, t) ** 2)
+    val = integrate(rule, lambda t: jacobi_eval((2.0, 0.0), 5, t) ** 2)
     h5 = (
         2**3
         / (2 * 5 + 3)
@@ -200,12 +202,12 @@ def test_quadrature_rule_invariants(params):
     assert rule.total_mass() == pytest.approx(weight_total_mass(params), rel=1e-13)
     # exact for every polynomial of degree <= 2m-1: the Jacobi basis suffices
     for k in range(1, 2 * m):
-        val = rule.integrate(lambda t, k=k: jacobi_eval(params, k, t))
+        val = integrate(rule, lambda t, k=k: jacobi_eval(params, k, t))
         assert abs(val) < 1e-13 * rule.total_mass()
     for k in range(m):
-        val = rule.integrate(lambda t, k=k: jacobi_eval(params, k, t) ** 2)
+        val = integrate(rule, lambda t, k=k: jacobi_eval(params, k, t) ** 2)
         assert val == pytest.approx(jacobi_h(*params, k), rel=1e-13)
-    val = rule.integrate(lambda t: jacobi_eval(params, 3, t) * jacobi_eval(params, 8, t))
+    val = integrate(rule, lambda t: jacobi_eval(params, 3, t) * jacobi_eval(params, 8, t))
     assert abs(val) < 1e-13 * rule.total_mass()
 
 
@@ -527,3 +529,33 @@ def test_rule_mp_fixed_point_polish(params, m):
                 assert abs(x - y) <= node_tol, dps
             for w, v in zip(weights, want_weights):
                 assert abs(w / v - 1) <= weight_tol, dps
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point recurrence shared by the rule polish and the coefficient sums
+
+
+@pytest.mark.parametrize("n_max", (0, 1, 2, 12, 48))
+@pytest.mark.parametrize("space", CATALOG_PARAMS + [make_space(alpha=32.0, beta=0.0)],
+                         ids=lambda sp: sp.name)
+def test_fixed_rounding_bounds_the_recurrence(space, n_max):
+    a, b = space.alpha, space.beta
+    bound, growth = _fixed_rounding(a, b, n_max)
+    with mp.workdps(30):
+        prec = mp.mp.prec
+        wbits, ratios, (const, slope) = _fixed_recurrence(a, b, n_max, prec)
+        nodes = [-1, 1, "0.9999999", "-0.99999", "1e-9"] + [f"{k / 7 - 1:.17f}" for k in range(15)]
+        for t in map(mp.mpf, nodes):
+            x = libmp.to_fixed(t._mpf_, wbits)
+            one = 1 << wbits
+            fixed = [one, const + (slope * (x - one) >> wbits)][: n_max + 1]
+            for r2, r3, r4 in ratios:
+                fixed.append(((r2 + (r3 * x >> wbits)) * fixed[-1] - r4 * fixed[-2]) >> wbits)
+            with mp.workdps(80):
+                exact = jacobi_eval_all((mp.mpf(a), mp.mpf(b)), n_max, t)
+                for n in range(n_max + 1):
+                    assert abs(exact[n]) <= bound[n], (t, n)
+                    err = abs(mp.mpf((fixed[n], -wbits)) - exact[n])
+                    assert err <= mp.ldexp(growth[n], -wbits), (t, n)
+    # the guard bits keep the bound far below the working precision
+    assert growth[-1] < 2.0 ** (wbits - prec - 16)

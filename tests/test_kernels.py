@@ -5,8 +5,8 @@ import pytest
 
 from zonalpd.jacobi import jacobi_eval
 from zonalpd.kernels import (
+    EvalEnv,
     cos_power_kernel,
-    env_from_t,
     env_from_theta,
     gaussian_kernel,
     jacobi_unit_kernel,
@@ -19,6 +19,25 @@ from zonalpd.kernels import (
     riesz_geodesic,
 )
 from zonalpd.spaces import make_space
+
+
+
+def env_from_t(space_kappa, t):
+    """EvalEnv at zonal variable t strictly inside (-1,1)."""
+    import mpmath as mp
+
+    if isinstance(t, mp.mpf):
+        theta = mp.acos(t) / (2 * space_kappa)
+    else:
+        theta = math.acos(t) / (2 * space_kappa)
+    return EvalEnv(
+        t=t,
+        one_minus_t=1 - t,
+        one_plus_t=1 + t,
+        theta=theta,
+        kappa=t * 0 + space_kappa,
+    )
+
 
 S2 = make_space("S2")
 RP2 = make_space("RP2")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import CATALOG, SAMPLED
 from zonalpd.jacobi import weight_total_mass
 from zonalpd.spaces import (
+    _CLAMP_TOL,
     FAMILY_CP,
     FAMILY_HP,
     FAMILY_RP,
@@ -15,21 +16,78 @@ from zonalpd.spaces import (
     Point,
     Space,
     _as_complex,
-    _quat_conj,
-    _quat_mul,
-    chi_from_t,
-    clamp_t,
+    _inner_abs2,
     distance_t,
     distance_t_arrays,
     load_points,
     make_rng,
     make_space,
-    sample_uniform_point,
     sample_uniform_points,
     save_points,
-    t_from_theta,
-    theta_from_t,
 )
+
+
+
+# test-only helpers: variable conversions, single points and quaternion
+# products
+
+
+def clamp_t(t: float) -> float:
+    """Clamp floating-point t into [-1,1]; excursions beyond 1e-15 are errors."""
+    if t > 1.0:
+        if t - 1.0 > _CLAMP_TOL * max(1.0, abs(t)):
+            raise ValueError(f"t={t!r} outside [-1,1]")
+        return 1.0
+    if t < -1.0:
+        if -1.0 - t > _CLAMP_TOL * max(1.0, abs(t)):
+            raise ValueError(f"t={t!r} outside [-1,1]")
+        return -1.0
+    return float(t)
+
+
+def t_from_theta(space: Space, theta: float) -> float:
+    """Zonal variable t = cos(2*kappa*theta)."""
+    if theta < -1e-15 or theta > space.diameter * (1 + 1e-12) + 1e-15:
+        raise ValueError(f"theta={theta} outside [0, {space.diameter}]")
+    return clamp_t(math.cos(2 * space.kappa * theta))
+
+
+def theta_from_t(space: Space, t: float) -> float:
+    t = clamp_t(t)
+    return math.acos(t) / (2 * space.kappa)
+
+
+def chi_from_t(t):
+    """Chordal distance chi = sin(kappa*theta) = sqrt((1-t)/2)."""
+    if isinstance(t, np.ndarray):
+        return np.sqrt((1 - np.clip(t, -1.0, 1.0)) / 2)
+    return math.sqrt((1 - clamp_t(t)) / 2)
+
+
+def sample_uniform_point(space: Space, rng: np.random.Generator) -> Point:
+    return Point(space, sample_uniform_points(space, rng, 1)[0])
+
+
+def _quat_conj(q):
+    out = q.copy()
+    out[..., 1:] *= -1
+    return out
+
+
+def _quat_mul(q1, q2):
+    """Hamilton product on (...,4) arrays."""
+    a1, b1, c1, d1 = (q1[..., i] for i in range(4))
+    a2, b2, c2, d2 = (q2[..., i] for i in range(4))
+    return np.stack(
+        [
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        ],
+        axis=-1,
+    )
+
 
 # name -> (alpha, beta, kappa, D)
 CATALOG_PARAMS = {
@@ -349,3 +407,20 @@ def test_rng_streams():
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=1000))
 def test_rng_stream_determinism(seed, task):
     assert np.array_equal(make_rng(seed, task).normal(size=3), make_rng(seed, task).normal(size=3))
+
+
+@pytest.mark.parametrize("name", ("HP2", "HP3", "HP5"))
+def test_hp_inner_product_matches_quaternion_products(name):
+    """The component formulas give the same bits as the former path, which
+    conjugated a copy of x and stacked the Hamilton product."""
+    sp = make_space(name)
+    rng = make_rng(606, sp.d)
+    X = sample_uniform_points(sp, rng, 500)
+    Y = sample_uniform_points(sp, rng, 500)
+    xq, yq = X.reshape(-1, sp.d, 4), Y.reshape(-1, sp.d, 4)
+    ip = _quat_mul(_quat_conj(xq), yq).sum(axis=1)
+    want = (ip**2).sum(axis=-1)
+    assert np.array_equal(_inner_abs2(sp, X, Y), want)
+    # rows that share a point, where |<x,y>|^2 is 1 up to rounding
+    same = _quat_mul(_quat_conj(xq), xq).sum(axis=1)
+    assert np.array_equal(_inner_abs2(sp, X, X), (same**2).sum(axis=-1))
