@@ -42,14 +42,6 @@ from .posdef import (
     all_spaces_check,
     table1,
 )
-from .energy import (
-    DiscreteMeasure,
-    PerturbedMeasureSpec,
-    energy_uniform,
-    energy_discrete,
-    energy_perturbed,
-    funk_hecke_mc,
-)
 
 __version__ = "0.1.0"
 
@@ -95,3 +87,22 @@ __all__ = [
     "funk_hecke_mc",
     "__version__",
 ]
+
+# the energy functions need numpy, which the rest of the package does without,
+# so their module is imported on first use (PEP 562)
+_ENERGY_NAMES = frozenset({
+    "DiscreteMeasure",
+    "PerturbedMeasureSpec",
+    "energy_uniform",
+    "energy_discrete",
+    "energy_perturbed",
+    "funk_hecke_mc",
+})
+
+
+def __getattr__(name):
+    if name in _ENERGY_NAMES:
+        from . import energy
+
+        return getattr(energy, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

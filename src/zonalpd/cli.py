@@ -30,13 +30,6 @@ from .transform import (
     poisson_kernel,
 )
 from .posdef import classify, scan_riesz, table1
-from .energy import (
-    DiscreteMeasure,
-    PerturbedMeasureSpec,
-    energy_discrete,
-    energy_perturbed,
-    energy_uniform_detail,
-)
 
 DIGITS_ENV = "ZONALPD_DEFAULT_DIGITS"
 
@@ -297,6 +290,15 @@ def _load_weights(path: str, count: int) -> Optional[List[float]]:
 
 
 def _cmd_energy(args) -> Tuple[str, int]:
+    # the energy module brings numpy; the certifying commands run without it
+    from .energy import (
+        DiscreteMeasure,
+        PerturbedMeasureSpec,
+        energy_discrete,
+        energy_perturbed,
+        energy_uniform_detail,
+    )
+
     digits = args.digits
     space = make_space(args.space)
     kernel = parse_kernel(args.kernel, space)

@@ -10,9 +10,12 @@ the cache changes no value.  The high-precision paths, the Newton polish of
 fixed-point copy of the recurrence, `_fixed_recurrence`: ratios c2/c1,
 c3/c1, c4/c1 scaled by 2^W, W a few dozen bits above the working precision,
 so a degree costs integer products and shifts, with the rounding bounded by
-`_fixed_rounding`.  Rules carry unnormalized weights (they sum to the
-weight's total mass Z); probability-normalized variants divide by Z at the
-call site.
+`_fixed_rounding`.  Both Gauss-Jacobi rules start from one pure-Python
+Golub-Welsch solve, `_golub_welsch` (implicit QL on the tridiagonal Jacobi
+matrix), so the module runs on mpmath and the standard library; numpy is
+imported only where `gauss_jacobi_rule` returns arrays.  Rules carry
+unnormalized weights (they sum to the weight's total mass Z);
+probability-normalized variants divide by Z at the call site.
 """
 from __future__ import annotations
 
@@ -21,11 +24,13 @@ import math
 import threading
 from dataclasses import dataclass
 from math import lgamma
-from typing import Sequence
+from typing import TYPE_CHECKING
 
 import mpmath as mp
-import numpy as np
 from mpmath import libmp
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "JacobiParams",
@@ -183,6 +188,7 @@ class QuadratureRule:
     order: int
 
     def __post_init__(self):
+        import numpy as np
         n = np.asarray(self.nodes, dtype=float)
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "nodes", n)
@@ -204,35 +210,79 @@ def weight_total_mass(params) -> float:
     )
 
 
+def _golub_welsch(a: float, b: float, m: int) -> tuple[list, list]:
+    """(nodes, first components squared) of the order-m rule in float64.
+
+    The eigenvalues of the Jacobi matrix, ascending, and the squared first
+    components of its unit eigenvectors, so weight = mass * component.
+    Implicit QL with Wilkinson shifts that rotates only the first row of the
+    eigenvector matrix (Golub and Welsch 1969, after EISPACK imtql2): O(m^2)
+    float operations on three lists, no matrix.
+    """
+    if m < 1:
+        raise ValueError("need at least one node")
+    # the symmetric tridiagonal Jacobi matrix: diagonal d, off-diagonal e
+    d, e = [(b - a) / (a + b + 2)], []
+    for k in range(1, m):
+        d.append((b * b - a * a) / ((2 * k + a + b) * (2 * k + a + b + 2)))
+        if k == 1:
+            # the general formula is 0/0 when a+b = -1; its cancelled
+            # form 4(1+a)(1+b)/((2+a+b)^2 (3+a+b)) is regular
+            e.append(math.sqrt(4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b))))
+        else:
+            num = 4 * k * (k + a) * (k + b) * (k + a + b)
+            den = (2 * k + a + b) ** 2 * (2 * k + a + b + 1) * (2 * k + a + b - 1)
+            e.append(math.sqrt(num / den))
+    e.append(0.0)
+    z = [1.0] + [0.0] * (m - 1)
+    for l in range(m):
+        for _ in range(30):
+            # the first negligible off-diagonal entry at or after l splits
+            # off the block l..k
+            k = l
+            while k < m - 1:
+                dd = abs(d[k]) + abs(d[k + 1])
+                if abs(e[k]) + dd == dd:
+                    break
+                k += 1
+            if k == l:
+                break
+            g = (d[l + 1] - d[l]) / (2 * e[l])
+            g = d[k] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(k - 1, l - 1, -1):
+                # e[i] is not negligible inside the block, so r > 0
+                f, h = s * e[i], c * e[i]
+                r = e[i + 1] = math.hypot(f, g)
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2 * c * h
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - h
+                z[i], z[i + 1] = c * z[i] - s * z[i + 1], s * z[i] + c * z[i + 1]
+            d[l] -= p
+            e[l] = g
+            e[k] = 0.0
+        else:  # pragma: no cover
+            raise RuntimeError(f"Jacobi-matrix eigen-solve failed for m={m}")
+    order = sorted(range(m), key=d.__getitem__)
+    return [d[i] for i in order], [z[i] * z[i] for i in order]
+
+
 def gauss_jacobi_rule(params, m: int) -> QuadratureRule:
-    """Golub-Welsch rule: eigen-solve of the symmetrized recurrence matrix.
+    """Golub-Welsch rule in float64: nodes and weights from the QL solve of
+    `_golub_welsch`, the one that seeds `gauss_jacobi_rule_mp`, as numpy
+    arrays (numpy is imported here, not with the module).
 
     Exact for polynomials of degree <= 2m-1 against the weight.
     """
+    import numpy as np
     a, b = map(float, _ab(params))
-    if m < 1:
-        raise ValueError("need at least one node")
-    diag = np.empty(m)
-    diag[0] = (b - a) / (a + b + 2)
-    if m > 1:
-        kk = np.arange(1, m, dtype=float)
-        diag[1:] = (b * b - a * a) / ((2 * kk + a + b) * (2 * kk + a + b + 2))
-        num = 4 * kk * (kk + a) * (kk + b) * (kk + a + b)
-        den = (2 * kk + a + b) ** 2 * (2 * kk + a + b + 1) * (2 * kk + a + b - 1)
-        with np.errstate(invalid="ignore"):
-            off = np.sqrt(num / den)
-        # k=1 entry of the general formula is 0/0 when a+b = -1; its
-        # cancelled form 4(1+a)(1+b)/((2+a+b)^2 (3+a+b)) is regular
-        off[0] = math.sqrt(4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b)))
-    else:
-        off = np.empty(0)
-    # a dense eigen-solve: m is at most a few hundred here
-    try:
-        nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise RuntimeError(f"Jacobi-matrix eigen-solve failed for m={m}") from exc
-    weights = vecs[0, :] ** 2 * weight_total_mass((a, b))
-    return QuadratureRule(nodes, weights, JacobiParams(a, b), m)
+    nodes, first = _golub_welsch(a, b, m)
+    weights = np.array(first) * weight_total_mass((a, b))
+    return QuadratureRule(np.array(nodes), weights, JacobiParams(a, b), m)
 
 
 def _guard_bits(a: float, b: float, m: int) -> int:
@@ -300,41 +350,39 @@ def _fixed_rounding(a: float, b: float, n_max: int) -> tuple:
     covers carrying those in float64.  E[n] is about B[n] n^2, 2^24 n below
     the 2^(W - prec) that `_guard_bits` leaves.
     """
-    size = n_max + 1
-    # row 0 holds P_n, row k >= 1 holds G(n, k); columns are Chebyshev terms
-    prev, cur = np.zeros((size, size)), np.zeros((size, size))
+    # row 0 holds P_n, row k >= 1 holds G(n, k), of degree n - k; entries
+    # are Chebyshev coefficients
     slope = (a + b + 2) / 2
-    prev[0, 0] = 1.0
-    if n_max:
-        cur[0, :2] = (a + 1 - slope, slope)
-        cur[1, 0] = 1.0
+    prev, cur = [[1.0]], [[a + 1 - slope, slope], [1.0]]
     local, B, E = [0.0, 5 + abs(slope)], [1.0], [0.0]
-    for n in range(1, size):
+    for n in range(1, n_max + 1):
         if n > 1:
             c1, c2, c3, c4 = _recurrence_coeffs(n, a, b)
-            # t T_0 = T_1, t T_j = (T_{j-1} + T_{j+1}) / 2
-            tc = np.zeros((size, size))
-            tc[:, 1:] = cur[:, :-1] / 2
-            tc[:, 1] += cur[:, 0] / 2
-            tc[:, :-1] += cur[:, 1:] / 2
-            prev, cur = cur, (c2 * cur + c3 * tc - c4 * prev) / c1
-            cur[n, 0] = 1.0
+            nxt = []
+            # G(n-2, n-1) = 0 is the empty row
+            for row, old in zip(cur, prev + [[]]):
+                # t T_0 = T_1, t T_j = (T_{j-1} + T_{j+1}) / 2
+                half = [v / 2 for v in row[1:]]
+                tc = [x + y for x, y in zip([0.0, row[0]] + half, half + [0.0, 0.0])]
+                nxt.append([(c2 * x + c3 * y - c4 * z) / c1
+                            for x, y, z in zip(row + [0.0], tc, old + [0.0, 0.0])])
+            prev, cur = cur, nxt + [[1.0]]
             local.append((4 + abs(c3 / c1)) * (B[n - 1] + 1) + B[n - 2] + 2)
-        norms = np.abs(cur).sum(axis=1)
-        B.append(2 * float(norms[0]))
-        E.append(2 * float((norms[1 : n + 1] * local[1:]).sum()))
+        norms = [math.fsum(map(abs, row)) for row in cur]
+        B.append(2 * norms[0])
+        E.append(2 * math.fsum(x * y for x, y in zip(norms[1:], local[1:])))
     return tuple(B), tuple(E)
 
 
 def gauss_jacobi_rule_mp(params, m: int) -> tuple[list, list]:
     """High-precision rule at the ambient mp.mp.prec; weights unnormalized.
 
-    Double-precision nodes from `gauss_jacobi_rule` seed Newton iterations
-    on P_m that step `_fixed_recurrence` in integers scaled by 2^W, W =
-    prec + `_guard_bits`, so a pass costs three integer products and shifts
-    per degree; P_m' comes from the same-parameter identity.  Once a
-    step predicts that the next one is below 2^-(prec + 2 log2 m + 8), that
-    next pass also sums the Christoffel function sum_k P_k^2/h_k (1/h_k in
+    Double-precision nodes from `_golub_welsch`, the QL solve that also
+    serves `gauss_jacobi_rule`, seed Newton iterations on P_m that step
+    `_fixed_recurrence` in integers scaled by 2^W, W = prec + `_guard_bits`,
+    so a pass costs three integer products and shifts per degree; P_m'
+    comes from the same-parameter identity.  Once a step predicts that the
+    next one is below 2^-(prec + 2 log2 m + 8), that next pass also sums the Christoffel function sum_k P_k^2/h_k (1/h_k in
     fixed point), and a step below that bound ends the node.  The weight is
     the total mass over that sum, divided in mpf at W bits.  Nodes and
     weights are rounded to the ambient precision once, at the end.
@@ -345,7 +393,7 @@ def gauss_jacobi_rule_mp(params, m: int) -> tuple[list, list]:
     rules.
     """
     a, b = _ab(params)
-    seeds = gauss_jacobi_rule((float(a), float(b)), m).nodes
+    seeds = _golub_welsch(float(a), float(b), m)[0]
     prec = mp.mp.prec
     tol_bits = prec + 2 * m.bit_length() + 8
     wbits, table, (p1_const, p1_slope) = _fixed_recurrence(mp.mpf(a), mp.mpf(b), m, prec)

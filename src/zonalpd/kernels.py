@@ -11,20 +11,24 @@ metadata drives the quadrature engines:
 Evaluation comes in two flavors: `f_t` is a fast double-precision numpy
 evaluator of F itself (diverges at t=1 when singular), while `eval_g` takes
 an EvalEnv of precomputed trig quantities (float or mpf) and returns the
-envelope G stably, which is what the integrators consume.
+envelope G stably, which is what the integrators consume.  numpy is
+imported by the array evaluators only, so building a kernel and `eval_g`
+run without it.
 """
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import mpmath as mp
-import numpy as np
 
 from .jacobi import jacobi_eval, jacobi_eval_all
 from .spaces import Space
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EvalEnv",
@@ -48,7 +52,8 @@ class EvalEnv:
 
     All fields share one arithmetic (float or mpmath.mpf).  one_minus_t and
     one_plus_t are computed from half-angle forms upstream, so they stay
-    accurate near the endpoints where 1-t would cancel.
+    accurate near the endpoints where 1-t would cancel; sin_ktheta is
+    sin(kappa*theta), which the node already carries.
     """
 
     t: object
@@ -56,15 +61,14 @@ class EvalEnv:
     one_plus_t: object
     theta: object
     kappa: object
+    sin_ktheta: object
 
     @property
     def sin_ktheta_over_theta(self):
         """sin(kappa*theta)/theta, stable as theta -> 0."""
-        x = self.kappa * self.theta
-        if x == 0:
+        if self.sin_ktheta == 0:
             return self.kappa
-        s = mp.sin(x) if isinstance(x, mp.mpf) else math.sin(x)
-        return s / self.theta
+        return self.sin_ktheta / self.theta
 
 
 def env_from_theta(space_kappa, theta):
@@ -81,6 +85,7 @@ def env_from_theta(space_kappa, theta):
         one_plus_t=2 * cu * cu,
         theta=theta,
         kappa=k,
+        sin_ktheta=su,
     )
 
 
@@ -122,6 +127,7 @@ class ZonalKernel:
             )
 
     def __call__(self, t):
+        import numpy as np
         return self.f_t(np.asarray(t, dtype=float))
 
 
@@ -161,6 +167,7 @@ def riesz_geodesic(space: Space, s: float) -> ZonalKernel:
         return sign * (2 * r * r) ** (s / 2)
 
     def f_t(t: np.ndarray) -> np.ndarray:
+        import numpy as np
         theta = np.arccos(np.clip(t, -1.0, 1.0)) / (2 * kappa)
         with np.errstate(divide="ignore"):
             return sign * theta ** (-s)
@@ -207,6 +214,7 @@ def riesz_chordal(space: Space, s: float) -> ZonalKernel:
         return sign * two ** (s / 2)
 
     def f_t(t: np.ndarray) -> np.ndarray:
+        import numpy as np
         with np.errstate(divide="ignore"):
             return sign * ((1 - t) / 2) ** (-s / 2)
 
@@ -230,6 +238,7 @@ def log_geodesic(space: Space) -> ZonalKernel:
         return -(mp.log(th) if isinstance(th, mp.mpf) else math.log(th))
 
     def f_t(t: np.ndarray) -> np.ndarray:
+        import numpy as np
         theta = np.arccos(np.clip(t, -1.0, 1.0)) / (2 * kappa)
         with np.errstate(divide="ignore"):
             return -np.log(theta)
@@ -250,6 +259,7 @@ def log_chordal(space: Space) -> ZonalKernel:
         return -(mp.log(x) if isinstance(x, mp.mpf) else math.log(x)) / 2
 
     def f_t(t: np.ndarray) -> np.ndarray:
+        import numpy as np
         with np.errstate(divide="ignore"):
             return -np.log((1 - t) / 2) / 2
 
@@ -283,6 +293,7 @@ def gaussian_kernel(space: Space, metric: str, lam: float) -> ZonalKernel:
             return mp.exp(x) if isinstance(x, mp.mpf) else math.exp(x)
 
         def f_t(t: np.ndarray) -> np.ndarray:
+            import numpy as np
             theta = np.arccos(np.clip(t, -1.0, 1.0)) / (2 * kappa)
             return np.exp(-lam * theta**2)
 
@@ -293,6 +304,7 @@ def gaussian_kernel(space: Space, metric: str, lam: float) -> ZonalKernel:
             return mp.exp(x) if isinstance(x, mp.mpf) else math.exp(x)
 
         def f_t(t: np.ndarray) -> np.ndarray:
+            import numpy as np
             return np.exp(-lam * (1 - t) / 2)
 
     return ZonalKernel(
@@ -338,6 +350,7 @@ def jacobi_unit_kernel(params, n: int) -> ZonalKernel:
         return jacobi_eval((a, b), n, env.t)
 
     def f_t(t: np.ndarray) -> np.ndarray:
+        import numpy as np
         return np.asarray(jacobi_eval((a, b), n, np.asarray(t, dtype=float)))
 
     return ZonalKernel(

@@ -8,16 +8,19 @@ custom (alpha, beta) pairs are accepted for weight-level computations.
 
 Point models (unit vectors over R/C/H, projective points modulo unit scalars)
 support uniform sampling and pairwise t-distances for Monte Carlo work.
-OP^2 and custom spaces are zonal-only: no point model.
+OP^2 and custom spaces are zonal-only: no point model.  The point model
+imports numpy where it makes or takes arrays; `Space` and `make_space` run
+without it.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from math import pi
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 FAMILY_SPHERE = "Sphere"
 FAMILY_RP = "RP"
@@ -160,6 +163,7 @@ class Point:
     coords: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         if self.space.field is None:
             raise ValueError(f"{self.space.name} has no point model")
         c = np.asarray(self.coords, dtype=float)
@@ -174,6 +178,7 @@ class Point:
 
 def make_rng(seed: int, task: int = 0) -> np.random.Generator:
     """Counter-based generator; independent streams come from (seed, task)."""
+    import numpy as np
     key = np.array([seed % 2**64, task % 2**64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -188,6 +193,7 @@ def _coords_per_point(space: Space) -> int:
 
 def sample_uniform_points(space: Space, rng: np.random.Generator, count: int) -> np.ndarray:
     """Uniform sample of `count` points, one row of real coordinates each."""
+    import numpy as np
     if space.family not in (FAMILY_SPHERE, FAMILY_RP, FAMILY_CP, FAMILY_HP):
         raise ValueError(f"uniform sampling unsupported on {space.name}")
     m = _coords_per_point(space)
@@ -203,6 +209,7 @@ def _as_complex(coords: np.ndarray, d: int) -> np.ndarray:
 
 def _inner_abs2(space: Space, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """|<x,y>|^2 rowwise for the field inner product sum_i conj(x_i) y_i."""
+    import numpy as np
     if space.family == FAMILY_RP:
         return np.einsum("ij,ij->i", X, Y) ** 2
     if space.family == FAMILY_CP:
@@ -232,6 +239,7 @@ def _inner_abs2(space: Space, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def distance_t_arrays(space: Space, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """t(x_i, y_i) for paired rows of coordinates."""
+    import numpy as np
     X = np.atleast_2d(X)
     Y = np.atleast_2d(Y)
     if space.family == FAMILY_SPHERE:
@@ -255,6 +263,7 @@ def distance_t(x: Point, y: Point) -> float:
 
 
 def save_points(path: str, space: Space, points: Iterable[Point] | np.ndarray) -> None:
+    import numpy as np
     if space.field is None:
         raise ValueError(f"{space.name} has no point model")
     rows = points if isinstance(points, np.ndarray) else np.array([p.coords for p in points])
@@ -265,6 +274,7 @@ def save_points(path: str, space: Space, points: Iterable[Point] | np.ndarray) -
 
 
 def load_points(path: str, space: Optional[Space] = None) -> tuple[Space, np.ndarray]:
+    import numpy as np
     with open(path) as fh:
         header = fh.readline().strip()
         m = re.match(r"#\s*space=(\S+)\s+field=([RCH])\s+d=(\d+)", header)

@@ -279,7 +279,7 @@ class _AngleSums:
         returns |f| for the caller's tail test."""
         one_minus_t = 2 * sinu * sinu
         t = 1 - one_minus_t
-        env = EvalEnv(t, one_minus_t, 2 * cosu * cosu, u / self.kappa, self.kappa)
+        env = EvalEnv(t, one_minus_t, 2 * cosu * cosu, u / self.kappa, self.kappa, sinu)
         s, c = (sinu / u, cosu / comp) if self.sinc else (sinu, cosu)
         f = self.const * factor * _pow(s, self.e_sin) * _pow(c, self.e_cos)
         f *= self.kernel.eval_g(env)

@@ -342,3 +342,62 @@ def test_version_flag():
     r = _run_proc(["--version"])
     assert r.returncode == 0
     assert r.stdout.strip() == f"zonalpd {__version__}"
+
+
+def _run_child(argv, block_numpy):
+    """`zonalpd argv` in a fresh interpreter, optionally one where numpy
+    cannot be imported; the last stderr line says whether numpy was loaded."""
+    code = "\n".join([
+        "import runpy, sys",
+        "sys.modules['numpy'] = None" if block_numpy else "",
+        "try:",
+        "    runpy.run_module('zonalpd', run_name='__main__', alter_sys=True)",
+        "finally:",
+        "    print('numpy', sys.modules.get('numpy') is not None, file=sys.stderr)",
+    ])
+    src = str(Path(zonalpd.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+CERTIFYING = [
+    ["coeffs", "--space", "RP2", "--kernel", "riesz-geodesic:s=-0.6", "--nmax", "8",
+     "--digits", "20", "--verify"],
+    ["classify", "--space", "S2", "--kernel", "log-geodesic", "--nmax", "6"],
+    ["scan", "--space", "RP2", "--kernel", "riesz-geodesic", "--s-min", "-0.7",
+     "--s-max", "-0.5", "--step", "0.1", "--bisect", "0.05", "--nmax", "8", "--digits", "20"],
+    ["table1", "--nmax", "4", "--digits", "20"],
+    ["poisson", "--space", "RP2", "--r", "0.5", "--theta", "0.3"],
+]
+
+
+@pytest.mark.parametrize("argv", CERTIFYING, ids=lambda a: a[0])
+def test_certifying_commands_run_without_numpy(argv, capsys):
+    """The certifying commands run on mpmath and the standard library alone,
+    with the output they give where numpy is present."""
+    r = _run_child(argv, block_numpy=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr.splitlines()[-1] == "numpy False"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert r.stdout == out
+
+
+def test_version_runs_without_numpy():
+    r = _run_child(["--version"], block_numpy=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == f"zonalpd {__version__}"
+
+
+def test_energy_still_imports_numpy(capsys):
+    argv = ["energy", "--space", "S2", "--kernel", "riesz-chordal:s=1"]
+    r = _run_child(argv, block_numpy=False)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr.splitlines()[-1] == "numpy True"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert r.stdout == out

@@ -360,3 +360,14 @@ def test_funk_hecke_seed_determinism():
     d = funk_hecke_mc(S2, 2, x, y, samples=40_000, seed=7)
     assert a["lhs_mc"] == b["lhs_mc"] == c["lhs_mc"]
     assert d["lhs_mc"] != a["lhs_mc"]
+
+
+def test_package_resolves_energy_names_on_demand():
+    import zonalpd
+
+    for name in ("DiscreteMeasure", "PerturbedMeasureSpec", "energy_uniform",
+                 "energy_discrete", "energy_perturbed", "funk_hecke_mc"):
+        assert name in zonalpd.__all__
+        assert getattr(zonalpd, name) is getattr(energy_mod, name)
+    with pytest.raises(AttributeError):
+        zonalpd.no_such_name

@@ -12,6 +12,7 @@ from scipy.special import eval_jacobi
 from mpmath import libmp
 
 from conftest import CATALOG, integrate, jacobi_norm_sq, jacobi_normalized
+from zonalpd import jacobi
 from zonalpd.jacobi import (
     _fixed_recurrence,
     _fixed_rounding,
@@ -559,3 +560,106 @@ def test_fixed_rounding_bounds_the_recurrence(space, n_max):
                     assert err <= mp.ldexp(growth[n], -wbits), (t, n)
     # the guard bits keep the bound far below the working precision
     assert growth[-1] < 2.0 ** (wbits - prec - 16)
+
+
+# ---------------------------------------------------------------------------
+# the pure-Python QL seed and rounding bound against their numpy forms
+
+
+def eigh_nodes(a, b, m):
+    """Gauss-Jacobi nodes from a dense numpy eigen-solve of the Jacobi matrix."""
+    diag = np.empty(m)
+    diag[0] = (b - a) / (a + b + 2)
+    if m > 1:
+        kk = np.arange(1, m, dtype=float)
+        diag[1:] = (b * b - a * a) / ((2 * kk + a + b) * (2 * kk + a + b + 2))
+        num = 4 * kk * (kk + a) * (kk + b) * (kk + a + b)
+        den = (2 * kk + a + b) ** 2 * (2 * kk + a + b + 1) * (2 * kk + a + b - 1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            off = np.sqrt(num / den)
+        off[0] = math.sqrt(4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b)))
+    else:
+        off = np.empty(0)
+    return np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0]
+
+
+def fixed_rounding_numpy(a, b, n_max):
+    """`_fixed_rounding` on dense Chebyshev coefficient arrays."""
+    size = n_max + 1
+    prev, cur = np.zeros((size, size)), np.zeros((size, size))
+    slope = (a + b + 2) / 2
+    prev[0, 0] = 1.0
+    if n_max:
+        cur[0, :2] = (a + 1 - slope, slope)
+        cur[1, 0] = 1.0
+    local, B, E = [0.0, 5 + abs(slope)], [1.0], [0.0]
+    for n in range(1, size):
+        if n > 1:
+            c1, c2, c3, c4 = jacobi._recurrence_coeffs(n, a, b)
+            tc = np.zeros((size, size))
+            tc[:, 1:] = cur[:, :-1] / 2
+            tc[:, 1] += cur[:, 0] / 2
+            tc[:, :-1] += cur[:, 1:] / 2
+            prev, cur = cur, (c2 * cur + c3 * tc - c4 * prev) / c1
+            cur[n, 0] = 1.0
+            local.append((4 + abs(c3 / c1)) * (B[n - 1] + 1) + B[n - 2] + 2)
+        norms = np.abs(cur).sum(axis=1)
+        B.append(2 * float(norms[0]))
+        E.append(2 * float((norms[1 : n + 1] * local[1:]).sum()))
+    return B, E
+
+
+# a+b = -1, alpha = beta (all diagonal entries 0), the catalog, and weights
+# near the ends of the admissible range
+SEED_PARAMS = [(sp.alpha, sp.beta) for sp in CATALOG_PARAMS] + [
+    (-0.5, -0.5), (-0.3, -0.7), (-0.99, -0.01), (-0.99, -0.99),
+    (0.5, 0.5), (12.0, 12.0), (32.0, 0.0), (0.3, -0.7), (9.3, 2.0),
+]
+
+
+@pytest.mark.parametrize("params", SEED_PARAMS, ids=str)
+def test_ql_nodes_match_eigh(params):
+    # both solvers err by a few ulps of 1 (eigh up to 4.5 at m = 120, QL
+    # up to 9, against 40-digit nodes), so they differ by up to 13.5
+    eps = np.finfo(float).eps
+    for m in (1, 2, 3, 4, 7, 20, 45, 71, 90, 120):
+        rule = gauss_jacobi_rule(params, m)
+        assert len(rule.nodes) == m
+        assert np.max(np.abs(rule.nodes - eigh_nodes(*params, m))) <= 16 * eps, m
+    assert rule.total_mass() == pytest.approx(weight_total_mass(params), rel=1e-13)
+
+
+def test_ql_rejects_empty_rule():
+    with pytest.raises(ValueError):
+        gauss_jacobi_rule((0.0, 0.0), 0)
+
+
+@pytest.mark.parametrize("n_max", (0, 1, 2, 5, 12, 24, 48))
+@pytest.mark.parametrize("params", SEED_PARAMS, ids=str)
+def test_fixed_rounding_matches_numpy(params, n_max):
+    B, E = _fixed_rounding(*params, n_max)
+    want_B, want_E = fixed_rounding_numpy(*params, n_max)
+    assert len(B) == len(E) == n_max + 1
+    assert B == pytest.approx(want_B, rel=1e-14, abs=0)
+    assert E == pytest.approx(want_E, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("params", SEED_PARAMS, ids=str)
+def test_rule_mp_matches_eigh_seeded(params, monkeypatch):
+    """Newton from the QL seeds lands where it did from the eigh seeds, bit
+    for bit, except at the middle node of a symmetric odd-order rule: there
+    either polish may stop at 0 or a hair beside it, below its tolerance."""
+    for dps in (20, 30, 50):
+        with mp.workdps(dps):
+            for m in (1, 2, 3, 5, 8, 17, 33, 57):
+                nodes, weights = gauss_jacobi_rule_mp(params, m)
+                with monkeypatch.context() as ctx:
+                    ctx.setattr(jacobi, "_golub_welsch", lambda a, b, m: (eigh_nodes(a, b, m), None))
+                    want_nodes, want_weights = gauss_jacobi_rule_mp(params, m)
+                assert weights == want_weights, (dps, m)
+                middle = m // 2 if params[0] == params[1] and m % 2 else None
+                if middle is not None:
+                    tol = mp.ldexp(1, -(mp.mp.prec + 2 * m.bit_length() + 8))
+                    assert abs(nodes[middle]) < tol and abs(want_nodes[middle]) < tol
+                    nodes[middle] = want_nodes[middle]
+                assert nodes == want_nodes, (dps, m)

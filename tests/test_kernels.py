@@ -26,16 +26,20 @@ def env_from_t(space_kappa, t):
     """EvalEnv at zonal variable t strictly inside (-1,1)."""
     import mpmath as mp
 
+    kappa = t * 0 + space_kappa
     if isinstance(t, mp.mpf):
         theta = mp.acos(t) / (2 * space_kappa)
+        sin_ktheta = mp.sin(kappa * theta)
     else:
         theta = math.acos(t) / (2 * space_kappa)
+        sin_ktheta = math.sin(kappa * theta)
     return EvalEnv(
         t=t,
         one_minus_t=1 - t,
         one_plus_t=1 + t,
         theta=theta,
-        kappa=t * 0 + space_kappa,
+        kappa=kappa,
+        sin_ktheta=sin_ktheta,
     )
 
 

@@ -46,6 +46,7 @@ class PairedSums(transform._AngleSums):
             one_plus_t=2 * cosu * cosu,
             theta=u / self.kappa,
             kappa=self.kappa,
+            sin_ktheta=sinu,
         )
         s, c = (sinu / u, cosu / comp) if self.sinc else (sinu, cosu)
         f = self.const * factor * transform._pow(s, self.e_sin) * transform._pow(c, self.e_cos)
