@@ -3,8 +3,8 @@
 The uniform energy of a kernel is its mean value over the space, which the
 expansion machinery identifies with the degree-0 coefficient; it is computed
 both ways and cross-checked.  Discrete energies are double sums over
-weighted point sets, evaluated as one vectorized pass over the pairs.  The
-perturbed-measure energy compares the closed form
+weighted point sets, evaluated as vectorized passes over blocks of pairs.
+The perturbed-measure energy compares the closed form
 
     E_F(mu) = E_F(sigma) + eps^2 * P_n(1)^3 / m_n^2 * F^(n)
 
@@ -17,12 +17,20 @@ Monte Carlo runs are deterministic: samples come from counter-based
 Philox streams keyed (seed, batch index), and batch results are reduced
 with exact compensated summation in batch order, so the estimate is
 independent of batch scheduling.
+
+Two sizes govern the array work.  MC_BATCH (2^17 samples) fixes the layout
+of the random streams, so changing it changes the estimates.  BLOCK (2^14
+rows or pairs, from `spaces`) only bounds memory: distances, kernel values
+and sums go through blocks of at most BLOCK, with the same values and sums
+as one whole-array pass.  A batch thus holds its sampled points plus a few
+MiB, and a discrete energy a few MiB whatever its point count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import mpmath as mp
@@ -31,6 +39,7 @@ import numpy as np
 from .jacobi import JacobiParams, dim_m_n, jacobi_eval_all, jacobi_value_at_one
 from .kernels import ZonalKernel, env_from_theta
 from .spaces import (
+    BLOCK,
     Point,
     Space,
     _coords_per_point,
@@ -225,13 +234,14 @@ def energy_discrete(
 ) -> float:
     """Double sum  sum_i sum_j w_i w_j F(t(x_i, x_j)).
 
-    The ordered pairs i != j go row-major in blocks of whole rows, at most
-    MC_BATCH pairs each (one row if a row alone is longer); each block makes
-    one `distance_t_arrays` and one `f_t` call, so memory stays bounded and
-    no Python loop runs over pairs.  Kernels unbounded at the diagonal
-    (positive singularity exponent or a log term) admit only the
-    off-diagonal sum; asking for the diagonal raises.  The reduction is one
-    exact compensated summation, so permuting the points changes nothing.
+    The ordered pairs i != j go row-major in blocks of at most BLOCK
+    pairs; each block makes one `distance_t_arrays` and one `f_t` call and
+    hands its terms straight to one exact compensated summation, so no
+    Python loop runs over pairs and memory stays a few MiB whatever the
+    point count (1000 points on HP2: about 5 MiB traced).  Kernels unbounded
+    at the diagonal (positive singularity exponent or a log term) admit only
+    the off-diagonal sum; asking for the diagonal raises.  The sum is
+    correctly rounded, so permuting the points changes nothing.
     """
     if include_diagonal and (kernel.sing_exponent > 0 or kernel.log_flag):
         raise ValueError(
@@ -241,24 +251,25 @@ def energy_discrete(
     X = measure.coords()
     w = np.asarray(measure.weights)
     n = len(w)
-    rows = max(1, MC_BATCH // max(n - 1, 1))
-    terms = []
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        i = np.repeat(np.arange(start, stop), n - 1)
-        j = np.tile(np.arange(n - 1), stop - start)
-        j += j >= i
-        t = distance_t_arrays(measure.space, X[i], X[j])
-        terms += (w[i] * w[j] * kernel.f_t(t)).tolist()
-    if include_diagonal:
-        terms += (w * w * float(kernel.f_t(np.float64(1.0)))).tolist()
-    return math.fsum(terms)
+    pairs = n * (n - 1)
+
+    def blocks():
+        for start in range(0, pairs, BLOCK):
+            i, j = np.divmod(np.arange(start, min(start + BLOCK, pairs)), n - 1)
+            j += j >= i
+            t = distance_t_arrays(measure.space, X[i], X[j])
+            yield (w[i] * w[j] * kernel.f_t(t)).tolist()
+        if include_diagonal:
+            yield (w * w * float(kernel.f_t(np.float64(1.0)))).tolist()
+
+    return math.fsum(chain.from_iterable(blocks()))
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
-BatchFn = Callable[[np.random.Generator, int], np.ndarray]
+# quoted so that importing this module does not load numpy.random
+BatchFn = Callable[["np.random.Generator", int], np.ndarray]
 
 
 def _mc_mean(
@@ -266,9 +277,11 @@ def _mc_mean(
 ) -> Tuple[float, float]:
     """Mean and standard error of batch_fn values over `samples` draws.
 
-    Batch i draws from the Philox stream keyed (seed, i); the sums are
-    reduced in batch order with math.fsum, so the result is identical no
-    matter how batches are scheduled.
+    Batch i draws from the Philox stream keyed (seed, i), so MC_BATCH fixes
+    which draws a sample uses.  Each batch's sums are math.fsum over its
+    values in BLOCK-size chunks, and the batch sums are reduced in batch
+    order with math.fsum, so the result is identical no matter how batches
+    are scheduled.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
@@ -278,7 +291,11 @@ def _mc_mean(
 
     def run(i: int) -> Tuple[float, float]:
         vals = np.asarray(batch_fn(make_rng(seed, i), counts[i]), dtype=float)
-        return math.fsum(vals.tolist()), math.fsum((vals * vals).tolist())
+        chunks = [vals[k:k + BLOCK] for k in range(0, len(vals), BLOCK)]
+        return (
+            math.fsum(chain.from_iterable(c.tolist() for c in chunks)),
+            math.fsum(chain.from_iterable((c * c).tolist() for c in chunks)),
+        )
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -340,14 +357,18 @@ def energy_perturbed(
     def batch(rng: np.random.Generator, m: int) -> np.ndarray:
         X = sample_uniform_points(space, rng, m)
         Y = sample_uniform_points(space, rng, m)
-        Z = np.broadcast_to(z, X.shape)
-        t_xz = distance_t_arrays(space, X, Z)
-        t_yz = distance_t_arrays(space, Y, Z)
-        t_xy = distance_t_arrays(space, X, Y)
-        w = (1 + eps * jacobi_eval_all(params, n, t_xz)[n]) * (
-            1 + eps * jacobi_eval_all(params, n, t_yz)[n]
-        )
-        return w * kernel.f_t(t_xy)
+        out = np.empty(m)
+        for k in range(0, m, BLOCK):
+            x, y = X[k:k + BLOCK], Y[k:k + BLOCK]
+            Z = np.broadcast_to(z, x.shape)
+            t_xz = distance_t_arrays(space, x, Z)
+            t_yz = distance_t_arrays(space, y, Z)
+            t_xy = distance_t_arrays(space, x, y)
+            w = (1 + eps * jacobi_eval_all(params, n, t_xz)[n]) * (
+                1 + eps * jacobi_eval_all(params, n, t_yz)[n]
+            )
+            out[k:k + BLOCK] = w * kernel.f_t(t_xy)
+        return out
 
     mean, stderr = _mc_mean(batch, samples, seed, threads)
     out.update({"mc_estimate": mean, "stderr": stderr, "samples": samples})
@@ -384,9 +405,15 @@ def funk_hecke_mc(
 
     def batch(rng: np.random.Generator, m: int) -> np.ndarray:
         Z = sample_uniform_points(space, rng, m)
-        t_xz = distance_t_arrays(space, np.broadcast_to(xc, Z.shape), Z)
-        t_yz = distance_t_arrays(space, np.broadcast_to(yc, Z.shape), Z)
-        return jacobi_eval_all(params, n, t_xz)[n] * jacobi_eval_all(params, n, t_yz)[n]
+        out = np.empty(m)
+        for k in range(0, m, BLOCK):
+            z = Z[k:k + BLOCK]
+            t_xz = distance_t_arrays(space, np.broadcast_to(xc, z.shape), z)
+            t_yz = distance_t_arrays(space, np.broadcast_to(yc, z.shape), z)
+            out[k:k + BLOCK] = (
+                jacobi_eval_all(params, n, t_xz)[n] * jacobi_eval_all(params, n, t_yz)[n]
+            )
+        return out
 
     mean, stderr = _mc_mean(batch, samples, seed, threads)
     return {

@@ -207,11 +207,16 @@ def riesz_chordal(space: Space, s: float) -> ZonalKernel:
     sign = _sgn(s)
     sigma = max(s, 0.0) / 2
 
+    consts = {}
+
     def eval_g(env: EvalEnv):
         # constant sgn(s) 2^{s/2}, raised in the caller's arithmetic so an
-        # mpf evaluation is not stuck with a float64-rounded constant
-        two = env.t * 0 + 2
-        return sign * two ** (s / 2)
+        # mpf evaluation is not stuck with a float64-rounded constant; it
+        # depends only on that arithmetic and the working precision
+        key = (type(env.t), mp.mp.prec)
+        if key not in consts:
+            consts[key] = sign * type(env.t)(2) ** (s / 2)
+        return consts[key]
 
     def f_t(t: np.ndarray) -> np.ndarray:
         import numpy as np

@@ -35,6 +35,11 @@ _FIELD_TAG = {FAMILY_SPHERE: "R", FAMILY_RP: "R", FAMILY_CP: "C", FAMILY_HP: "H"
 
 _CLAMP_TOL = 1e-15
 
+# Row (or pair) count of one block of array work: sampling, distances and
+# the energy sums go through blocks of at most this many, so their
+# temporaries stay a few MiB whatever the sample or point count.
+BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class Space:
@@ -198,13 +203,10 @@ def sample_uniform_points(space: Space, rng: np.random.Generator, count: int) ->
         raise ValueError(f"uniform sampling unsupported on {space.name}")
     m = _coords_per_point(space)
     g = rng.normal(size=(count, m))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    for k in range(0, count, BLOCK):
+        rows = g[k:k + BLOCK]
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     return g
-
-
-def _as_complex(coords: np.ndarray, d: int) -> np.ndarray:
-    c = coords.reshape(-1, d, 2)
-    return c[..., 0] + 1j * c[..., 1]
 
 
 def _inner_abs2(space: Space, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -213,13 +215,18 @@ def _inner_abs2(space: Space, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if space.family == FAMILY_RP:
         return np.einsum("ij,ij->i", X, Y) ** 2
     if space.family == FAMILY_CP:
-        xc = _as_complex(X, space.d)
-        yc = _as_complex(Y, space.d)
-        ip = np.einsum("ij,ij->i", xc.conj(), yc)
+        a1, b1 = (X.reshape(-1, space.d, 2)[..., k] for k in range(2))
+        a2, b2 = (Y.reshape(-1, space.d, 2)[..., k] for k in range(2))
+        # conj(x_i) y_i in real arithmetic, summed over i in order; np.abs of
+        # the complex sum (not np.hypot, which rounds differently) keeps the
+        # values of a complex einsum
+        ip = np.empty(len(a1), dtype=complex)
+        ip.real = _sum_over_i(a1 * a2 + b1 * b2)
+        ip.imag = _sum_over_i(a1 * b2 - b1 * a2)
         return np.abs(ip) ** 2
     if space.family == FAMILY_HP:
         # components of sum_i conj(x_i) y_i by the Hamilton product, with the
-        # conjugate's signs folded in; summed over i in order
+        # conjugate's signs folded in
         a1, b1, c1, d1 = (X.reshape(-1, space.d, 4)[..., k] for k in range(4))
         a2, b2, c2, d2 = (Y.reshape(-1, space.d, 4)[..., k] for k in range(4))
         out = 0
@@ -229,12 +236,18 @@ def _inner_abs2(space: Space, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
             a1 * c2 + b1 * d2 - c1 * a2 - d1 * b2,
             a1 * d2 - b1 * c2 + c1 * b2 - d1 * a2,
         ):
-            ip = part[:, 0]
-            for i in range(1, space.d):
-                ip = ip + part[:, i]
+            ip = _sum_over_i(part)
             out = out + ip * ip
         return out
     raise ValueError(f"{space.name} has no point model")
+
+
+def _sum_over_i(part: np.ndarray) -> np.ndarray:
+    """Row sums of part[:, i], added in order of i."""
+    ip = part[:, 0]
+    for i in range(1, part.shape[1]):
+        ip = ip + part[:, i]
+    return ip
 
 
 def distance_t_arrays(space: Space, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import zonalpd
 from conftest import riesz_chordal_exact
 from zonalpd import __version__
 from zonalpd.cli import main
-from zonalpd.spaces import make_space
+from zonalpd.spaces import make_rng, make_space, sample_uniform_points, save_points
 from zonalpd.transform import poisson_kernel
 
 
@@ -344,16 +344,17 @@ def test_version_flag():
     assert r.stdout.strip() == f"zonalpd {__version__}"
 
 
-def _run_child(argv, block_numpy):
+def _run_child(argv, block_numpy, probe="numpy"):
     """`zonalpd argv` in a fresh interpreter, optionally one where numpy
-    cannot be imported; the last stderr line says whether numpy was loaded."""
+    cannot be imported; the last stderr line says whether the module named
+    `probe` was loaded."""
     code = "\n".join([
         "import runpy, sys",
         "sys.modules['numpy'] = None" if block_numpy else "",
         "try:",
         "    runpy.run_module('zonalpd', run_name='__main__', alter_sys=True)",
         "finally:",
-        "    print('numpy', sys.modules.get('numpy') is not None, file=sys.stderr)",
+        f"    print({probe!r}, sys.modules.get({probe!r}) is not None, file=sys.stderr)",
     ])
     src = str(Path(zonalpd.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -401,3 +402,22 @@ def test_energy_still_imports_numpy(capsys):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert r.stdout == out
+
+
+def test_discrete_energy_leaves_numpy_random_unloaded(tmp_path, capsys):
+    """A discrete energy samples nothing, so numpy.random stays unloaded;
+    a perturbed energy loads it and runs as before."""
+    sp = make_space("CP2")
+    path = tmp_path / "cp2.pts"
+    save_points(str(path), sp, sample_uniform_points(sp, make_rng(5), 40))
+    base = ["energy", "--space", "CP2", "--kernel", "riesz-chordal:s=1"]
+    for extra, loaded in (
+        (["--points", str(path)], False),
+        (["--perturb", "n=1,eps=0.1", "--samples", "20000"], True),
+    ):
+        r = _run_child(base + extra, block_numpy=False, probe="numpy.random")
+        assert r.returncode == 0, r.stderr
+        assert r.stderr.splitlines()[-1] == f"numpy.random {loaded}"
+        code, out, _ = run(capsys, *base, *extra)
+        assert code == 0
+        assert r.stdout == out

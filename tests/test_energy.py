@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,15 @@ from zonalpd.kernels import (
     riesz_chordal,
     riesz_geodesic,
 )
-from zonalpd.spaces import Point, distance_t, make_rng, make_space, sample_uniform_points
+from zonalpd.spaces import (
+    BLOCK,
+    Point,
+    _coords_per_point,
+    distance_t,
+    make_rng,
+    make_space,
+    sample_uniform_points,
+)
 from zonalpd.transform import coefficients_de
 
 S2 = make_space("S2")
@@ -198,8 +207,75 @@ def test_energy_discrete_blocks_bounded(monkeypatch):
     monkeypatch.setattr(energy_mod, "distance_t_arrays", spy)
     got = energy_discrete(m, ker)
     assert len(sizes) >= 2 and max(sizes) <= MC_BATCH
+    assert max(sizes) <= BLOCK
     assert sum(sizes) == 400 * 399
     assert got == math.fsum(_pair_loop_terms(m, ker))
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and its tracemalloc peak in bytes, above what was
+    traced when it began."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_energy_discrete_memory_independent_of_pairs():
+    # 999000 ordered pairs: their terms as one list of floats would take
+    # about 30 MiB, while a block of BLOCK pairs takes a few MiB
+    sp = make_space("HP2")
+    points = [Point(sp, c) for c in sample_uniform_points(sp, make_rng(41, 0), 1000)]
+    m = DiscreteMeasure(sp, points)
+    ker = parse_kernel("log-geodesic", sp)
+    _, peak = _traced_peak(energy_discrete, m, ker)
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    (("S2", "riesz-chordal:s=0.5"), ("CP2", "gauss-chordal:lambda=1"),
+     ("HP2", "riesz-chordal:s=1")),
+)
+def test_mc_batch_memory_bounded(monkeypatch, name, text):
+    """A full batch holds its samples X and Y in full, plus the batch's
+    values and temporaries of BLOCK rows: a fixed 5 MiB allowance."""
+    sp = make_space(name)
+    ker = parse_kernel(text, sp)
+    real = energy_mod._mc_mean
+    peaks = []
+
+    def spy(*args, **kwargs):
+        out, peak = _traced_peak(real, *args, **kwargs)
+        peaks.append(peak)
+        return out
+
+    monkeypatch.setattr(energy_mod, "_mc_mean", spy)
+    energy_perturbed(sp, ker, PerturbedMeasureSpec(1, 0.1), samples=MC_BATCH, digits=15)
+    xy = 2 * MC_BATCH * _coords_per_point(sp) * 8
+    assert peaks[0] <= xy + 5 * 2**20
+
+
+def test_mc_mean_chunked_sums_match_whole_batch():
+    # two batches, the second not a multiple of BLOCK; Cauchy draws make a
+    # naively ordered sum lose digits
+    drawn = []
+
+    def batch(rng, m):
+        drawn.append(rng.standard_cauchy(m) * 1e10)
+        return drawn[-1]
+
+    samples = MC_BATCH + 3 * BLOCK + 5
+    mean, stderr = energy_mod._mc_mean(batch, samples, seed=3)
+    s1 = math.fsum(math.fsum(v.tolist()) for v in drawn)
+    s2 = math.fsum(math.fsum((v * v).tolist()) for v in drawn)
+    assert [len(v) for v in drawn] == [MC_BATCH, 3 * BLOCK + 5]
+    assert mean == s1 / samples
+    var = max(0.0, (s2 - s1 * s1 / samples) / (samples - 1))
+    assert stderr == math.sqrt(var / samples)
 
 
 def test_energy_discrete_keeps_clamp_check():

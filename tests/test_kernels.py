@@ -46,6 +46,7 @@ def env_from_t(space_kappa, t):
 S2 = make_space("S2")
 RP2 = make_space("RP2")
 CP2 = make_space("CP2")
+HP2 = make_space("HP2")
 
 GRAMMAR_CASES = [
     "riesz-geodesic:s=1",
@@ -123,6 +124,24 @@ def test_riesz_chordal_values():
     k2 = riesz_chordal(CP2, -2.0)
     assert k2.poly_degree == 1
     assert np.allclose(k2.f_t(t), -(1 - t) / 2, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("s", (0.7, 1.5, -1.3, -2.0))
+def test_riesz_chordal_constant_reused_per_precision(s):
+    """eval_g raises sgn(s) 2^(s/2) once per arithmetic and precision, with
+    the bits of the uncached expression; a constant kept from another
+    precision would fail the `==`."""
+    import mpmath as mp
+
+    k = riesz_chordal(HP2, s)
+    sign = 1 if s > 0 else -1
+    for dps in (20, 30, 50, 20, 50):
+        with mp.workdps(dps):
+            for t in (mp.mpf("-0.3"), mp.mpf("0.9")):
+                env = env_from_t(HP2.kappa, t)
+                assert k.eval_g(env) == sign * (t * 0 + 2) ** (s / 2)
+    for t in (-0.3, 0.9):
+        assert k.eval_g(env_from_t(HP2.kappa, t)) == sign * (t * 0 + 2) ** (s / 2)
 
 
 def test_riesz_integrability_guard():

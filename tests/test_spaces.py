@@ -14,8 +14,9 @@ from zonalpd.spaces import (
     FAMILY_RP,
     FAMILY_SPHERE,
     Point,
+    BLOCK,
     Space,
-    _as_complex,
+    _coords_per_point,
     _inner_abs2,
     distance_t,
     distance_t_arrays,
@@ -273,6 +274,18 @@ def test_distance_examples():
         distance_t(x, e0)
 
 
+def _as_complex(coords: np.ndarray, d: int) -> np.ndarray:
+    c = coords.reshape(-1, d, 2)
+    return c[..., 0] + 1j * c[..., 1]
+
+
+def _inner_abs2_complex(space: Space, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Reference |<x,y>|^2 on CP: complex einsum of conj(x) and y."""
+    xc = _as_complex(X, space.d)
+    yc = _as_complex(Y, space.d)
+    return np.abs(np.einsum("ij,ij->i", xc.conj(), yc)) ** 2
+
+
 # ---------------------------------------------------------------------------
 # isometries of the point models (test-only helpers)
 
@@ -407,6 +420,31 @@ def test_rng_streams():
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=1000))
 def test_rng_stream_determinism(seed, task):
     assert np.array_equal(make_rng(seed, task).normal(size=3), make_rng(seed, task).normal(size=3))
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_cp_inner_product_matches_complex_einsum(d):
+    """The real-component sums give the bits of a complex einsum, for paired
+    rows and for a base point broadcast to every row."""
+    sp = make_space(f"CP{d - 1}")
+    rng = make_rng(707, sp.d)
+    X = sample_uniform_points(sp, rng, 20_000)
+    Y = sample_uniform_points(sp, rng, 20_000)
+    assert np.array_equal(_inner_abs2(sp, X, Y), _inner_abs2_complex(sp, X, Y))
+    Z = np.broadcast_to(X[0], Y.shape)
+    assert np.array_equal(_inner_abs2(sp, Z, Y), _inner_abs2_complex(sp, Z, Y))
+    assert np.array_equal(_inner_abs2(sp, X, X), _inner_abs2_complex(sp, X, X))
+
+
+@pytest.mark.parametrize("name", ("S2", "RP3", "CP2", "HP2"))
+@pytest.mark.parametrize("count", (1, BLOCK - 1, BLOCK + 1, 2 * BLOCK))
+def test_sampling_normalises_by_block(name, count):
+    """Normalising BLOCK rows at a time gives the bits of one whole-array
+    normalisation of the same normal draws."""
+    sp = make_space(name)
+    g = make_rng(808, count).normal(size=(count, _coords_per_point(sp)))
+    want = g / np.linalg.norm(g, axis=1, keepdims=True)
+    assert np.array_equal(sample_uniform_points(sp, make_rng(808, count), count), want)
 
 
 @pytest.mark.parametrize("name", ("HP2", "HP3", "HP5"))
