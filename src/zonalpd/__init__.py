@@ -84,7 +84,6 @@ __all__ = [
     "energy_uniform",
     "energy_discrete",
     "energy_perturbed",
-    "funk_hecke_mc",
     "__version__",
 ]
 
@@ -96,7 +95,6 @@ _ENERGY_NAMES = frozenset({
     "energy_uniform",
     "energy_discrete",
     "energy_perturbed",
-    "funk_hecke_mc",
 })
 
 

@@ -1,17 +1,16 @@
 """Command-line front end.
 
 Subcommands: coeffs, classify, scan, table1, energy, poisson.  Every output
-embeds the run configuration and the tool version; JSON output is
-byte-identical for identical (config, seed, version) regardless of thread
-count, so runs can be diffed.  Exit codes: 0 success, 1 usage or domain
-error, 2 at least one sign undecided at the requested precision (so
-pipelines can tell "inconclusive" from "wrong").
+embeds the run configuration and the tool version; output is byte-identical
+for identical (config, version), so runs can be diffed, and `energy
+--perturb` gives the same bytes for every `--threads`.  Exit codes: 0
+success, 1 usage or domain error, 2 at least one sign undecided at the
+requested precision (so pipelines can tell "inconclusive" from "wrong").
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 import sys
 from typing import List, Optional, Tuple
@@ -25,13 +24,9 @@ from .transform import (
     SIGN_UNDECIDED,
     CoefficientReport,
     certify_coefficients,
-    coefficients_de,
-    coefficients_gj,
     poisson_kernel,
 )
 from .posdef import classify, scan_riesz, table1
-
-DIGITS_ENV = "ZONALPD_DEFAULT_DIGITS"
 
 
 class _UsageError(Exception):
@@ -45,16 +40,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_digits(fallback: int) -> int:
-    raw = os.environ.get(DIGITS_ENV)
-    if raw is None:
-        return fallback
+def _digits_type(text: str) -> int:
     try:
-        v = int(raw)
+        v = int(text)
     except ValueError:
-        raise _UsageError(f"{DIGITS_ENV} must be an integer, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"digits must be an integer, got {text!r}")
     if v < 5 or v > 200:
-        raise _UsageError(f"{DIGITS_ENV} out of range [5, 200]: {v}")
+        raise argparse.ArgumentTypeError(f"digits out of range [5, 200]: {v}")
     return v
 
 
@@ -75,19 +67,14 @@ def _perturb_type(text: str) -> Tuple[int, float]:
 
 
 def _add_common(p: _Parser, digits_default: int) -> None:
-    p.add_argument("--digits", type=int, default=None,
-                   help=f"decimal digits of working precision "
-                        f"(default {digits_default}, env {DIGITS_ENV})")
+    p.add_argument("--digits", type=_digits_type, default=digits_default,
+                   help=f"decimal digits of working precision, 5 to 200 "
+                        f"(default {digits_default})")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="output format")
     p.add_argument("--out", default=None, help="write output to this path")
     p.add_argument("--verify", action="store_true",
                    help="re-parse the produced output against its schema")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for Monte Carlo batches; "
-                        "certifications always run sequentially, so results "
-                        "do not depend on this")
-    p.set_defaults(_digits_default=digits_default)
 
 
 def _build_parser() -> _Parser:
@@ -107,9 +94,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--space", required=True, help=space_help)
     p.add_argument("--kernel", required=True, help=kernel_help)
     p.add_argument("--nmax", type=int, default=32)
-    p.add_argument("--method", choices=("de", "gj", "both"), default="both",
-                   help="quadrature pipeline; 'both' cross-checks and "
-                        "combines error bounds")
     _add_common(p, 50)
 
     p = sub.add_parser("classify", help="definiteness verdict from certified signs")
@@ -127,7 +111,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--s-max", type=float, required=True, dest="s_max")
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--bisect", type=float, default=0.02,
-                   help="bisection tolerance for the transition bracket")
+                   help="bisection tolerance for the transition bracket, > 0")
     p.add_argument("--nmax", type=int, default=48)
     _add_common(p, 30)
 
@@ -147,6 +131,9 @@ def _build_parser() -> _Parser:
                    help="perturbed-measure energy: closed form plus MC estimate")
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=_seed_type, default=0)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for the Monte Carlo batches of --perturb; "
+                        "the result does not depend on this")
     _add_common(p, 30)
 
     p = sub.add_parser("poisson", help="smoothing kernel value, series vs closed form")
@@ -162,11 +149,11 @@ def _build_parser() -> _Parser:
 # config echo
 
 
-# --out and --threads are deliberately absent: one names a destination, the
-# other a worker count, and neither changes a single output byte (the MC
-# reduction is thread-invariant).  The echo records what determines the
-# result, so identical configs must mean identical output.
-_CONFIG_KEYS = ("space", "kernel", "nmax", "digits", "method", "mode",
+# --out and energy's --threads are deliberately absent: one names a
+# destination, the other a worker count, and neither changes a single output
+# byte (Monte Carlo batches are reduced in batch order).  The echo records
+# what determines the result, so identical configs must mean identical output.
+_CONFIG_KEYS = ("space", "kernel", "nmax", "digits", "mode",
                 "s_min", "s_max", "step", "bisect", "points", "weights",
                 "perturb", "samples", "seed", "format", "r", "theta")
 
@@ -203,10 +190,6 @@ def _render_csv(rows: List[str], args) -> str:
 # subcommands
 
 
-def _resolve_digits(args) -> int:
-    return args.digits if args.digits is not None else _default_digits(args._digits_default)
-
-
 def _report_csv_rows(report: CoefficientReport) -> List[str]:
     rows = ["n,value,error,m_n,lambda_n,sign"]
     for d in report.to_json_dict()["entries"]:
@@ -214,20 +197,15 @@ def _report_csv_rows(report: CoefficientReport) -> List[str]:
     return rows
 
 
-def _compute_report(args, digits: int) -> CoefficientReport:
+def _compute_report(args) -> CoefficientReport:
     space = make_space(args.space)
     kernel = parse_kernel(args.kernel, space)
     kernel.require_integrable(space)
-    method = getattr(args, "method", "both")
-    if method == "de":
-        return coefficients_de(space, kernel, N=args.nmax, digits=digits)
-    if method == "gj":
-        return coefficients_gj(space, kernel, N=args.nmax, digits=digits)
-    return certify_coefficients(space, kernel, N=args.nmax, target_digits=digits)
+    return certify_coefficients(space, kernel, N=args.nmax, target_digits=args.digits)
 
 
 def _cmd_coeffs(args) -> Tuple[str, int]:
-    report = _compute_report(args, args.digits)
+    report = _compute_report(args)
     code = 2 if any(e.sign == SIGN_UNDECIDED for e in report.entries) else 0
     if args.format == "csv":
         return _render_csv(_report_csv_rows(report), args), code
@@ -235,7 +213,7 @@ def _cmd_coeffs(args) -> Tuple[str, int]:
 
 
 def _cmd_classify(args) -> Tuple[str, int]:
-    report = _compute_report(args, args.digits)
+    report = _compute_report(args)
     verdict = classify(report, mode=args.mode)
     code = 2 if verdict.classification == "undecided" else 0
     if args.format == "csv":
@@ -299,7 +277,6 @@ def _cmd_energy(args) -> Tuple[str, int]:
         energy_uniform_detail,
     )
 
-    digits = args.digits
     space = make_space(args.space)
     kernel = parse_kernel(args.kernel, space)
 
@@ -317,7 +294,7 @@ def _cmd_energy(args) -> Tuple[str, int]:
         n, eps = args.perturb
         res = energy_perturbed(space, kernel, PerturbedMeasureSpec(n, eps),
                                samples=args.samples, seed=args.seed,
-                               digits=digits, threads=max(1, args.threads))
+                               digits=args.digits, threads=max(1, args.threads))
         payload = {"energy": res["mc_estimate"], "stderr": res["stderr"],
                    "method": "mc", "closed_form": res["closed_form"],
                    "uniform_energy": res["uniform_energy"],
@@ -325,7 +302,7 @@ def _cmd_energy(args) -> Tuple[str, int]:
                    "n": n, "epsilon": eps, "samples": res["samples"]}
     else:
         kernel.require_integrable(space)
-        value, _, err, qv, qe = energy_uniform_detail(space, kernel, digits)
+        value, _, err, qv, qe = energy_uniform_detail(space, kernel, args.digits)
         payload = {"energy": float(value), "stderr": 0.0, "method": "quadrature",
                    "expansion_error": float(err),
                    "quadrature_value": float(qv), "quadrature_error": float(qe)}
@@ -338,7 +315,6 @@ def _cmd_energy(args) -> Tuple[str, int]:
 
 
 def _cmd_poisson(args) -> Tuple[str, int]:
-    digits = args.digits
     space = make_space(args.space)
     if not (0 <= args.r < 1):
         raise ValueError(f"r must lie in [0, 1), got {args.r}")
@@ -346,10 +322,10 @@ def _cmd_poisson(args) -> Tuple[str, int]:
         raise ValueError(
             f"theta must lie in [0, {space.diameter:.6g}] on {space.name}"
         )
-    closed = poisson_kernel(space, args.r, args.theta, method="closed", digits=digits)
+    closed = poisson_kernel(space, args.r, args.theta, method="closed", digits=args.digits)
     payload = {"value": float(closed), "closed": float(closed), "r": args.r, "theta": args.theta}
     try:
-        series = poisson_kernel(space, args.r, args.theta, method="series", digits=digits)
+        series = poisson_kernel(space, args.r, args.theta, method="series", digits=args.digits)
         payload.update(series=float(series), diff=float(abs(closed - series)))
     except RuntimeError as exc:
         # near r = 1 the series cannot converge within its term cap, but the
@@ -433,9 +409,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        # resolve precision up front so the config echo shows the value
-        # actually used, independent of the caller's environment
-        args.digits = _resolve_digits(args)
     except _UsageError as e:
         print(f"zonalpd: error: {e}", file=sys.stderr)
         return 1

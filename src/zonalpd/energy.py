@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath as mp
 import numpy as np
@@ -43,7 +43,6 @@ from .spaces import (
     Point,
     Space,
     _coords_per_point,
-    distance_t,
     distance_t_arrays,
     make_rng,
     sample_uniform_points,
@@ -57,7 +56,6 @@ __all__ = [
     "energy_uniform_detail",
     "energy_discrete",
     "energy_perturbed",
-    "funk_hecke_mc",
     "canonical_point",
 ]
 
@@ -123,26 +121,21 @@ class PerturbedMeasureSpec:
     """Density perturbation (1 + epsilon P_n(t(., z))) of the uniform measure.
 
     The energy does not depend on the base point z (two-point homogeneity),
-    so z may be the string "any"; a canonical point is used for sampling.
-    epsilon must keep the density nonnegative, i.e. epsilon <= 1/max|P_n|;
-    `validate` checks this on a fine grid for the space at hand.
+    so sampling uses `canonical_point`.  epsilon must keep the density
+    nonnegative, i.e. epsilon <= 1/max|P_n|; `validate` checks this on a
+    fine grid for the space at hand.
     """
 
     n: int
     epsilon: float
-    z: Union[Point, str] = "any"
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("perturbation degree n must be >= 1")
         if not (self.epsilon > 0):
             raise ValueError("epsilon must be positive")
-        if isinstance(self.z, str) and self.z != "any":
-            raise ValueError("z must be a Point or the string 'any'")
 
     def validate(self, space: Space) -> None:
-        if isinstance(self.z, Point) and self.z.space != space:
-            raise ValueError("base point z lives on a different space")
         params = JacobiParams(space.alpha, space.beta)
         grid = np.linspace(-1.0, 1.0, 4001)
         pn = jacobi_eval_all(params, self.n, grid)[self.n]
@@ -152,11 +145,6 @@ class PerturbedMeasureSpec:
                 f"epsilon={self.epsilon} too large: density 1 + eps*P_{self.n} "
                 f"dips negative (needs eps <= {1.0 / peak:.6g})"
             )
-
-    def base_coords(self, space: Space) -> np.ndarray:
-        if isinstance(self.z, Point):
-            return self.z.coords
-        return canonical_point(space).coords
 
 
 def canonical_point(space: Space) -> Point:
@@ -352,7 +340,7 @@ def energy_perturbed(
     if not run_mc:
         return out
 
-    z = spec.base_coords(space)
+    z = canonical_point(space).coords
 
     def batch(rng: np.random.Generator, m: int) -> np.ndarray:
         X = sample_uniform_points(space, rng, m)
@@ -374,52 +362,3 @@ def energy_perturbed(
     out.update({"mc_estimate": mean, "stderr": stderr, "samples": samples})
     return out
 
-
-def funk_hecke_mc(
-    space: Space,
-    n: int,
-    x: Point,
-    y: Point,
-    samples: int = 10**6,
-    *,
-    seed: int = 0,
-    threads: int = 1,
-) -> dict:
-    """MC check of the reproducing identity for the normalized eigenfunctions.
-
-    Averages P_n(t(x,z)) P_n(t(y,z)) over uniform z and compares with
-    (P_n(1)/m_n) P_n(t(x,y)).
-    """
-    if n < 0 or n > 12:
-        raise ValueError("n must be between 0 and 12 for the MC check")
-    if x.space != space or y.space != space:
-        raise ValueError("x and y must live on the given space")
-    params = JacobiParams(space.alpha, space.beta)
-    rhs = (
-        jacobi_value_at_one(params, n)
-        / dim_m_n(params, n)
-        * jacobi_eval_all(params, n, distance_t(x, y))[n]
-    )
-
-    xc, yc = x.coords, y.coords
-
-    def batch(rng: np.random.Generator, m: int) -> np.ndarray:
-        Z = sample_uniform_points(space, rng, m)
-        out = np.empty(m)
-        for k in range(0, m, BLOCK):
-            z = Z[k:k + BLOCK]
-            t_xz = distance_t_arrays(space, np.broadcast_to(xc, z.shape), z)
-            t_yz = distance_t_arrays(space, np.broadcast_to(yc, z.shape), z)
-            out[k:k + BLOCK] = (
-                jacobi_eval_all(params, n, t_xz)[n] * jacobi_eval_all(params, n, t_yz)[n]
-            )
-        return out
-
-    mean, stderr = _mc_mean(batch, samples, seed, threads)
-    return {
-        "lhs_mc": mean,
-        "stderr": stderr,
-        "rhs": float(rhs),
-        "samples": samples,
-        "n": n,
-    }

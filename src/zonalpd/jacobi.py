@@ -3,9 +3,7 @@
 Everything is parametrized by a weight pair (alpha, beta), alpha, beta > -1.
 The three-term recurrence is written once and serves floats, numpy arrays,
 and mpmath scalars alike, so high-precision paths never round-trip through
-doubles.  Its coefficients depend only on (alpha, beta) and the degree, so
-they are built once per (type, alpha, beta, N, mpmath precision) and cached;
-the cache changes no value.  The high-precision paths, the Newton polish of
+doubles.  The high-precision paths, the Newton polish of
 `gauss_jacobi_rule_mp` and the coefficient sums of `transform`, step one
 fixed-point copy of the recurrence, `_fixed_recurrence`: ratios c2/c1,
 c3/c1, c4/c1 scaled by 2^W, W a few dozen bits above the working precision,
@@ -72,14 +70,6 @@ def pochhammer(x, n: int):
     return out
 
 
-# Tables held at once.  A scan builds rules for a fresh (alpha, beta) at each
-# exponent, so old tables must age out; one table is 4(N-1) scalars, about
-# 44 KiB in mpf at N=48, dps 40.  Counted per CLI job: the RP2 scan at N=16
-# asks for 9 distinct tables, table1 for 7, a coeffs job for 3, a perturbed
-# energy for 4, so no table is built twice.
-_RECURRENCE_CACHE_SIZE = 32
-
-
 def _recurrence_coeffs(n: int, a, b) -> tuple:
     """(c1, c2, c3, c4) of c1 P_n = (c2 + c3 t) P_{n-1} - c4 P_{n-2}, n >= 2,
     in the arithmetic of a and b (float, numpy scalar or mpf at the ambient
@@ -91,25 +81,12 @@ def _recurrence_coeffs(n: int, a, b) -> tuple:
     return c1, c2, c3, c4
 
 
-@functools.lru_cache(maxsize=_RECURRENCE_CACHE_SIZE, typed=True)
-def _recurrence_table(a, b, n_max: int, prec: int) -> tuple:
-    """_recurrence_coeffs for n = 2..n_max.
-
-    The precision serves only as key, so a table built at low precision is
-    never reused at a higher one.
-    """
-    return tuple(_recurrence_coeffs(n, a, b) for n in range(2, n_max + 1))
-
-
 def jacobi_eval_all(params, n_max: int, t):
     """P_0..P_{n_max} at t by the standard three-term recurrence.
 
     t may be a float, an mpf, or a numpy array; the returned list holds values
     of the same kind.  n=1 is seeded directly because the generic recurrence
-    coefficients degenerate there.  The coefficients come from a table cached
-    per (type, alpha, beta, n_max, mpmath precision), formed by the same
-    expressions at the same precision as without the cache, so every value
-    is bit-identical to an uncached evaluation.
+    coefficients degenerate there.
     """
     a, b = _ab(params)
     if n_max < 0:
@@ -119,8 +96,8 @@ def jacobi_eval_all(params, n_max: int, t):
     if n_max == 0:
         return values
     values.append((a + 1) + (a + b + 2) * (t - 1) / 2)
-    table = _recurrence_table(a, b, n_max, mp.mp.prec)
-    for n, (c1, c2, c3, c4) in enumerate(table, start=2):
+    for n in range(2, n_max + 1):
+        c1, c2, c3, c4 = _recurrence_coeffs(n, a, b)
         values.append(((c2 + c3 * t) * values[n - 1] - c4 * values[n - 2]) / c1)
     return values
 
@@ -334,7 +311,7 @@ def _context(prec: int):
     return _LOCAL.ctx
 
 
-@functools.lru_cache(maxsize=_RECURRENCE_CACHE_SIZE)
+@functools.lru_cache(maxsize=32)
 def _fixed_rounding(a: float, b: float, n_max: int) -> tuple:
     """(B, E), n = 0..n_max: B[n] >= |P_n(t)| and 2^-W E[n] >= |p_n - P_n(t)|
     on [-1, 1], p_n the `_fixed_recurrence` value at X = t 2^W truncated.

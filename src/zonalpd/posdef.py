@@ -253,13 +253,16 @@ def scan_riesz(
     (not-CPD); above it the truncated expansion is nonnegative.  Bisection
     refines the bracket between the largest not-CPD grid point and the
     smallest nonnegative point above it until its width is at most
-    bisect_tol or a midpoint comes back undecided.
+    bisect_tol (which must be positive), a midpoint comes back undecided, or
+    no double lies strictly inside the bracket.
 
     Grid points certify independently of each other; they are evaluated
     sequentially in grid order so repeated runs are bit-identical.
     """
     if step <= 0:
         raise ValueError("step must be positive")
+    if not bisect_tol > 0:
+        raise ValueError(f"bisection tolerance must be positive, got {bisect_tol}")
     if s_max < s_min:
         raise ValueError("empty grid: s_max < s_min")
     if s_max >= space.dim_D:
@@ -288,6 +291,12 @@ def scan_riesz(
             # midpoints of (lo, hi): lo stays certified not-CPD, hi nonnegative
             while hi - lo > bisect_tol:
                 mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    note = (
+                        f"bisection stopped at float resolution: no double strictly "
+                        f"inside ({lo}, {hi})"
+                    )
+                    break
                 v = _certify_cpd(space, metric, mid, N, digits)
                 if v.classification == "not-CPD":
                     lo = mid

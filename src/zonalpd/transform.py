@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import mpmath as mp
 from mpmath import libmp
@@ -363,11 +363,11 @@ def _de_geometry(nodes: dict, level: int, i: int) -> tuple:
     return tuple(mp.make_mpf((0, m, e, m.bit_length())) for m, e in pairs)
 
 
-def _de_sums(space: Space, kernel: ZonalKernel, N: int, max_level: int, dps: int):
+def _de_sums(space: Space, kernel: ZonalKernel, N: int, dps: int):
     """Raw tanh-sinh accumulation of int F P_n dnu for n = 0..N.
 
     Returns (I, err, level_used) with I, err lists of mpf.  Levels are
-    cumulative; the error per n is the last level-to-level difference plus
+    cumulative, up to DE_MAX_LEVEL; the error per n is the last level-to-level difference plus
     a rounding floor and the rounding bound of the fixed-point sums.
     """
     sums = _AngleSums(space, kernel, N)
@@ -381,7 +381,7 @@ def _de_sums(space: Space, kernel: ZonalKernel, N: int, max_level: int, dps: int
     I_cur = None
     err = [mp.mpf("inf")] * (N + 1)
     level_used = 0
-    for level in range(max_level + 1):
+    for level in range(DE_MAX_LEVEL + 1):
         h = mp.ldexp(1, -level)
         # level 0 takes tau = 0, +-1, +-2, ...; level L the odd multiples of h
         if level == 0:
@@ -412,15 +412,15 @@ def coefficients_de(
     space: Space,
     kernel: ZonalKernel,
     N: int = DEFAULT_N,
-    level: int = DE_MAX_LEVEL,
     digits: int = DEFAULT_DIGITS,
 ) -> CoefficientReport:
-    """Coefficients by tanh-sinh quadrature in the angle variable."""
+    """Coefficients by tanh-sinh quadrature in the angle variable, refined
+    level by level up to DE_MAX_LEVEL."""
     kernel.require_integrable(space)
     if N < 0:
         raise ValueError("N must be >= 0")
     with mp.workdps(digits + 10):
-        I, raw_err, level_used = _de_sums(space, kernel, N, level, digits)
+        I, raw_err, level_used = _de_sums(space, kernel, N, digits)
         pref = _rung_constants(space.alpha, space.beta, N, mp.mp.prec)[1]
         return _report(
             space,
@@ -428,7 +428,7 @@ def coefficients_de(
             [p * i for p, i in zip(pref, I)],
             [p * e for p, e in zip(pref, raw_err)],
             "de",
-            {"digits": digits, "de_level": level_used, "de_max_level": level},
+            {"digits": digits, "de_level": level_used},
         )
 
 
@@ -457,7 +457,6 @@ def coefficients_gj(
     space: Space,
     kernel: ZonalKernel,
     N: int = DEFAULT_N,
-    m_nodes: Optional[int] = None,
     digits: int = DEFAULT_DIGITS,
 ) -> CoefficientReport:
     """Coefficients by singularity-absorbing Gauss-Jacobi quadrature.
@@ -476,10 +475,9 @@ def coefficients_gj(
         raise ValueError("alpha - sigma must exceed -1 for the split weight")
     if N < 0:
         raise ValueError("N must be >= 0")
-    if m_nodes is None:
-        # enough nodes for the analytic residual (geometric decay, rate set
-        # by the sinc factors) plus the oscillation of P_N
-        m_nodes = int(0.7 * digits) + int(0.8 * N) + 12
+    # enough nodes for the analytic residual (geometric decay, rate set by
+    # the sinc factors) plus the oscillation of P_N
+    m_nodes = int(0.7 * digits) + int(0.8 * N) + 12
     m2 = m_nodes + max(10, m_nodes // 4)
     with mp.workdps(digits + 10):
         I_lo, _ = _gj_once_u(space, kernel, N, m_nodes)
@@ -523,7 +521,7 @@ def certify_coefficients(
     use_gj = not kernel.log_flag and space.alpha - kernel.gj_shift > -1
     report = None
     for digits in ladder:
-        de = coefficients_de(space, kernel, N, level=DE_MAX_LEVEL, digits=digits)
+        de = coefficients_de(space, kernel, N, digits=digits)
         levels = {"digits": digits, "de_level": de.levels["de_level"]}
         values = [e.value for e in de.entries]
         errors = [e.error for e in de.entries]

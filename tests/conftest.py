@@ -3,8 +3,16 @@ import math
 import mpmath as mp
 import numpy as np
 
-from zonalpd.jacobi import _ab, dim_m_n, eigenvalue_lambda_n, jacobi_eval_all, jacobi_value_at_one
-from zonalpd.spaces import make_space
+from zonalpd.energy import _mc_mean
+from zonalpd.jacobi import (
+    JacobiParams,
+    _ab,
+    dim_m_n,
+    eigenvalue_lambda_n,
+    jacobi_eval_all,
+    jacobi_value_at_one,
+)
+from zonalpd.spaces import BLOCK, distance_t, distance_t_arrays, make_space, sample_uniform_points
 from zonalpd.transform import CoefficientEntry, CoefficientReport
 
 # every space with a named catalog entry
@@ -102,3 +110,44 @@ def riesz_chordal_exact(space, s, n):
         / ((2 * n + a + b + 1) * mp.factorial(n) * mp.gamma(n + a + b + 1))
     )
     return mp.sign(s) * mp.power(2, s / 2) * integral / norm
+
+
+def funk_hecke_mc(space, n, x, y, samples=10**6, *, seed=0, threads=1):
+    """MC check of the reproducing identity for the normalized eigenfunctions.
+
+    Averages P_n(t(x,z)) P_n(t(y,z)) over uniform z and compares with
+    (P_n(1)/m_n) P_n(t(x,y)).
+    """
+    if n < 0 or n > 12:
+        raise ValueError("n must be between 0 and 12 for the MC check")
+    if x.space != space or y.space != space:
+        raise ValueError("x and y must live on the given space")
+    params = JacobiParams(space.alpha, space.beta)
+    rhs = (
+        jacobi_value_at_one(params, n)
+        / dim_m_n(params, n)
+        * jacobi_eval_all(params, n, distance_t(x, y))[n]
+    )
+
+    xc, yc = x.coords, y.coords
+
+    def batch(rng, m):
+        Z = sample_uniform_points(space, rng, m)
+        out = np.empty(m)
+        for k in range(0, m, BLOCK):
+            z = Z[k:k + BLOCK]
+            t_xz = distance_t_arrays(space, np.broadcast_to(xc, z.shape), z)
+            t_yz = distance_t_arrays(space, np.broadcast_to(yc, z.shape), z)
+            out[k:k + BLOCK] = (
+                jacobi_eval_all(params, n, t_xz)[n] * jacobi_eval_all(params, n, t_yz)[n]
+            )
+        return out
+
+    mean, stderr = _mc_mean(batch, samples, seed, threads)
+    return {
+        "lhs_mc": mean,
+        "stderr": stderr,
+        "rhs": float(rhs),
+        "samples": samples,
+        "n": n,
+    }

@@ -13,13 +13,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import integrate, jacobi_norm_sq, jacobi_normalized
+from conftest import funk_hecke_mc, integrate, jacobi_norm_sq, jacobi_normalized
 from zonalpd.energy import (
     DiscreteMeasure,
     PerturbedMeasureSpec,
     energy_perturbed,
     energy_uniform,
-    funk_hecke_mc,
 )
 from zonalpd.jacobi import (
     JacobiParams,

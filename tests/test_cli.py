@@ -295,7 +295,7 @@ def test_out_writes_file_byte_identical(tmp_path, capsys):
             "--nmax", "4", "--digits", "25"]
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(argv + ["--out", str(a)]) == 0
-    assert main(argv + ["--out", str(b), "--threads", "4"]) == 0
+    assert main(argv + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
     code, out, _ = run(capsys, *argv)
@@ -303,39 +303,75 @@ def test_out_writes_file_byte_identical(tmp_path, capsys):
     assert out.encode() == a.read_bytes()
 
 
-def _run_proc(argv, env_extra=None):
+def test_energy_threads_byte_identical(capsys):
+    # 3 batches of Monte Carlo samples, reduced in batch order
+    argv = ["energy", "--space", "S2", "--kernel", "riesz-chordal:s=0.5",
+            "--perturb", "n=1,eps=0.1", "--samples", "300000", "--seed", "4"]
+    code, one, _ = run(capsys, *argv)
+    assert code == 0
+    code, four, _ = run(capsys, *argv, "--threads", "4")
+    assert code == 0
+    assert four == one
+    assert "threads" not in json.loads(one)["config"]
+
+
+_BASE_ARGV = {
+    "coeffs": ["coeffs", "--space", "S2", "--kernel", "cospow:n=1", "--nmax", "2"],
+    "classify": ["classify", "--space", "S2", "--kernel", "cospow:n=1", "--nmax", "2"],
+    "scan": ["scan", "--space", "RP2", "--kernel", "riesz-geodesic", "--s-min", "-0.7",
+             "--s-max", "-0.5", "--step", "0.1", "--nmax", "4"],
+    "table1": ["table1", "--nmax", "2"],
+    "energy": ["energy", "--space", "S2", "--kernel", "riesz-chordal:s=1"],
+    "poisson": ["poisson", "--space", "S2", "--r", "0.5", "--theta", "0.3"],
+}
+
+MALFORMED = (
+    [(name, argv + ["--digits", d]) for name, argv in _BASE_ARGV.items()
+     for d in ("-5", "0", "4", "201", "ten")]
+    + [(name, _BASE_ARGV[name][:-1] + ["-1"]) for name in ("coeffs", "classify", "scan")]
+    + [
+        ("table1", ["table1", "--nmax", "-1"]),
+        ("scan", _BASE_ARGV["scan"] + ["--bisect", "0"]),
+        ("scan", _BASE_ARGV["scan"] + ["--bisect", "-0.1"]),
+        ("energy", _BASE_ARGV["energy"] + ["--perturb", "n=1,eps=0.1", "--samples", "1"]),
+        ("coeffs", _BASE_ARGV["coeffs"] + ["--threads", "2"]),
+        ("coeffs", _BASE_ARGV["coeffs"] + ["--method", "de"]),
+        ("classify", _BASE_ARGV["classify"] + ["--threads", "2"]),
+        ("poisson", _BASE_ARGV["poisson"] + ["--threads", "2"]),
+        ("coeffs", ["coeffs", "--space", "S2", "--kernel", "no-such-kernel"]),
+        ("classify", ["classify", "--space", "S2", "--kernel", "no-such-kernel"]),
+        ("energy", ["energy", "--space", "S2", "--kernel", "no-such-kernel"]),
+        ("scan", ["scan", "--space", "RP2", "--s-min", "-0.7", "--s-max", "-0.5",
+                  "--step", "0.1", "--kernel", "no-such-kernel"]),
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", [a for _, a in MALFORMED],
+                         ids=[f"{n}-{'_'.join(a[-2:])}" for n, a in MALFORMED])
+def test_malformed_argv_exits_1_without_traceback(argv, capsys):
+    """Every malformed command line ends in exit 1 and one error line; no
+    exception escapes `main`."""
+    try:
+        code = main(list(argv))
+    except BaseException as exc:  # SystemExit included
+        pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("zonalpd: error: "), captured.err
+
+
+def _run_proc(argv):
     # the child imports the package under test, also when pytest alone put
     # it on sys.path
     src = str(Path(zonalpd.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    env.update(env_extra or {})
     return subprocess.run(
         [sys.executable, "-m", "zonalpd", *argv],
         capture_output=True, text=True, env=env, timeout=300,
     )
-
-
-def test_env_default_digits():
-    r = _run_proc(
-        ["coeffs", "--space", "S2", "--kernel", "cospow:n=1", "--nmax", "2"],
-        {"ZONALPD_DEFAULT_DIGITS": "30"},
-    )
-    assert r.returncode == 0
-    assert json.loads(r.stdout)["config"]["digits"] == 30
-
-    r = _run_proc(
-        ["coeffs", "--space", "S2", "--kernel", "cospow:n=1", "--nmax", "2"],
-        {"ZONALPD_DEFAULT_DIGITS": "banana"},
-    )
-    assert r.returncode == 1
-    assert "ZONALPD_DEFAULT_DIGITS" in r.stderr
-
-    r = _run_proc(
-        ["coeffs", "--space", "S2", "--kernel", "cospow:n=1", "--nmax", "2"],
-        {"ZONALPD_DEFAULT_DIGITS": "3"},
-    )
-    assert r.returncode == 1
 
 
 def test_version_flag():

@@ -16,6 +16,7 @@ from zonalpd import jacobi
 from zonalpd.jacobi import (
     _fixed_recurrence,
     _fixed_rounding,
+    _recurrence_coeffs,
     dim_m_n,
     eigenvalue_lambda_n,
     gauss_jacobi_rule,
@@ -468,10 +469,21 @@ def norm_sq_mp(a, b, n):
     )
 
 
+def eval_all_tabled(table, a, b, t):
+    """P_0..P_{len(table)+1} at t by the arithmetic of `jacobi_eval_all`, with
+    the recurrence coefficients `table` formed once for many nodes (in mpf
+    they cost several times the recurrence step itself)."""
+    values = [t * 0 + 1, (a + 1) + (a + b + 2) * (t - 1) / 2]
+    for n, (c1, c2, c3, c4) in enumerate(table, start=2):
+        values.append(((c2 + c3 * t) * values[n - 1] - c4 * values[n - 2]) / c1)
+    return values
+
+
 def rule_mp_mpf_polish(params, m):
     """The former mpf polish: the same float seeds and derivative identity,
     one mpf recurrence pass per Newton step, weights mass / sum P_k^2/h_k."""
     am, bm = mp.mpf(params[0]), mp.mpf(params[1])
+    table = [_recurrence_coeffs(n, am, bm) for n in range(2, m + 1)]
     seeds = gauss_jacobi_rule((float(params[0]), float(params[1])), m).nodes
     tol = mp.mpf(10) ** (-(mp.mp.dps - 2))
     hs = [norm_sq_mp(am, bm, n) for n in range(m)]
@@ -480,7 +492,7 @@ def rule_mp_mpf_polish(params, m):
     for seed in seeds:
         x = mp.mpf(float(seed))
         for _ in range(12):
-            vals = jacobi_eval_all((am, bm), m, x)
+            vals = eval_all_tabled(table, am, bm, x)
             p, p_prev = vals[m], vals[m - 1]
             dp = (
                 m * (am - bm - (2 * m + am + bm) * x) * p + 2 * (m + am) * (m + bm) * p_prev
@@ -519,7 +531,9 @@ def test_rule_mp_fixed_point_polish(params, m):
             # exact for every polynomial of degree <= 2m-1: P_1..P_{2m-1}
             # integrate to zero against the weight
             exact = (mp.mpf(params[0]), mp.mpf(params[1]))
-            cols = [jacobi_eval_all(exact, 2 * m - 1, x) for x in nodes]
+            table = [_recurrence_coeffs(n, *exact) for n in range(2, 2 * m)]
+            cols = [eval_all_tabled(table, *exact, x) for x in nodes]
+            assert cols[0] == jacobi_eval_all(exact, 2 * m - 1, nodes[0])
             for k in range(1, 2 * m):
                 total = mp.fsum(w * col[k] for w, col in zip(weights, cols))
                 assert abs(total) <= mp.mpf(10) ** (3 - dps) * mass, (dps, k)

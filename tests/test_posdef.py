@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
 from conftest import synthetic_report
+from zonalpd import posdef
 from zonalpd.kernels import parse_kernel, riesz_chordal
 from zonalpd.posdef import (
     PDVerdict,
@@ -156,6 +158,39 @@ def test_scan_argument_validation():
         scan_riesz(RP2, "geodesic", 0.0, 2.5, step=0.5, N=8)  # s_max >= d
     with pytest.raises(ValueError):
         scan_riesz(RP2, "euclidean", -0.5, 0.0, step=0.25, N=8)
+
+
+@pytest.mark.parametrize("tol", [0.0, -0.1, float("nan")])
+def test_scan_rejects_nonpositive_bisect_tol(tol, monkeypatch):
+    # rejected before the grid is certified
+    def no_certification(*args):
+        raise AssertionError("certified despite an invalid tolerance")
+
+    monkeypatch.setattr(posdef, "_certify_cpd", no_certification)
+    with pytest.raises(ValueError, match="bisection tolerance must be positive"):
+        scan_riesz(RP2, "geodesic", -0.7, -0.5, step=0.1, N=8, bisect_tol=tol)
+
+
+def test_scan_bisection_stops_at_float_resolution(monkeypatch):
+    # a tolerance below the float spacing used to re-certify one midpoint
+    # forever; a threshold verdict stands in for the certification
+    edge, calls = -0.6523364481765591, []
+
+    def verdict(space, metric, s, N, digits):
+        calls.append(s)
+        assert len(calls) < 200, "bisection does not terminate"
+        if s < edge:
+            return PDVerdict("not-CPD", 2, N, "cpd", "")
+        return PDVerdict("strictly-CPD-only", None, N, "cpd", "")
+
+    monkeypatch.setattr(posdef, "_certify_cpd", verdict)
+    res = scan_riesz(RP2, "geodesic", -0.7, -0.5, step=0.1, N=8, bisect_tol=1e-300)
+    lo, hi = res.bracket
+    assert lo < edge <= hi and math.nextafter(lo, hi) == hi
+    assert res.transition_estimate == lo
+    assert "float resolution" in res.note and "undecided" not in res.note
+    # the grid's three points plus one certification per halving
+    assert len(calls) == len(set(calls)) < 3 + 60
 
 
 def test_scan_all_cpd_grid():
