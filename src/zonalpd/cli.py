@@ -57,6 +57,13 @@ def _seed_type(text: str) -> int:
     return v
 
 
+def _threads_type(text: str) -> int:
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"threads must be a positive integer, got {v}")
+    return v
+
+
 def _perturb_type(text: str) -> Tuple[int, float]:
     m = re.fullmatch(r"n=(\d+),eps=([0-9.eE+-]+)", text.strip())
     if not m:
@@ -131,7 +138,7 @@ def _build_parser() -> _Parser:
                    help="perturbed-measure energy: closed form plus MC estimate")
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=_seed_type, default=0)
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_threads_type, default=1,
                    help="worker threads for the Monte Carlo batches of --perturb; "
                         "the result does not depend on this")
     _add_common(p, 30)
@@ -294,7 +301,7 @@ def _cmd_energy(args) -> Tuple[str, int]:
         n, eps = args.perturb
         res = energy_perturbed(space, kernel, PerturbedMeasureSpec(n, eps),
                                samples=args.samples, seed=args.seed,
-                               digits=args.digits, threads=max(1, args.threads))
+                               digits=args.digits, threads=args.threads)
         payload = {"energy": res["mc_estimate"], "stderr": res["stderr"],
                    "method": "mc", "closed_form": res["closed_form"],
                    "uniform_energy": res["uniform_energy"],

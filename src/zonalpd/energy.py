@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import mpmath as mp
 import numpy as np
 
-from .jacobi import JacobiParams, dim_m_n, jacobi_eval_all, jacobi_value_at_one
+from .jacobi import dim_m_n, jacobi_eval_all, jacobi_value_at_one
 from .kernels import ZonalKernel, env_from_theta
 from .spaces import (
     BLOCK,
@@ -136,9 +136,8 @@ class PerturbedMeasureSpec:
             raise ValueError("epsilon must be positive")
 
     def validate(self, space: Space) -> None:
-        params = JacobiParams(space.alpha, space.beta)
         grid = np.linspace(-1.0, 1.0, 4001)
-        pn = jacobi_eval_all(params, self.n, grid)[self.n]
+        pn = jacobi_eval_all(space, self.n, grid)[self.n]
         peak = float(np.max(np.abs(pn)))
         if self.epsilon * peak > 1.0 + 1e-9:
             raise ValueError(
@@ -318,16 +317,17 @@ def energy_perturbed(
     (1 + eps P_n(t(x,z)))(1 + eps P_n(t(y,z))).  The two agree within a few
     standard errors when the pipeline is healthy.
     """
+    if run_mc and samples < 2:
+        raise ValueError("need at least 2 samples")
     spec.validate(space)
     kernel.require_integrable(space)
     n, eps = spec.n, spec.epsilon
-    params = JacobiParams(space.alpha, space.beta)
 
     report = certify_coefficients(space, kernel, N=n, target_digits=digits)
     e0 = report.entry(0).value
     en = report.entry(n).value
-    p1 = jacobi_value_at_one(params, n)
-    m_n = dim_m_n(params, n)
+    p1 = jacobi_value_at_one(space, n)
+    m_n = dim_m_n(space, n)
     closed = float(e0 + mp.mpf(eps) ** 2 * mp.mpf(p1) ** 3 / mp.mpf(m_n) ** 2 * en)
 
     out = {
@@ -352,8 +352,8 @@ def energy_perturbed(
             t_xz = distance_t_arrays(space, x, Z)
             t_yz = distance_t_arrays(space, y, Z)
             t_xy = distance_t_arrays(space, x, y)
-            w = (1 + eps * jacobi_eval_all(params, n, t_xz)[n]) * (
-                1 + eps * jacobi_eval_all(params, n, t_yz)[n]
+            w = (1 + eps * jacobi_eval_all(space, n, t_xz)[n]) * (
+                1 + eps * jacobi_eval_all(space, n, t_yz)[n]
             )
             out[k:k + BLOCK] = w * kernel.f_t(t_xy)
         return out

@@ -8,7 +8,8 @@ doubles.  The high-precision paths, the Newton polish of
 fixed-point copy of the recurrence, `_fixed_recurrence`: ratios c2/c1,
 c3/c1, c4/c1 scaled by 2^W, W a few dozen bits above the working precision,
 so a degree costs integer products and shifts, with the rounding bounded by
-`_fixed_rounding`.  Both Gauss-Jacobi rules start from one pure-Python
+`_fixed_rounding`; the sums read both from `_plan`, one per (alpha, beta,
+N, precision).  Both Gauss-Jacobi rules start from one pure-Python
 Golub-Welsch solve, `_golub_welsch` (implicit QL on the tridiagonal Jacobi
 matrix), so the module runs on mpmath and the standard library; numpy is
 imported only where `gauss_jacobi_rule` returns arrays.  Rules carry
@@ -273,7 +274,6 @@ def _guard_bits(a: float, b: float, m: int) -> int:
     return math.ceil(peak / math.log(2)) + 3 * m.bit_length() + 24
 
 
-@functools.lru_cache(maxsize=4)
 def _fixed_recurrence(a, b, n_max: int, prec: int) -> tuple:
     """(W, ratios, seed): the recurrence at W = prec + `_guard_bits` bits.
 
@@ -282,8 +282,7 @@ def _fixed_recurrence(a, b, n_max: int, prec: int) -> tuple:
     context, so the global precision is never touched) and truncated to
     integers times 2^W.  With X = t 2^W, P_0 = 2^W, P_1 = const + (slope
     (X - 2^W) >> W) and P_n = ((r2 + (r3 X >> W)) P_{n-1} - r4 P_{n-2}) >> W.
-    a and b are floats or mpf at the precision prec.  Four tables suffice:
-    a rung reads the table of its sums three times, a rule's serves one rule.
+    a and b are floats or mpf at the precision prec.
     """
     wbits = prec + _guard_bits(float(a), float(b), n_max)
     ctx = _context(wbits)
@@ -311,7 +310,6 @@ def _context(prec: int):
     return _LOCAL.ctx
 
 
-@functools.lru_cache(maxsize=32)
 def _fixed_rounding(a: float, b: float, n_max: int) -> tuple:
     """(B, E), n = 0..n_max: B[n] >= |P_n(t)| and 2^-W E[n] >= |p_n - P_n(t)|
     on [-1, 1], p_n the `_fixed_recurrence` value at X = t 2^W truncated.
@@ -349,6 +347,20 @@ def _fixed_rounding(a: float, b: float, n_max: int) -> tuple:
         B.append(2 * norms[0])
         E.append(2 * math.fsum(x * y for x, y in zip(norms[1:], local[1:])))
     return tuple(B), tuple(E)
+
+
+@functools.lru_cache(maxsize=4)
+def _plan(alpha: float, beta: float, N: int, prec: int) -> tuple:
+    """(C, m_n / P_n(1)^2 for n <= N, max(1, |P_N(1)|), `_fixed_recurrence`,
+    `_fixed_rounding`): the kernel-independent part of the coefficient sums,
+    in mpf at prec, the caller's ambient precision.  C sin(u)^(2a+1)
+    cos(u)^(2b+1) du is a probability measure; the third entry scales the DE
+    tail test.  A certification ladder reads three precisions, a scan one."""
+    ab = a, b = mp.mpf(alpha), mp.mpf(beta)
+    C = 2 * mp.gamma(a + b + 2) / (mp.gamma(a + 1) * mp.gamma(b + 1))
+    pref = tuple(dim_m_n(ab, n) / jacobi_value_at_one(ab, n) ** 2 for n in range(N + 1))
+    tail = max(1.0, abs(jacobi_value_at_one((alpha, beta), N)))
+    return C, pref, tail, _fixed_recurrence(alpha, beta, N, prec), _fixed_rounding(alpha, beta, N)
 
 
 def gauss_jacobi_rule_mp(params, m: int) -> tuple[list, list]:

@@ -10,21 +10,20 @@ metadata drives the quadrature engines:
 
 Evaluation comes in two flavors: `f_t` is a fast double-precision numpy
 evaluator of F itself (diverges at t=1 when singular), while `eval_g` takes
-an EvalEnv of precomputed trig quantities (float or mpf) and returns the
-envelope G stably, which is what the integrators consume.  numpy is
-imported by the array evaluators only, so building a kernel and `eval_g`
-run without it.
+an EvalEnv of precomputed trig quantities in mpf and returns the envelope G
+stably, at the ambient mpmath precision, which is what the integrators
+consume.  numpy is imported by the array evaluators only, so building a
+kernel and `eval_g` run without it.
 """
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import mpmath as mp
 
-from .jacobi import jacobi_eval, jacobi_eval_all
+from .jacobi import jacobi_eval
 from .spaces import Space
 
 if TYPE_CHECKING:
@@ -50,10 +49,10 @@ __all__ = [
 class EvalEnv:
     """Precomputed node quantities handed to kernel envelope evaluators.
 
-    All fields share one arithmetic (float or mpmath.mpf).  one_minus_t and
-    one_plus_t are computed from half-angle forms upstream, so they stay
-    accurate near the endpoints where 1-t would cancel; sin_ktheta is
-    sin(kappa*theta), which the node already carries.
+    All fields are mpmath.mpf.  one_minus_t and one_plus_t are computed from
+    half-angle forms upstream, so they stay accurate near the endpoints where
+    1-t would cancel; sin_ktheta is sin(kappa*theta), which the node already
+    carries.
     """
 
     t: object
@@ -72,13 +71,10 @@ class EvalEnv:
 
 
 def env_from_theta(space_kappa, theta):
-    """EvalEnv at geodesic angle theta, in theta's own arithmetic."""
+    """EvalEnv at geodesic angle theta, an mpf."""
     k = theta * 0 + space_kappa
     u = k * theta
-    if isinstance(theta, mp.mpf):
-        su, cu = mp.sin(u), mp.cos(u)
-    else:
-        su, cu = math.sin(u), math.cos(u)
+    su, cu = mp.sin(u), mp.cos(u)
     return EvalEnv(
         t=1 - 2 * su * su,
         one_minus_t=2 * su * su,
@@ -210,13 +206,12 @@ def riesz_chordal(space: Space, s: float) -> ZonalKernel:
     consts = {}
 
     def eval_g(env: EvalEnv):
-        # constant sgn(s) 2^{s/2}, raised in the caller's arithmetic so an
-        # mpf evaluation is not stuck with a float64-rounded constant; it
-        # depends only on that arithmetic and the working precision
-        key = (type(env.t), mp.mp.prec)
-        if key not in consts:
-            consts[key] = sign * type(env.t)(2) ** (s / 2)
-        return consts[key]
+        # constant sgn(s) 2^{s/2}, raised in mpf so it is not stuck with a
+        # float64-rounded value; it depends only on the working precision
+        prec = mp.mp.prec
+        if prec not in consts:
+            consts[prec] = sign * mp.mpf(2) ** (s / 2)
+        return consts[prec]
 
     def f_t(t: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -239,8 +234,7 @@ def log_geodesic(space: Space) -> ZonalKernel:
     kappa = space.kappa
 
     def eval_g(env: EvalEnv):
-        th = env.theta
-        return -(mp.log(th) if isinstance(th, mp.mpf) else math.log(th))
+        return -mp.log(env.theta)
 
     def f_t(t: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -260,8 +254,7 @@ def log_geodesic(space: Space) -> ZonalKernel:
 
 def log_chordal(space: Space) -> ZonalKernel:
     def eval_g(env: EvalEnv):
-        x = env.one_minus_t / 2
-        return -(mp.log(x) if isinstance(x, mp.mpf) else math.log(x)) / 2
+        return -mp.log(env.one_minus_t / 2) / 2
 
     def f_t(t: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -294,8 +287,7 @@ def gaussian_kernel(space: Space, metric: str, lam: float) -> ZonalKernel:
     if metric == "geodesic":
 
         def eval_g(env: EvalEnv):
-            x = -lam * env.theta**2
-            return mp.exp(x) if isinstance(x, mp.mpf) else math.exp(x)
+            return mp.exp(-lam * env.theta**2)
 
         def f_t(t: np.ndarray) -> np.ndarray:
             import numpy as np
@@ -305,8 +297,7 @@ def gaussian_kernel(space: Space, metric: str, lam: float) -> ZonalKernel:
     else:
 
         def eval_g(env: EvalEnv):
-            x = -lam * env.one_minus_t / 2
-            return mp.exp(x) if isinstance(x, mp.mpf) else math.exp(x)
+            return mp.exp(-lam * env.one_minus_t / 2)
 
         def f_t(t: np.ndarray) -> np.ndarray:
             import numpy as np
@@ -411,8 +402,8 @@ def linear_combination(terms: Sequence[tuple[float, ZonalKernel]]) -> ZonalKerne
     def eval_g(env: EvalEnv):
         total = None
         for c, k in terms:
-            # in the env's arithmetic, so an mpf exponent is not float64-rounded
-            gap = env.t * 0 + shift - k.gj_shift
+            # in mpf, so the exponent is not float64-rounded
+            gap = mp.mpf(shift) - k.gj_shift
             part = c * k.eval_g(env)
             if gap > 0:
                 part = part * env.one_minus_t**gap

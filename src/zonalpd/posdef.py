@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .spaces import Space, make_space
-from .jacobi import JacobiParams, jacobi_value_at_one
+from .jacobi import jacobi_value_at_one
 from .kernels import ZonalKernel, _fmt, riesz_chordal, riesz_geodesic, log_geodesic
 from .transform import (
     SIGN_NEG,
@@ -420,10 +420,9 @@ def all_spaces_check(
     descriptor = kernels[0].descriptor
     for al, sp, ker in zip(alphas, spaces, kernels):
         report = certify_coefficients(sp, ker, N=N, target_digits=digits)
-        params = JacobiParams(sp.alpha, sp.beta)
         vs, es, ss = [], [], []
         for e in report.entries:
-            p1 = jacobi_value_at_one(params, e.n)
+            p1 = jacobi_value_at_one(sp, e.n)
             vs.append(float(e.value) * p1)
             es.append(float(e.error) * p1)
             ss.append(e.sign)

@@ -20,11 +20,12 @@ Weight exponents are formed in mpf from the binary inputs, never in float64.
 Certification runs both, folds the cross-method discrepancy into the error
 bound, and escalates precision until every requested sign is decided or a
 cap is reached.  Nodes, weights and the integrand run in mpmath; the sums
-f P_n run in fixed-point integers on the recurrence of
-`jacobi._fixed_recurrence`, with their rounding bound folded into the error.
-What does not depend on the kernel is built once and shared: DE node
-geometry per working precision, and the measure constant, prefactors and
-fixed-point tables per (space, N, precision).  The mpmath context is
+f P_n run in fixed-point integers, with their rounding bound folded into the
+error.  What does not depend on the kernel is built once and shared: DE node
+geometry per working precision, and one plan, `jacobi._plan` (measure
+constant, prefactors, fixed-point recurrence and its rounding bounds), per
+(space, N, precision).  Gauss-Jacobi rules are not shared: their weight
+exponent 2a+1-2sigma depends on the kernel.  The mpmath context is
 process-global, so concurrent certifications must share one precision
 setting (the scan drivers do).
 """
@@ -39,8 +40,7 @@ import mpmath as mp
 from mpmath import libmp
 
 from .jacobi import (
-    _fixed_recurrence,
-    _fixed_rounding,
+    _plan,
     _recurrence_coeffs,
     dim_m_n,
     eigenvalue_lambda_n,
@@ -203,21 +203,6 @@ def _sign_for(
     return SIGN_UNDECIDED
 
 
-@functools.lru_cache(maxsize=8)
-def _rung_constants(alpha: float, beta: float, N: int, prec: int) -> tuple:
-    """(C, m_n / P_n(1)^2 for n <= N) in mpf at prec, the caller's ambient
-    precision, with C sin(u)^(2a+1) cos(u)^(2b+1) du a probability measure."""
-    ab = a, b = mp.mpf(alpha), mp.mpf(beta)
-    C = 2 * mp.gamma(a + b + 2) / (mp.gamma(a + 1) * mp.gamma(b + 1))
-    return C, tuple(dim_m_n(ab, n) / jacobi_value_at_one(ab, n) ** 2 for n in range(N + 1))
-
-
-def _pow(base: mp.mpf, expo: mp.mpf) -> mp.mpf:
-    if expo == int(expo):
-        return base ** int(expo)
-    return base ** expo
-
-
 def _report(
     space: Space, kernel: ZonalKernel, values, errors, method: str, levels: dict
 ) -> CoefficientReport:
@@ -254,21 +239,20 @@ class _AngleSums:
     powers are then taken of sin(u)/u and cos(u)/(pi/2-u), and the constant
     gains the (pi/4)^(e_sin+e_cos+1) of the substitution.
 
-    t and f become integers at the W bits of `_fixed_recurrence` for (a, b,
+    t and f become integers at the W bits of the plan's recurrence for (a, b,
     N), and f P_n adds exactly into S[n] at scale 2^(2W); `values` converts.
     """
 
     def __init__(self, space: Space, kernel: ZonalKernel, N: int, sinc: bool = False):
         a, b = mp.mpf(space.alpha), mp.mpf(space.beta)
         shift = mp.mpf(kernel.gj_shift)
-        self.ab = (space.alpha, space.beta)
         self.kernel, self.sinc, self.kappa = kernel, sinc, mp.mpf(space.kappa)
         self.e_sin, self.e_cos = 2 * a + 1 - 2 * shift, 2 * b + 1
-        C = _rung_constants(space.alpha, space.beta, N, mp.mp.prec)[0]
-        self.const = C * _pow(mp.mpf(2), -shift)
+        C, _, _, recurrence, self.bounds = _plan(space.alpha, space.beta, N, mp.mp.prec)
+        self.const = C * mp.mpf(2) ** -shift
         if sinc:
-            self.const *= _pow(mp.pi / 4, self.e_sin + self.e_cos + 1)
-        self.wbits, self.ratios, self.seed = _fixed_recurrence(*self.ab, N, mp.mp.prec)
+            self.const *= (mp.pi / 4) ** (self.e_sin + self.e_cos + 1)
+        self.wbits, self.ratios, self.seed = recurrence
         self.S = [0] * (N + 1)
         # node count, sum of |f| in units of 2^-W, and whether every f was finite
         self.count, self.abs_f, self.finite = 0, 0, True
@@ -281,7 +265,7 @@ class _AngleSums:
         t = 1 - one_minus_t
         env = EvalEnv(t, one_minus_t, 2 * cosu * cosu, u / self.kappa, self.kappa, sinu)
         s, c = (sinu / u, cosu / comp) if self.sinc else (sinu, cosu)
-        f = self.const * factor * _pow(s, self.e_sin) * _pow(c, self.e_cos)
+        f = self.const * factor * s**self.e_sin * c**self.e_cos
         f *= self.kernel.eval_g(env)
         self.finite = self.finite and mp.isfinite(f)
         W, S = self.wbits, self.S
@@ -306,13 +290,13 @@ class _AngleSums:
         """Bound per n on |values() - sum_j f_j P_n(t_j)|, the exact sums
         over the same mpf nodes, short of the final rounding to mpf.
 
-        Truncating f_j errs by less than u = 2^-W; by `_fixed_rounding` the
-        integer P_n errs by at most u E[n] and is at most B[n] + 1.  Products
-        and sums are exact, so K nodes add at most sum_j u (B[n] + 1) +
+        Truncating f_j errs by less than u = 2^-W; by the plan's rounding
+        bounds the integer P_n errs by at most u E[n] and is at most B[n] + 1.
+        Products and sums are exact, so K nodes add at most sum_j u (B[n] + 1) +
         (|f_j| + u) u E[n].  With W = prec + `_guard_bits` that is about
         2^-(prec+20) sum_j |f_j|, far below the routes' floors.
         """
-        B, E = _fixed_rounding(*self.ab, len(self.S) - 1)
+        B, E = self.bounds
         u, k = mp.mpf((1, -self.wbits)), self.count
         mass = mp.mpf((self.abs_f, -self.wbits)) + k * u
         return [u * (k * (bn + 1) + en * mass) for bn, en in zip(B, E)]
@@ -372,8 +356,7 @@ def _de_sums(space: Space, kernel: ZonalKernel, N: int, dps: int):
     """
     sums = _AngleSums(space, kernel, N)
     nodes = _de_nodes_at(mp.mp.prec)
-    pmax = float(jacobi_value_at_one((space.alpha, space.beta), N)) if N else 1.0
-    pmax = max(1.0, abs(pmax))
+    pmax = _plan(space.alpha, space.beta, N, mp.mp.prec)[2]
     floor = mp.mpf(10) ** (-(dps + 8))
     scale = mp.mpf(1)
 
@@ -421,7 +404,7 @@ def coefficients_de(
         raise ValueError("N must be >= 0")
     with mp.workdps(digits + 10):
         I, raw_err, level_used = _de_sums(space, kernel, N, digits)
-        pref = _rung_constants(space.alpha, space.beta, N, mp.mp.prec)[1]
+        pref = _plan(space.alpha, space.beta, N, mp.mp.prec)[1]
         return _report(
             space,
             kernel,
@@ -482,7 +465,7 @@ def coefficients_gj(
     with mp.workdps(digits + 10):
         I_lo, _ = _gj_once_u(space, kernel, N, m_nodes)
         I_hi, rounding = _gj_once_u(space, kernel, N, m2)
-        pref = _rung_constants(space.alpha, space.beta, N, mp.mp.prec)[1]
+        pref = _plan(space.alpha, space.beta, N, mp.mp.prec)[1]
         floor = mp.mpf(10) ** (-(digits + 6))
         values = [p * i for p, i in zip(pref, I_hi)]
         errors = [

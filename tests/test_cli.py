@@ -334,6 +334,8 @@ MALFORMED = (
         ("scan", _BASE_ARGV["scan"] + ["--bisect", "0"]),
         ("scan", _BASE_ARGV["scan"] + ["--bisect", "-0.1"]),
         ("energy", _BASE_ARGV["energy"] + ["--perturb", "n=1,eps=0.1", "--samples", "1"]),
+        ("energy", _BASE_ARGV["energy"] + ["--perturb", "n=1,eps=0.1", "--threads", "0"]),
+        ("energy", _BASE_ARGV["energy"] + ["--perturb", "n=1,eps=0.1", "--threads", "-5"]),
         ("coeffs", _BASE_ARGV["coeffs"] + ["--threads", "2"]),
         ("coeffs", _BASE_ARGV["coeffs"] + ["--method", "de"]),
         ("classify", _BASE_ARGV["classify"] + ["--threads", "2"]),

@@ -258,6 +258,20 @@ def test_mc_batch_memory_bounded(monkeypatch, name, text):
     assert peaks[0] <= xy + 5 * 2**20
 
 
+@pytest.mark.parametrize("samples", (1, 0, -3))
+def test_perturbed_rejects_few_samples_before_certifying(monkeypatch, samples):
+    def certify(*args, **kwargs):
+        raise AssertionError("certified before checking the sample count")
+
+    monkeypatch.setattr(energy_mod, "certify_coefficients", certify)
+    ker = parse_kernel("riesz-chordal:s=0.5", S2)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        energy_perturbed(S2, ker, PerturbedMeasureSpec(1, 0.1), samples=samples)
+    # without the Monte Carlo part the sample count is not read
+    with pytest.raises(AssertionError, match="certified before"):
+        energy_perturbed(S2, ker, PerturbedMeasureSpec(1, 0.1), samples=1, run_mc=False)
+
+
 def test_mc_mean_chunked_sums_match_whole_batch():
     # two batches, the second not a multiple of BLOCK; Cauchy draws make a
     # naively ordered sum lose digits

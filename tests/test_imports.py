@@ -1,0 +1,50 @@
+"""Every module-level import in the zonalpd package is used by its module."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import zonalpd
+
+MODULES = sorted(Path(zonalpd.__file__).parent.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module-level imports of `source` that the module
+    never reads.  A name read anywhere in the module counts as used, as does
+    a string in a module-level assignment: `__all__` and the table of names
+    a PEP 562 `__getattr__` serves."""
+    tree = ast.parse(source)
+    bound = {}
+    # module-level statements, including those under `if TYPE_CHECKING:`
+    body = list(tree.body)
+    for node in body:
+        if isinstance(node, ast.If):
+            body.extend(node.body + node.orelse)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            used |= {c.value for c in ast.walk(node.value)
+                     if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_is_caught():
+    source = (
+        "import math\nimport re as regex\nfrom typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n    import numpy as np\n"
+        "from os import path, sep\n__all__ = ['sep']\n"
+        "def f(x: 'int') -> int:\n    return regex.sub('a', 'b', x)\n"
+    )
+    assert sorted(unused_imports(source)) == ["math (line 1)", "np (line 5)", "path (line 6)"]

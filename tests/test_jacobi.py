@@ -386,7 +386,7 @@ def eval_all_uncached(a, b, n_max, t):
     return values
 
 
-def test_cached_recurrence_bit_identical_across_precisions():
+def test_eval_all_bit_identical_across_precisions():
     # the same mpf (alpha, beta) at dps 20, 60, then 20 again: a table built
     # at one precision must not serve another
     a, b = mp.mpf(0.3), mp.mpf(-0.45)
@@ -399,7 +399,7 @@ def test_cached_recurrence_bit_identical_across_precisions():
                 assert len(got) == len(want) == 31
 
 
-def test_cached_recurrence_keeps_float_type():
+def test_eval_all_keeps_float_type():
     # mpf(0.5) == 0.5 and both hash alike; a float call after an mpf call
     # with equal values must still run in float arithmetic
     mp_vals = jacobi_eval_all((mp.mpf(0.5), mp.mpf(-0.5)), 20, mp.mpf(0.3))
@@ -409,7 +409,7 @@ def test_cached_recurrence_keeps_float_type():
     assert got == eval_all_uncached(0.5, -0.5, 20, 0.3)
 
 
-def test_cached_recurrence_numpy_elementwise():
+def test_eval_all_numpy_elementwise():
     t = np.linspace(-1.0, 1.0, 41)
     jacobi_eval_all((1.5, 0.5), 25, 0.1)
     got = jacobi_eval_all((1.5, 0.5), 25, t)
@@ -418,7 +418,7 @@ def test_cached_recurrence_numpy_elementwise():
         assert isinstance(g, np.ndarray) and np.array_equal(g, w)
 
 
-def test_cached_recurrence_under_threads():
+def test_eval_all_under_threads():
     # more threads than cores, with frequent switches, over a shared mix of
     # parameter pairs and types; every result must equal the uncached one
     pairs = [(0.5 + 0.25 * k, -0.5) for k in range(6)]

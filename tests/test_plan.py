@@ -1,13 +1,16 @@
 """The shared quadrature plan: fixed-point sums against the former mpf
 accumulation, DE node geometry built once per precision, and equal results
 from cold, warm and concurrently used caches."""
+import importlib
+import pkgutil
 import sys
 import threading
 
 import mpmath as mp
 import pytest
 
-from zonalpd import jacobi, posdef, transform
+import zonalpd
+from zonalpd import cli, jacobi, posdef, transform
 from zonalpd.jacobi import jacobi_eval_all
 from zonalpd.kernels import EvalEnv, parse_kernel
 from zonalpd.posdef import scan_riesz
@@ -49,7 +52,7 @@ class PairedSums(transform._AngleSums):
             sin_ktheta=sinu,
         )
         s, c = (sinu / u, cosu / comp) if self.sinc else (sinu, cosu)
-        f = self.const * factor * transform._pow(s, self.e_sin) * transform._pow(c, self.e_cos)
+        f = self.const * factor * s**self.e_sin * c**self.e_cos
         f *= self.kernel.eval_g(env)
         with mp.workdps(mp.mp.dps + EXTRA_DPS):
             P = jacobi_eval_all(self.ab_mp, len(self.S) - 1, t)
@@ -58,12 +61,27 @@ class PairedSums(transform._AngleSums):
         return super().add(u, sinu, cosu, factor, comp)
 
 
+def caches():
+    """Every object with a `cache_clear` in the namespace of a zonalpd module."""
+    found = {}
+    for info in pkgutil.iter_modules(zonalpd.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"zonalpd.{info.name}")
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    found[id(value)] = value
+    return list(found.values())
+
+
 def make_cold():
     """Empty every store the plan keeps between certifications."""
-    transform._de_nodes_at.cache_clear()
-    transform._rung_constants.cache_clear()
-    jacobi._fixed_recurrence.cache_clear()
-    jacobi._fixed_rounding.cache_clear()
+    for cache in caches():
+        cache.cache_clear()
+
+
+def test_only_the_plan_and_de_nodes_are_cached():
+    found = caches()
+    assert len(found) == 2 and jacobi._plan in found and transform._de_nodes_at in found
 
 
 @pytest.mark.parametrize("text", KERNELS)
@@ -81,7 +99,7 @@ def test_fixed_point_sums_within_rounding_bound(monkeypatch, name, text):
     # the smaller of the two routes' floors, 10^-(digits+8) for DE
     floor = mp.mpf(10) ** -(digits + 8)
     with mp.workdps(digits + 10):
-        pref = transform._rung_constants(space.alpha, space.beta, N, mp.mp.prec)[1]
+        pref = jacobi._plan(space.alpha, space.beta, N, mp.mp.prec)[1]
         for sums in PairedSums.made:
             bound = sums.rounding()
             with mp.workdps(digits + 10 + EXTRA_DPS):
@@ -115,6 +133,31 @@ def test_scan_builds_each_de_node_once_per_precision(monkeypatch):
     assert res.bracket is not None
     assert len(certifications) >= 4
     assert built and len(built) == len(set(built))
+
+
+def test_scan_builds_one_plan_for_every_certification(monkeypatch):
+    """The benchmark's scan, in process: the first certification builds the
+    plan for (RP2, N=16, its precision) and every later one only reads it."""
+    make_cold()
+    traffic = []
+    certify = posdef.certify_coefficients
+
+    def counted_certify(*args, **kwargs):
+        before = jacobi._plan.cache_info()
+        report = certify(*args, **kwargs)
+        after = jacobi._plan.cache_info()
+        traffic.append((after.misses - before.misses, after.hits - before.hits))
+        return report
+
+    monkeypatch.setattr(posdef, "certify_coefficients", counted_certify)
+    argv = ["scan", "--space", "RP2", "--kernel", "riesz-geodesic",
+            "--s-min", "-0.7", "--s-max", "-0.5", "--step", "0.1",
+            "--bisect", "0.05", "--nmax", "16", "--digits", "20"]
+    assert cli.main(argv) == 0
+    assert len(traffic) >= 4
+    assert jacobi._plan.cache_info().misses == 1
+    assert traffic[0][0] == 1
+    assert all(misses == 0 and hits > 0 for misses, hits in traffic[1:])
 
 
 def test_cold_and_warm_plans_give_equal_reports():
