@@ -207,7 +207,6 @@ def _report_csv_rows(report: CoefficientReport) -> List[str]:
 def _compute_report(args) -> CoefficientReport:
     space = make_space(args.space)
     kernel = parse_kernel(args.kernel, space)
-    kernel.require_integrable(space)
     return certify_coefficients(space, kernel, N=args.nmax, target_digits=args.digits)
 
 
@@ -308,8 +307,7 @@ def _cmd_energy(args) -> Tuple[str, int]:
                    "coefficient_n": res["coefficient_n"],
                    "n": n, "epsilon": eps, "samples": res["samples"]}
     else:
-        kernel.require_integrable(space)
-        value, _, err, qv, qe = energy_uniform_detail(space, kernel, args.digits)
+        value, err, qv, qe = energy_uniform_detail(space, kernel, args.digits)
         payload = {"energy": float(value), "stderr": 0.0, "method": "quadrature",
                    "expansion_error": float(err),
                    "quadrature_value": float(qv), "quadrature_error": float(qe)}

@@ -187,11 +187,10 @@ def _quad_theta_integral(space: Space, kernel: ZonalKernel, dps: int):
 def energy_uniform_detail(space: Space, kernel: ZonalKernel, digits: int = 30):
     """Both routes to the uniform energy plus their error estimates.
 
-    Returns (value, expansion_value, expansion_err, quad_value, quad_err)
-    with `value` the adopted result.  Raises ArithmeticError when the two
+    Returns (value, expansion_err, quad_value, quad_err) with `value` the
+    adopted result, the expansion's.  Raises ArithmeticError when the two
     routes disagree beyond combined error.
     """
-    kernel.require_integrable(space)
     rep = coefficients_de(space, kernel, N=0, digits=digits)
     e0 = rep.entry(0)
     qv, qe = _quad_theta_integral(space, kernel, digits)
@@ -201,7 +200,7 @@ def energy_uniform_detail(space: Space, kernel: ZonalKernel, digits: int = 30):
             f"uniform-energy routes disagree: expansion {mp.nstr(e0.value, 12)} "
             f"vs quadrature {mp.nstr(qv, 12)} (combined error {mp.nstr(tol, 4)})"
         )
-    return e0.value, e0.value, e0.error, qv, qe
+    return e0.value, e0.error, qv, qe
 
 
 def energy_uniform(space: Space, kernel: ZonalKernel, digits: int = 30) -> float:
@@ -225,16 +224,19 @@ def energy_discrete(
     pairs; each block makes one `distance_t_arrays` and one `f_t` call and
     hands its terms straight to one exact compensated summation, so no
     Python loop runs over pairs and memory stays a few MiB whatever the
-    point count (1000 points on HP2: about 5 MiB traced).  Kernels unbounded
-    at the diagonal (positive singularity exponent or a log term) admit only
-    the off-diagonal sum; asking for the diagonal raises.  The sum is
-    correctly rounded, so permuting the points changes nothing.
+    point count (1000 points on HP2: about 5 MiB traced).  Kernels with no
+    finite value F(1) at the diagonal admit only the off-diagonal sum;
+    asking for the diagonal raises.  The sum is correctly rounded, so
+    permuting the points changes nothing.
     """
-    if include_diagonal and (kernel.sing_exponent > 0 or kernel.log_flag):
-        raise ValueError(
-            f"kernel {kernel.descriptor} is singular at the diagonal; "
-            "include_diagonal must be False"
-        )
+    if include_diagonal:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f_diag = float(kernel.f_t(np.float64(1.0)))
+        if not math.isfinite(f_diag):
+            raise ValueError(
+                f"kernel {kernel.descriptor} is singular at the diagonal; "
+                "include_diagonal must be False"
+            )
     X = measure.coords()
     w = np.asarray(measure.weights)
     n = len(w)
@@ -247,7 +249,7 @@ def energy_discrete(
             t = distance_t_arrays(measure.space, X[i], X[j])
             yield (w[i] * w[j] * kernel.f_t(t)).tolist()
         if include_diagonal:
-            yield (w * w * float(kernel.f_t(np.float64(1.0)))).tolist()
+            yield (w * w * f_diag).tolist()
 
     return math.fsum(chain.from_iterable(blocks()))
 
@@ -320,7 +322,6 @@ def energy_perturbed(
     if run_mc and samples < 2:
         raise ValueError("need at least 2 samples")
     spec.validate(space)
-    kernel.require_integrable(space)
     n, eps = spec.n, spec.epsilon
 
     report = certify_coefficients(space, kernel, N=n, target_digits=digits)

@@ -4,9 +4,11 @@ A kernel is a function of the zonal variable t = cos(2*kappa*theta),
 continuous on [-1, 1) and possibly singular at t = 1 (the diagonal).  The
 metadata drives the quadrature engines:
 
-  sing_exponent   sigma >= 0 with (1-t)^sigma F(t) continuous up to t = 1
-  log_flag        True when the diagonal singularity is logarithmic
-  poly_degree     degree when F is a genuine polynomial in t, else None
+  gj_shift            signed exponent p with (1-t)^p F(t) continuous at t = 1
+  sing_exponent       max(gj_shift, 0), derived; F is in L1 iff < alpha + 1
+  log_flag            True when the diagonal singularity is logarithmic
+  poly_degree         degree when F is a genuine polynomial in t, else None
+  odd_up_to_constant  True when F(t) + F(-t) is constant
 
 Evaluation comes in two flavors: `f_t` is a fast double-precision numpy
 evaluator of F itself (diverges at t=1 when singular), while `eval_g` takes
@@ -88,27 +90,25 @@ def env_from_theta(space_kappa, theta):
 @dataclass(frozen=True)
 class ZonalKernel:
     descriptor: str
-    sing_exponent: float
     log_flag: bool
     poly_degree: Optional[int]
     eval_g: Callable[[EvalEnv], object]
     f_t: Callable[[np.ndarray], np.ndarray]
-    # exponent actually absorbed into quadrature weights; equals
-    # sing_exponent for singular kernels but may be negative when a factor
-    # (1-t)^(+p) can be pulled out (Riesz with s < 0), which keeps the
-    # Gauss-Jacobi residual analytic.  eval_g returns (1-t)^gj_shift * F.
-    gj_shift: Optional[float] = None
-    # predicate marking coefficients that vanish identically, e.g. by
-    # t -> -t parity on alpha == beta spaces.  Consulted only when the
+    # the one stored exponent, absorbed into the quadrature weights: eval_g
+    # returns (1-t)^gj_shift * F.  Negative when a factor (1-t)^(+p) can be
+    # pulled out (Riesz with s < 0), which keeps the Gauss-Jacobi residual
+    # analytic.
+    gj_shift: float = 0.0
+    # F(t) + F(-t) is constant, so on alpha == beta spaces every even-n
+    # coefficient with n >= 2 vanishes identically.  Consulted only when the
     # computed value sits inside its error bound, so numerics still win
     # whenever they can decide a sign on their own.
-    known_zero: Optional[Callable[[object, int], bool]] = None
+    odd_up_to_constant: bool = False
 
-    def __post_init__(self):
-        if self.sing_exponent < 0:
-            raise ValueError("sing_exponent must be >= 0")
-        if self.gj_shift is None:
-            object.__setattr__(self, "gj_shift", self.sing_exponent)
+    @property
+    def sing_exponent(self) -> float:
+        """Power of the diagonal singularity; 0 when F has none or a log."""
+        return max(self.gj_shift, 0.0)
 
     def integrable_on(self, space: Space) -> bool:
         """F in L1(mu) iff sigma < alpha+1 (log singularities always are)."""
@@ -154,7 +154,6 @@ def riesz_geodesic(space: Space, s: float) -> ZonalKernel:
         raise ValueError(f"s={s} >= D={space.dim_D}: Riesz kernel not integrable")
     kappa = space.kappa
     sign = _sgn(s)
-    sigma = max(s, 0.0) / 2
 
     def eval_g(env: EvalEnv):
         # (1-t)^{s/2} theta^{-s} = (2 r^2)^{s/2} with r = sin(k theta)/theta;
@@ -168,24 +167,15 @@ def riesz_geodesic(space: Space, s: float) -> ZonalKernel:
         with np.errstate(divide="ignore"):
             return sign * theta ** (-s)
 
-    # -theta differs from an odd function of t by a constant
-    # (theta(-t) = pi/(2 kappa) - theta(t)), so on alpha == beta spaces
-    # every even-n coefficient with n >= 2 vanishes identically
-    known_zero = None
-    if s == -1.0:
-
-        def known_zero(sp, n: int) -> bool:
-            return sp.alpha == sp.beta and n >= 2 and n % 2 == 0
-
     return ZonalKernel(
         descriptor=f"riesz-geodesic:s={_fmt(s)}",
-        sing_exponent=sigma,
         log_flag=False,
         poly_degree=None,
         eval_g=eval_g,
         f_t=f_t,
         gj_shift=s / 2,
-        known_zero=known_zero,
+        # theta(-t) = pi/(2 kappa) - theta(t), so -theta is odd up to a constant
+        odd_up_to_constant=s == -1.0,
     )
 
 
@@ -201,7 +191,6 @@ def riesz_chordal(space: Space, s: float) -> ZonalKernel:
     if s >= space.dim_D:
         raise ValueError(f"s={s} >= D={space.dim_D}: Riesz kernel not integrable")
     sign = _sgn(s)
-    sigma = max(s, 0.0) / 2
 
     consts = {}
 
@@ -221,7 +210,6 @@ def riesz_chordal(space: Space, s: float) -> ZonalKernel:
     deg = int(-s / 2) if s < 0 and (-s / 2) == int(-s / 2) else None
     return ZonalKernel(
         descriptor=f"riesz-chordal:s={_fmt(s)}",
-        sing_exponent=sigma,
         log_flag=False,
         poly_degree=deg,
         eval_g=eval_g,
@@ -244,7 +232,6 @@ def log_geodesic(space: Space) -> ZonalKernel:
 
     return ZonalKernel(
         descriptor="log-geodesic",
-        sing_exponent=0.0,
         log_flag=True,
         poly_degree=None,
         eval_g=eval_g,
@@ -263,7 +250,6 @@ def log_chordal(space: Space) -> ZonalKernel:
 
     return ZonalKernel(
         descriptor="log-chordal",
-        sing_exponent=0.0,
         log_flag=True,
         poly_degree=None,
         eval_g=eval_g,
@@ -305,7 +291,6 @@ def gaussian_kernel(space: Space, metric: str, lam: float) -> ZonalKernel:
 
     return ZonalKernel(
         descriptor=f"gauss-{metric}:lambda={_fmt(lam)}",
-        sing_exponent=0.0,
         log_flag=False,
         poly_degree=None,
         eval_g=eval_g,
@@ -327,7 +312,6 @@ def cos_power_kernel(n: int) -> ZonalKernel:
 
     return ZonalKernel(
         descriptor=f"cospow:n={n}",
-        sing_exponent=0.0,
         log_flag=False,
         poly_degree=n,
         eval_g=eval_g,
@@ -351,7 +335,6 @@ def jacobi_unit_kernel(params, n: int) -> ZonalKernel:
 
     return ZonalKernel(
         descriptor=f"jacobi:n={n}",
-        sing_exponent=0.0,
         log_flag=False,
         poly_degree=n,
         eval_g=eval_g,
@@ -366,7 +349,6 @@ def jacobi_unit_kernel(params, n: int) -> ZonalKernel:
 def product_kernel(k1: ZonalKernel, k2: ZonalKernel) -> ZonalKernel:
     """Pointwise product; envelope exponents add, so G = G1 * G2."""
     log_flag = k1.log_flag or k2.log_flag
-    sigma = k1.sing_exponent + k2.sing_exponent
     deg = None
     if k1.poly_degree is not None and k2.poly_degree is not None:
         deg = k1.poly_degree + k2.poly_degree
@@ -379,7 +361,6 @@ def product_kernel(k1: ZonalKernel, k2: ZonalKernel) -> ZonalKernel:
 
     return ZonalKernel(
         descriptor=f"product({k1.descriptor},{k2.descriptor})",
-        sing_exponent=sigma,
         log_flag=log_flag,
         poly_degree=deg,
         eval_g=eval_g,
@@ -393,7 +374,6 @@ def linear_combination(terms: Sequence[tuple[float, ZonalKernel]]) -> ZonalKerne
     if not terms:
         raise ValueError("need at least one term")
     terms = [(float(c), k) for c, k in terms]
-    sigma = max(k.sing_exponent for _, k in terms)
     shift = max(k.gj_shift for _, k in terms)
     log_flag = any(k.log_flag for _, k in terms)
     degs = [k.poly_degree for _, k in terms]
@@ -419,7 +399,6 @@ def linear_combination(terms: Sequence[tuple[float, ZonalKernel]]) -> ZonalKerne
     desc = "+".join(f"{_fmt(c)}*{k.descriptor}" for c, k in terms)
     return ZonalKernel(
         descriptor=f"lincomb({desc})",
-        sing_exponent=sigma,
         log_flag=log_flag,
         poly_degree=deg,
         eval_g=eval_g,

@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 import mpmath as mp
 from mpmath import libmp
@@ -184,21 +183,21 @@ def _nstr_up(x: mp.mpf, sig: int) -> str:
     return mp.nstr(mp.mpf(f"{int(mp.ceil(y))}e{k}"), sig + 1)
 
 
-def _sign_for(
-    value: mp.mpf, error: mp.mpf, n: int, kernel: Optional[ZonalKernel], space: Space
-) -> str:
-    deg = kernel.poly_degree if kernel is not None else None
+def _sign_for(value: mp.mpf, error: mp.mpf, n: int, kernel: ZonalKernel, space: Space) -> str:
+    deg = kernel.poly_degree
     if deg is not None and n > deg:
         return SIGN_ZERO
     if value > error:
         return SIGN_POS
     if value < -error:
         return SIGN_NEG
-    if deg is not None:
-        # polynomial kernels have exactly computable coefficients: a value
-        # below the rounding-level bound is an exact structural zero
-        return SIGN_ZERO
-    if kernel is not None and kernel.known_zero is not None and kernel.known_zero(space, n):
+    # polynomial kernels have exactly computable coefficients: a value below
+    # the rounding-level bound is an exact structural zero; so is an even
+    # n >= 2 of a kernel odd up to a constant, by t -> -t parity when
+    # alpha == beta
+    if deg is not None or (
+        kernel.odd_up_to_constant and space.alpha == space.beta and n >= 2 and n % 2 == 0
+    ):
         return SIGN_ZERO
     return SIGN_UNDECIDED
 
@@ -436,6 +435,12 @@ def _gj_once_u(space: Space, kernel: ZonalKernel, N: int, m: int):
     return sums.values(), sums.rounding()
 
 
+def _gj_applies(space: Space, kernel: ZonalKernel) -> bool:
+    """Whether the Gauss-Jacobi rule can absorb the kernel's singularity: a
+    power of 1-t (not a log) leaving the split weight exponent above -1."""
+    return not kernel.log_flag and space.alpha - kernel.gj_shift > -1
+
+
 def coefficients_gj(
     space: Space,
     kernel: ZonalKernel,
@@ -452,10 +457,8 @@ def coefficients_gj(
     of order m and m + max(10, m/4).
     """
     kernel.require_integrable(space)
-    if kernel.log_flag:
-        raise ValueError("Gauss-Jacobi path cannot absorb a logarithmic singularity")
-    if space.alpha - kernel.gj_shift <= -1:
-        raise ValueError("alpha - sigma must exceed -1 for the split weight")
+    if not _gj_applies(space, kernel):
+        raise ValueError("Gauss-Jacobi path needs a power singularity, alpha - sigma > -1")
     if N < 0:
         raise ValueError("N must be >= 0")
     # enough nodes for the analytic residual (geometric decay, rate set by
@@ -501,7 +504,7 @@ def certify_coefficients(
     """
     kernel.require_integrable(space)
     ladder = [target_digits, target_digits + 20, target_digits + 40]
-    use_gj = not kernel.log_flag and space.alpha - kernel.gj_shift > -1
+    use_gj = _gj_applies(space, kernel)
     report = None
     for digits in ladder:
         de = coefficients_de(space, kernel, N, digits=digits)

@@ -364,15 +364,19 @@ def test_malformed_argv_exits_1_without_traceback(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("zonalpd: error: "), captured.err
 
 
-def _run_proc(argv):
+def _child_env():
     # the child imports the package under test, also when pytest alone put
     # it on sys.path
     src = str(Path(zonalpd.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def _run_proc(argv):
     return subprocess.run(
         [sys.executable, "-m", "zonalpd", *argv],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=_child_env(), timeout=300,
     )
 
 
@@ -380,6 +384,29 @@ def test_version_flag():
     r = _run_proc(["--version"])
     assert r.returncode == 0
     assert r.stdout.strip() == f"zonalpd {__version__}"
+
+
+def test_traced_job_matches_plain_run(tmp_path):
+    """perfbench/traced_job.py patches the functions that perfbench/tracer.py
+    names and rebuilds each kernel with `dataclasses.replace`; the traced
+    job prints what the plain CLI prints and writes its spans."""
+    import numpy as np
+
+    argv = ["coeffs", "--space", "S2", "--kernel", "riesz-chordal:s=1",
+            "--nmax", "2", "--digits", "15"]
+    plain = _run_proc(argv)
+    spans = tmp_path / "spans.npz"
+    script = Path(__file__).resolve().parents[1] / "perfbench" / "traced_job.py"
+    traced = subprocess.run(
+        [sys.executable, str(script), str(spans), "0", "--", *argv],
+        capture_output=True, text=True, env=_child_env(), timeout=300,
+    )
+    assert plain.returncode == 0 and traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    with np.load(spans) as z:
+        names = [str(n) for n in z["names"]]
+        seen = {names[int(row[0])] for row in z["spans"]}
+    assert {"cli.main", "transform.certify", "kernels.eval_g"} <= seen
 
 
 def _run_child(argv, block_numpy, probe="numpy"):
@@ -394,12 +421,9 @@ def _run_child(argv, block_numpy, probe="numpy"):
         "finally:",
         f"    print({probe!r}, sys.modules.get({probe!r}) is not None, file=sys.stderr)",
     ])
-    src = str(Path(zonalpd.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-c", code, *argv],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=_child_env(), timeout=300,
     )
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -84,7 +85,17 @@ def test_singular_kernel_rejects_diagonal():
         energy_discrete(m, riesz_geodesic(S2, 0.5), include_diagonal=True)
     with pytest.raises(ValueError):
         energy_discrete(m, parse_kernel("log-chordal", S2), include_diagonal=True)
+    # inf * 0 at the diagonal: F(1) is nan, refused without a RuntimeWarning
+    cancelled = parse_kernel("product(riesz-chordal:s=1,riesz-chordal:s=-1)", S2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            energy_discrete(m, cancelled, include_diagonal=True)
     assert math.isfinite(energy_discrete(m, riesz_geodesic(S2, 0.5)))
+    bounded = parse_kernel("riesz-chordal:s=-1", S2)
+    assert energy_discrete(m, bounded, include_diagonal=True) == pytest.approx(
+        energy_discrete(m, bounded)
+    )
 
 
 def test_four_point_signed_energy():
@@ -324,8 +335,8 @@ def test_energy_uniform_is_mean():
 def test_energy_uniform_dual_route(name, text):
     sp = make_space(name)
     ker = parse_kernel(text, sp)
-    value, exp_v, exp_e, quad_v, quad_e = energy_uniform_detail(sp, ker, digits=30)
-    assert abs(exp_v - quad_v) <= exp_e + quad_e
+    value, exp_e, quad_v, quad_e = energy_uniform_detail(sp, ker, digits=30)
+    assert abs(value - quad_v) <= exp_e + quad_e
     assert float(value) == pytest.approx(
         float(coefficients_de(sp, ker, N=0, digits=30).entry(0).value), rel=1e-20
     )

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -19,6 +20,7 @@ from zonalpd.kernels import (
     riesz_geodesic,
 )
 from zonalpd.spaces import make_space
+from zonalpd.transform import _sign_for
 
 
 
@@ -253,11 +255,18 @@ def test_metric_equivalence(name):
 
 
 def test_known_zero_declaration():
+    # -theta(t) - theta(-t) = -pi/(2 kappa): odd up to a constant, so the
+    # even n >= 2 coefficients vanish where alpha == beta
     k = riesz_geodesic(S2, -1.0)
-    assert k.known_zero is not None
-    assert k.known_zero(S2, 2) and k.known_zero(S2, 40)
-    assert not k.known_zero(S2, 3)
-    assert not k.known_zero(S2, 0)
-    assert not k.known_zero(RP2, 2)  # alpha != beta: no parity zeros
-    assert riesz_geodesic(S2, -0.5).known_zero is None
-    assert riesz_geodesic(RP2, 1.0).known_zero is None
+    assert k.odd_up_to_constant
+    t = np.linspace(-1, 1, 41)
+    assert np.allclose(k.f_t(t) + k.f_t(-t), -math.pi / (2 * S2.kappa), rtol=1e-14)
+    assert not riesz_geodesic(S2, -0.5).odd_up_to_constant
+    assert not riesz_geodesic(RP2, 1.0).odd_up_to_constant
+    # the parity zero is read only when the value sits inside its error
+    zero, unit = mp.mpf(0), mp.mpf(1)
+    assert _sign_for(zero, unit, 2, k, S2) == _sign_for(zero, unit, 40, k, S2) == "0"
+    assert _sign_for(zero, unit, 3, k, S2) == "undecided"
+    assert _sign_for(zero, unit, 0, k, S2) == "undecided"
+    assert _sign_for(zero, unit, 2, k, RP2) == "undecided"  # alpha != beta: no parity zeros
+    assert _sign_for(2 * unit, unit, 2, k, S2) == "+"

@@ -307,6 +307,20 @@ def test_non_integrable_rejected():
         coefficients_gj(S2, ker, N=4)
 
 
+def test_nested_product_uses_its_net_exponent():
+    # chi^-2.5 * chi^-2.5 * (-chi^2) = -chi^-3: the exponents add to 1.5 <
+    # alpha + 1 = 2 on RP4, although the two singular factors alone sum to 2.5
+    rp4 = make_space("RP4")
+    text = "product(product(riesz-chordal:s=2.5,riesz-chordal:s=2.5),riesz-chordal:s=-2)"
+    ker = parse_kernel(text, rp4)
+    assert ker.gj_shift == ker.sing_exponent == 1.5 and ker.integrable_on(rp4)
+    rep = certify_coefficients(rp4, ker, N=6, target_digits=30)
+    ref = certify_coefficients(rp4, riesz_chordal(rp4, 3.0), N=6, target_digits=30)
+    for e, r in zip(rep.entries, ref.entries):
+        assert e.sign == "-"
+        assert abs(e.value + r.value) <= e.error + r.error
+
+
 def test_gj_rejects_log_kernels():
     with pytest.raises(ValueError):
         coefficients_gj(S2, parse_kernel("log-chordal", S2), N=4)
