@@ -133,7 +133,7 @@ def _build_parser() -> _Parser:
                    help="point file (as written by the point saver); "
                         "switches to the discrete double-sum energy")
     p.add_argument("--weights", default=None,
-                   help="optional weight file, one float per line")
+                   help="optional weight file for --points, one float per line")
     p.add_argument("--perturb", type=_perturb_type, default=None, metavar="n=<int>,eps=<float>",
                    help="perturbed-measure energy: closed form plus MC estimate")
     p.add_argument("--samples", type=int, default=10**6)
@@ -288,6 +288,8 @@ def _cmd_energy(args) -> Tuple[str, int]:
 
     if args.points is not None and args.perturb is not None:
         raise _UsageError("--points and --perturb are mutually exclusive")
+    if args.weights is not None and args.points is None:
+        raise _UsageError("--weights needs --points")
 
     if args.points is not None:
         fspace, coords = load_points(args.points, space)

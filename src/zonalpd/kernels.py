@@ -12,13 +12,18 @@ metadata drives the quadrature engines:
 
 Evaluation comes in two flavors: `f_t` is a fast double-precision numpy
 evaluator of F itself (diverges at t=1 when singular), while `eval_g` takes
-an EvalEnv of precomputed trig quantities in mpf and returns the envelope G
-stably, at the ambient mpmath precision, which is what the integrators
-consume.  numpy is imported by the array evaluators only, so building a
-kernel and `eval_g` run without it.
+a quadrature node in the angle u = kappa*theta, as the mpf triple
+(u, sin u, cos u), and returns the envelope G stably, at the ambient
+mpmath precision, which is what the integrators consume.  Both distances
+are functions of u: the chordal one is sin u, the geodesic one u/kappa.
+The half-angle forms 1-t = 2 sin(u)^2 and 1+t = 2 cos(u)^2 stay accurate
+at both endpoints, because the certifying routes form cos u as
+sin(pi/2 - u).  numpy is imported by the array evaluators only, so building
+a kernel and `eval_g` run without it.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
@@ -32,7 +37,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "EvalEnv",
     "ZonalKernel",
     "riesz_geodesic",
     "riesz_chordal",
@@ -48,52 +52,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class EvalEnv:
-    """Precomputed node quantities handed to kernel envelope evaluators.
-
-    All fields are mpmath.mpf.  one_minus_t and one_plus_t are computed from
-    half-angle forms upstream, so they stay accurate near the endpoints where
-    1-t would cancel; sin_ktheta is sin(kappa*theta), which the node already
-    carries.
-    """
-
-    t: object
-    one_minus_t: object
-    one_plus_t: object
-    theta: object
-    kappa: object
-    sin_ktheta: object
-
-    @property
-    def sin_ktheta_over_theta(self):
-        """sin(kappa*theta)/theta, stable as theta -> 0."""
-        if self.sin_ktheta == 0:
-            return self.kappa
-        return self.sin_ktheta / self.theta
-
-
-def env_from_theta(space_kappa, theta):
-    """EvalEnv at geodesic angle theta, an mpf."""
-    k = theta * 0 + space_kappa
-    u = k * theta
-    su, cu = mp.sin(u), mp.cos(u)
-    return EvalEnv(
-        t=1 - 2 * su * su,
-        one_minus_t=2 * su * su,
-        one_plus_t=2 * cu * cu,
-        theta=theta,
-        kappa=k,
-        sin_ktheta=su,
-    )
-
-
-@dataclass(frozen=True)
 class ZonalKernel:
     descriptor: str
-    log_flag: bool
-    poly_degree: Optional[int]
-    eval_g: Callable[[EvalEnv], object]
+    # takes the angle node (u, sin u, cos u) in mpf
+    eval_g: Callable[[object, object, object], object]
     f_t: Callable[[np.ndarray], np.ndarray]
+    log_flag: bool = False
+    poly_degree: Optional[int] = None
     # the one stored exponent, absorbed into the quadrature weights: eval_g
     # returns (1-t)^gj_shift * F.  Negative when a factor (1-t)^(+p) can be
     # pulled out (Riesz with s < 0), which keeps the Gauss-Jacobi residual
@@ -155,10 +120,10 @@ def riesz_geodesic(space: Space, s: float) -> ZonalKernel:
     kappa = space.kappa
     sign = _sgn(s)
 
-    def eval_g(env: EvalEnv):
+    def eval_g(u, sin_u, cos_u):
         # (1-t)^{s/2} theta^{-s} = (2 r^2)^{s/2} with r = sin(k theta)/theta;
         # valid for either sign of s
-        r = env.sin_ktheta_over_theta
+        r = sin_u / (u / kappa)
         return sign * (2 * r * r) ** (s / 2)
 
     def f_t(t: np.ndarray) -> np.ndarray:
@@ -169,8 +134,6 @@ def riesz_geodesic(space: Space, s: float) -> ZonalKernel:
 
     return ZonalKernel(
         descriptor=f"riesz-geodesic:s={_fmt(s)}",
-        log_flag=False,
-        poly_degree=None,
         eval_g=eval_g,
         f_t=f_t,
         gj_shift=s / 2,
@@ -194,7 +157,7 @@ def riesz_chordal(space: Space, s: float) -> ZonalKernel:
 
     consts = {}
 
-    def eval_g(env: EvalEnv):
+    def eval_g(u, sin_u, cos_u):
         # constant sgn(s) 2^{s/2}, raised in mpf so it is not stuck with a
         # float64-rounded value; it depends only on the working precision
         prec = mp.mp.prec
@@ -210,7 +173,6 @@ def riesz_chordal(space: Space, s: float) -> ZonalKernel:
     deg = int(-s / 2) if s < 0 and (-s / 2) == int(-s / 2) else None
     return ZonalKernel(
         descriptor=f"riesz-chordal:s={_fmt(s)}",
-        log_flag=False,
         poly_degree=deg,
         eval_g=eval_g,
         f_t=f_t,
@@ -221,8 +183,8 @@ def riesz_chordal(space: Space, s: float) -> ZonalKernel:
 def log_geodesic(space: Space) -> ZonalKernel:
     kappa = space.kappa
 
-    def eval_g(env: EvalEnv):
-        return -mp.log(env.theta)
+    def eval_g(u, sin_u, cos_u):
+        return -mp.log(u / kappa)
 
     def f_t(t: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -233,15 +195,15 @@ def log_geodesic(space: Space) -> ZonalKernel:
     return ZonalKernel(
         descriptor="log-geodesic",
         log_flag=True,
-        poly_degree=None,
         eval_g=eval_g,
         f_t=f_t,
     )
 
 
 def log_chordal(space: Space) -> ZonalKernel:
-    def eval_g(env: EvalEnv):
-        return -mp.log(env.one_minus_t / 2) / 2
+    def eval_g(u, sin_u, cos_u):
+        # (1-t)/2 = sin(u)^2
+        return -mp.log(sin_u * sin_u) / 2
 
     def f_t(t: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -251,7 +213,6 @@ def log_chordal(space: Space) -> ZonalKernel:
     return ZonalKernel(
         descriptor="log-chordal",
         log_flag=True,
-        poly_degree=None,
         eval_g=eval_g,
         f_t=f_t,
     )
@@ -272,8 +233,8 @@ def gaussian_kernel(space: Space, metric: str, lam: float) -> ZonalKernel:
 
     if metric == "geodesic":
 
-        def eval_g(env: EvalEnv):
-            return mp.exp(-lam * env.theta**2)
+        def eval_g(u, sin_u, cos_u):
+            return mp.exp(-lam * (u / kappa) ** 2)
 
         def f_t(t: np.ndarray) -> np.ndarray:
             import numpy as np
@@ -282,8 +243,8 @@ def gaussian_kernel(space: Space, metric: str, lam: float) -> ZonalKernel:
 
     else:
 
-        def eval_g(env: EvalEnv):
-            return mp.exp(-lam * env.one_minus_t / 2)
+        def eval_g(u, sin_u, cos_u):
+            return mp.exp(-lam * (sin_u * sin_u))
 
         def f_t(t: np.ndarray) -> np.ndarray:
             import numpy as np
@@ -291,8 +252,6 @@ def gaussian_kernel(space: Space, metric: str, lam: float) -> ZonalKernel:
 
     return ZonalKernel(
         descriptor=f"gauss-{metric}:lambda={_fmt(lam)}",
-        log_flag=False,
-        poly_degree=None,
         eval_g=eval_g,
         f_t=f_t,
     )
@@ -304,15 +263,15 @@ def cos_power_kernel(n: int) -> ZonalKernel:
     if n < 0:
         raise ValueError("power must be >= 0")
 
-    def eval_g(env: EvalEnv):
-        return (env.one_plus_t / 2) ** n
+    def eval_g(u, sin_u, cos_u):
+        # (1+t)/2 = cos(u)^2
+        return (cos_u * cos_u) ** n
 
     def f_t(t: np.ndarray) -> np.ndarray:
         return ((1 + t) / 2) ** n
 
     return ZonalKernel(
         descriptor=f"cospow:n={n}",
-        log_flag=False,
         poly_degree=n,
         eval_g=eval_g,
         f_t=f_t,
@@ -326,8 +285,8 @@ def jacobi_unit_kernel(params, n: int) -> ZonalKernel:
         raise ValueError("degree must be >= 0")
     a, b = params.alpha, params.beta
 
-    def eval_g(env: EvalEnv):
-        return jacobi_eval((a, b), n, env.t)
+    def eval_g(u, sin_u, cos_u):
+        return jacobi_eval((a, b), n, 1 - 2 * sin_u * sin_u)
 
     def f_t(t: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -335,7 +294,6 @@ def jacobi_unit_kernel(params, n: int) -> ZonalKernel:
 
     return ZonalKernel(
         descriptor=f"jacobi:n={n}",
-        log_flag=False,
         poly_degree=n,
         eval_g=eval_g,
         f_t=f_t,
@@ -353,8 +311,8 @@ def product_kernel(k1: ZonalKernel, k2: ZonalKernel) -> ZonalKernel:
     if k1.poly_degree is not None and k2.poly_degree is not None:
         deg = k1.poly_degree + k2.poly_degree
 
-    def eval_g(env: EvalEnv):
-        return k1.eval_g(env) * k2.eval_g(env)
+    def eval_g(u, sin_u, cos_u):
+        return k1.eval_g(u, sin_u, cos_u) * k2.eval_g(u, sin_u, cos_u)
 
     def f_t(t: np.ndarray) -> np.ndarray:
         return k1.f_t(t) * k2.f_t(t)
@@ -379,14 +337,14 @@ def linear_combination(terms: Sequence[tuple[float, ZonalKernel]]) -> ZonalKerne
     degs = [k.poly_degree for _, k in terms]
     deg = max(degs) if all(d is not None for d in degs) else None
 
-    def eval_g(env: EvalEnv):
+    def eval_g(u, sin_u, cos_u):
         total = None
         for c, k in terms:
             # in mpf, so the exponent is not float64-rounded
             gap = mp.mpf(shift) - k.gj_shift
-            part = c * k.eval_g(env)
+            part = c * k.eval_g(u, sin_u, cos_u)
             if gap > 0:
-                part = part * env.one_minus_t**gap
+                part = part * (2 * sin_u * sin_u) ** gap
             total = part if total is None else total + part
         return total
 
@@ -436,7 +394,7 @@ def parse_kernel(text: str, space: Space) -> ZonalKernel:
             if "*" not in part:
                 raise ValueError(f"lincomb term {part!r} needs <coeff>*<kernel>")
             c, spec = part.split("*", 1)
-            terms.append((float(c), parse_kernel(spec, space)))
+            terms.append((_finite("coefficient", c), parse_kernel(spec, space)))
         return linear_combination(terms)
 
     m = _SIMPLE_RE.match(text)
@@ -452,22 +410,30 @@ def parse_kernel(text: str, space: Space) -> ZonalKernel:
             args[k.strip()] = v.strip()
 
     if name == "riesz-geodesic":
-        return riesz_geodesic(space, float(args["s"]))
+        return riesz_geodesic(space, _finite("s", args["s"]))
     if name == "riesz-chordal":
-        return riesz_chordal(space, float(args["s"]))
+        return riesz_chordal(space, _finite("s", args["s"]))
     if name == "log-geodesic":
         return log_geodesic(space)
     if name == "log-chordal":
         return log_chordal(space)
     if name == "gauss-geodesic":
-        return gaussian_kernel(space, "geodesic", float(args["lambda"]))
+        return gaussian_kernel(space, "geodesic", _finite("lambda", args["lambda"]))
     if name == "gauss-chordal":
-        return gaussian_kernel(space, "chordal", float(args["lambda"]))
+        return gaussian_kernel(space, "chordal", _finite("lambda", args["lambda"]))
     if name == "cospow":
         return cos_power_kernel(int(args["n"]))
     if name == "jacobi":
         return jacobi_unit_kernel(space, int(args["n"]))
     raise ValueError(f"unknown kernel name {name!r}")
+
+
+def _finite(name: str, text: str) -> float:
+    """A numeric kernel argument; nan and infinities are refused."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"kernel argument {name}={text.strip()} is not finite")
+    return v
 
 
 def _split_top(text: str, sep: str) -> list[str]:

@@ -16,7 +16,10 @@ share one node evaluation and accumulation step:
     residual is analytic in the angle for every non-logarithmic kernel,
     geodesic ones included, whose arccos branch at t=-1 is smooth in u.
 
-Weight exponents are formed in mpf from the binary inputs, never in float64.
+Each node is the mpf triple (u, sin u, cos u), with cos u formed as
+sin(pi/2 - u) so it keeps its relative accuracy near u = pi/2; the kernel
+envelope `eval_g` reads that triple directly.  Weight exponents are
+formed in mpf from the binary inputs, never in float64.
 Certification runs both, folds the cross-method discrepancy into the error
 bound, and escalates precision until every requested sign is decided or a
 cap is reached.  Nodes, weights and the integrand run in mpmath; the sums
@@ -47,7 +50,7 @@ from .jacobi import (
     jacobi_eval_all,
     jacobi_value_at_one,
 )
-from .kernels import EvalEnv, ZonalKernel
+from .kernels import ZonalKernel
 from .spaces import Space, make_space
 
 __all__ = [
@@ -191,13 +194,11 @@ def _sign_for(value: mp.mpf, error: mp.mpf, n: int, kernel: ZonalKernel, space: 
         return SIGN_POS
     if value < -error:
         return SIGN_NEG
-    # polynomial kernels have exactly computable coefficients: a value below
-    # the rounding-level bound is an exact structural zero; so is an even
-    # n >= 2 of a kernel odd up to a constant, by t -> -t parity when
-    # alpha == beta
-    if deg is not None or (
-        kernel.odd_up_to_constant and space.alpha == space.beta and n >= 2 and n % 2 == 0
-    ):
+    # an even n >= 2 of a kernel odd up to a constant is an exact zero by
+    # t -> -t parity when alpha == beta.  Below its degree a polynomial
+    # kernel gets no such rule: both routes integrate in the angle, where
+    # its integrand is not a polynomial, so its computed values are not exact
+    if kernel.odd_up_to_constant and space.alpha == space.beta and n >= 2 and n % 2 == 0:
         return SIGN_ZERO
     return SIGN_UNDECIDED
 
@@ -229,6 +230,8 @@ def _report(
 class _AngleSums:
     """Running sums S[n] of f * P_n(t) over nodes in the angle u = kappa*theta.
 
+    Each node arrives as (u, sin u, cos u), which `eval_g` takes as it is;
+    t = 1 - 2 sin(u)^2 is formed once, for the recurrence.
     With g = (1-t)^sigma F and 1-t = 2 sin(u)^2,
         int F P_n dnu = C 2^-sigma int sin(u)^e_sin cos(u)^e_cos g P_n du,
     e_sin = 2a+1-2sigma, e_cos = 2b+1.  The exponents and the constant are
@@ -245,7 +248,7 @@ class _AngleSums:
     def __init__(self, space: Space, kernel: ZonalKernel, N: int, sinc: bool = False):
         a, b = mp.mpf(space.alpha), mp.mpf(space.beta)
         shift = mp.mpf(kernel.gj_shift)
-        self.kernel, self.sinc, self.kappa = kernel, sinc, mp.mpf(space.kappa)
+        self.kernel, self.sinc = kernel, sinc
         self.e_sin, self.e_cos = 2 * a + 1 - 2 * shift, 2 * b + 1
         C, _, _, recurrence, self.bounds = _plan(space.alpha, space.beta, N, mp.mp.prec)
         self.const = C * mp.mpf(2) ** -shift
@@ -260,12 +263,10 @@ class _AngleSums:
         """Add the node u, with its sine and cosine, and rule weight `factor`
         (comp = pi/2 - u free of cancellation, needed with sinc=True);
         returns |f| for the caller's tail test."""
-        one_minus_t = 2 * sinu * sinu
-        t = 1 - one_minus_t
-        env = EvalEnv(t, one_minus_t, 2 * cosu * cosu, u / self.kappa, self.kappa, sinu)
+        t = 1 - 2 * sinu * sinu
         s, c = (sinu / u, cosu / comp) if self.sinc else (sinu, cosu)
         f = self.const * factor * s**self.e_sin * c**self.e_cos
-        f *= self.kernel.eval_g(env)
+        f *= self.kernel.eval_g(u, sinu, cosu)
         self.finite = self.finite and mp.isfinite(f)
         W, S = self.wbits, self.S
         x, F = libmp.to_fixed(t._mpf_, W), libmp.to_fixed(f._mpf_, W)
@@ -435,12 +436,6 @@ def _gj_once_u(space: Space, kernel: ZonalKernel, N: int, m: int):
     return sums.values(), sums.rounding()
 
 
-def _gj_applies(space: Space, kernel: ZonalKernel) -> bool:
-    """Whether the Gauss-Jacobi rule can absorb the kernel's singularity: a
-    power of 1-t (not a log) leaving the split weight exponent above -1."""
-    return not kernel.log_flag and space.alpha - kernel.gj_shift > -1
-
-
 def coefficients_gj(
     space: Space,
     kernel: ZonalKernel,
@@ -457,8 +452,8 @@ def coefficients_gj(
     of order m and m + max(10, m/4).
     """
     kernel.require_integrable(space)
-    if not _gj_applies(space, kernel):
-        raise ValueError("Gauss-Jacobi path needs a power singularity, alpha - sigma > -1")
+    if kernel.log_flag:
+        raise ValueError("Gauss-Jacobi path needs a power singularity, not a logarithm")
     if N < 0:
         raise ValueError("N must be >= 0")
     # enough nodes for the analytic residual (geometric decay, rate set by
@@ -502,9 +497,10 @@ def certify_coefficients(
     report mean the precision ladder was exhausted, never that a stage was
     skipped.
     """
-    kernel.require_integrable(space)
     ladder = [target_digits, target_digits + 20, target_digits + 40]
-    use_gj = _gj_applies(space, kernel)
+    # an integrable power singularity leaves the split weight exponent
+    # 2a+1-2sigma above -1, so Gauss-Jacobi applies to every non-log kernel
+    use_gj = not kernel.log_flag
     report = None
     for digits in ladder:
         de = coefficients_de(space, kernel, N, digits=digits)

@@ -51,6 +51,21 @@ def test_coeffs_log_rp2_all_positive(capsys):
     assert all(ln.rsplit(",", 1)[1] == "+" for ln in lines[1:])
 
 
+def test_polynomial_kernel_below_degree_is_certified(capsys):
+    """A coefficient of a polynomial kernel at n <= deg is computed, not
+    assumed: ((1+t)/2)^200 on S2 has a_0 = 1/201 and a_1 = 300/20301, both
+    positive, and their first quadrature values sit inside large errors."""
+    code, out, _ = run(
+        capsys, "coeffs", "--space", "S2", "--kernel", "cospow:n=200",
+        "--nmax", "1", "--digits", "15",
+    )
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert [e["sign"] for e in entries] == ["+", "+"]
+    for e, exact in zip(entries, (mp.mpf(1) / 201, mp.mpf(300) / 20301)):
+        assert abs(mp.mpf(e["value"]) - exact) <= mp.mpf(e["error"])
+
+
 def test_coeffs_rejects_non_integrable(capsys):
     code, out, err = run(
         capsys, "coeffs", "--space", "S2", "--kernel", "riesz-geodesic:s=2.5",
@@ -345,7 +360,13 @@ MALFORMED = (
         ("energy", ["energy", "--space", "S2", "--kernel", "no-such-kernel"]),
         ("scan", ["scan", "--space", "RP2", "--s-min", "-0.7", "--s-max", "-0.5",
                   "--step", "0.1", "--kernel", "no-such-kernel"]),
+        ("energy", _BASE_ARGV["energy"] + ["--weights", "/nonexistent/weights.txt"]),
     ]
+    # non-finite kernel arguments; nan ones used to run without end
+    + [("coeffs", ["coeffs", "--space", "S2", "--nmax", "2", "--kernel", k])
+       for k in ("gauss-chordal:lambda=nan", "gauss-geodesic:lambda=nan",
+                 "lincomb(nan*cospow:n=1)", "lincomb(inf*cospow:n=1)",
+                 "riesz-chordal:s=-inf", "riesz-geodesic:s=nan")]
 )
 
 

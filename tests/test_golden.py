@@ -1,0 +1,70 @@
+"""Golden stdout: SHA-256 digests of the CLI output for a fixed set of jobs.
+
+A refactor that must not move a number keeps every digest.  The jobs run
+in-process through `main` and compute their results in mpmath alone, so
+the digests do not depend on the numpy build.  They were recorded with
+mpmath 1.3.0 on its pure-Python backend; a different mpmath version may
+round the last printed digit differently, so the test is skipped there.
+A deliberate change of output replaces the digest of the job it moves.
+"""
+import hashlib
+
+import mpmath as mp
+import pytest
+
+from zonalpd.cli import main
+
+RECORDED_MPMATH = "1.3.0"
+
+# (argv, exit code, sha256 of stdout)
+GOLDEN = [
+    (["coeffs", "--space", "RP2", "--kernel", "riesz-geodesic:s=-0.6",
+      "--nmax", "6", "--digits", "20"], 0,
+     "63bb3f11dd4bb5c4701efd307825f544c9f702adc2333e28122f2eee6586a1ff"),
+    (["coeffs", "--space", "HP2", "--kernel", "riesz-chordal:s=0.7",
+      "--nmax", "6", "--digits", "20"], 0,
+     "a3de3055f33bdc0c66ab19cdaf84049fa3824134a715baeb64c40eedaa294d6d"),
+    (["coeffs", "--space", "CP2", "--kernel", "log-geodesic",
+      "--nmax", "6", "--digits", "20"], 0,
+     "d2a6f0bb90543cdb850eedfaed06b6eaed284eddde7c38e0508851627829f41e"),
+    (["coeffs", "--space", "S2", "--kernel", "log-chordal",
+      "--nmax", "6", "--digits", "20"], 0,
+     "d56082d2e4abbaade8745a6d26adb332afdac4073879e77ae1e944db45476e05"),
+    (["coeffs", "--space", "RP2", "--kernel", "gauss-geodesic:lambda=2",
+      "--nmax", "6", "--digits", "20"], 0,
+     "107015ee0fc04dae5611a1d5e9193c8039707a1024a7a7f32d3a21c2079765d2"),
+    (["coeffs", "--space", "S4", "--kernel", "gauss-chordal:lambda=0.5",
+      "--nmax", "6", "--digits", "20"], 0,
+     "89ad0f45ad3565968c0999d80e8323db8df3019430cc0bd65454fcf64d670c37"),
+    (["coeffs", "--space", "CP2", "--kernel", "cospow:n=2",
+      "--nmax", "4", "--digits", "20", "--format", "csv"], 0,
+     "a01a396dcb259acbb7d4fa0de7b821c1bfb0ca8a2ff9cb46ccd658d3027539ef"),
+    (["coeffs", "--space", "S2",
+      "--kernel", "lincomb(2*riesz-chordal:s=0.5+-1*gauss-chordal:lambda=1)",
+      "--nmax", "6", "--digits", "20"], 0,
+     "4eaca46b9efbe7f6cd4d1bfab6aba83593f93b81ff9ba2f8f2b124f2c9b03e7c"),
+    (["classify", "--space", "RP2",
+      "--kernel", "product(riesz-chordal:s=0.5,gauss-geodesic:lambda=1)",
+      "--nmax", "6", "--digits", "20"], 0,
+     "8ebea20b2000dade41831436cc6637e2b816c3d0b23d63c2dc3dac367046aff9"),
+    (["table1", "--nmax", "4", "--digits", "20"], 0,
+     "6af11f80dd482c2faebdf8e7bb981bd5e07fe72c767505703656120d7acdc9aa"),
+    (["scan", "--space", "RP2", "--kernel", "riesz-geodesic", "--s-min", "-0.7",
+      "--s-max", "-0.5", "--step", "0.1", "--nmax", "4", "--digits", "20"], 0,
+     "7c31da0b6fc965f995d954d98ab280e7460c23a4185192cd018ecd850e146123"),
+    (["energy", "--space", "CP2", "--kernel", "riesz-chordal:s=1",
+      "--digits", "20"], 0,
+     "32eca8032fa2d4135a0464d3efd1d366f34aff78b83294c9d08e765a80682a8e"),
+    (["poisson", "--space", "HP2", "--r", "0.6", "--theta", "0.4"], 0,
+     "fd5b9f117f42bd79fd5523e8bda5bdaa1dd45de374bee5cc28db42bbdd55758b"),
+]
+
+
+@pytest.mark.skipif(mp.__version__ != RECORDED_MPMATH,
+                    reason=f"digests recorded with mpmath {RECORDED_MPMATH}")
+@pytest.mark.parametrize("argv,code,digest", GOLDEN,
+                         ids=[f"{a[0]}-{i}" for i, (a, _, _) in enumerate(GOLDEN)])
+def test_stdout_digest(argv, code, digest, capsys):
+    got = main(list(argv))
+    out = capsys.readouterr().out
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

@@ -6,9 +6,7 @@ import pytest
 
 from zonalpd.jacobi import jacobi_eval
 from zonalpd.kernels import (
-    EvalEnv,
     cos_power_kernel,
-    env_from_theta,
     gaussian_kernel,
     jacobi_unit_kernel,
     linear_combination,
@@ -24,25 +22,14 @@ from zonalpd.transform import _sign_for
 
 
 
-def env_from_t(space_kappa, t):
-    """EvalEnv at zonal variable t strictly inside (-1,1)."""
-    import mpmath as mp
-
-    kappa = t * 0 + space_kappa
+def node_from_t(t):
+    """The angle node (u, sin u, cos u), t = cos(2u), at zonal variable t
+    strictly inside (-1,1), in the arithmetic of t."""
     if isinstance(t, mp.mpf):
-        theta = mp.acos(t) / (2 * space_kappa)
-        sin_ktheta = mp.sin(kappa * theta)
-    else:
-        theta = math.acos(t) / (2 * space_kappa)
-        sin_ktheta = math.sin(kappa * theta)
-    return EvalEnv(
-        t=t,
-        one_minus_t=1 - t,
-        one_plus_t=1 + t,
-        theta=theta,
-        kappa=kappa,
-        sin_ktheta=sin_ktheta,
-    )
+        u = mp.acos(t) / 2
+        return u, mp.sin(u), mp.cos(u)
+    u = math.acos(t) / 2
+    return u, math.sin(u), math.cos(u)
 
 
 S2 = make_space("S2")
@@ -102,10 +89,9 @@ def test_riesz_geodesic_s_zero_is_log():
 def log_envelope_at(kernel, kappa, exp10):
     # (1-t)^0.01 F(t) with theta = 10^-exp10; the power only wins around
     # 1-t ~ 1e-40, far outside float64 range, hence the mpf route
-    import mpmath as mp
-
-    env = env_from_theta(kappa, mp.mpf(10) ** -exp10)
-    return float(env.one_minus_t**mp.mpf("0.01") * kernel.eval_g(env))
+    u = kappa * mp.mpf(10) ** -exp10
+    sin_u, cos_u = mp.sin(u), mp.cos(u)
+    return float((2 * sin_u * sin_u) ** mp.mpf("0.01") * kernel.eval_g(u, sin_u, cos_u))
 
 
 @pytest.mark.parametrize("make", [log_geodesic, log_chordal])
@@ -140,10 +126,9 @@ def test_riesz_chordal_constant_reused_per_precision(s):
     for dps in (20, 30, 50, 20, 50):
         with mp.workdps(dps):
             for t in (mp.mpf("-0.3"), mp.mpf("0.9")):
-                env = env_from_t(HP2.kappa, t)
-                assert k.eval_g(env) == sign * (t * 0 + 2) ** (s / 2)
+                assert k.eval_g(*node_from_t(t)) == sign * (t * 0 + 2) ** (s / 2)
     for t in (-0.3, 0.9):
-        assert k.eval_g(env_from_t(HP2.kappa, t)) == sign * (t * 0 + 2) ** (s / 2)
+        assert k.eval_g(*node_from_t(t)) == sign * (t * 0 + 2) ** (s / 2)
 
 
 def test_riesz_integrability_guard():
@@ -236,8 +221,7 @@ def test_eval_g_matches_f_t(text, space):
     # eval_g carries (1-t)^gj_shift * F; the float path must agree with f_t
     k = parse_kernel(text, space)
     for t in np.linspace(-0.95, 0.95, 41):
-        env = env_from_t(space.kappa, float(t))
-        g = k.eval_g(env)
+        g = k.eval_g(*node_from_t(float(t)))
         assert float(g) == pytest.approx(
             float(k.f_t(np.array([t]))[0]) * (1 - t) ** k.gj_shift, rel=1e-12
         )

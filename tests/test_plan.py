@@ -12,7 +12,7 @@ import pytest
 import zonalpd
 from zonalpd import cli, jacobi, posdef, transform
 from zonalpd.jacobi import jacobi_eval_all
-from zonalpd.kernels import EvalEnv, parse_kernel
+from zonalpd.kernels import parse_kernel
 from zonalpd.posdef import scan_riesz
 from zonalpd.spaces import make_space
 from zonalpd.transform import certify_coefficients, coefficients_de, coefficients_gj
@@ -43,17 +43,9 @@ class PairedSums(transform._AngleSums):
 
     def add(self, u, sinu, cosu, factor, comp=None):
         t = 1 - 2 * sinu * sinu
-        env = EvalEnv(
-            t=t,
-            one_minus_t=2 * sinu * sinu,
-            one_plus_t=2 * cosu * cosu,
-            theta=u / self.kappa,
-            kappa=self.kappa,
-            sin_ktheta=sinu,
-        )
         s, c = (sinu / u, cosu / comp) if self.sinc else (sinu, cosu)
         f = self.const * factor * s**self.e_sin * c**self.e_cos
-        f *= self.kernel.eval_g(env)
+        f *= self.kernel.eval_g(u, sinu, cosu)
         with mp.workdps(mp.mp.dps + EXTRA_DPS):
             P = jacobi_eval_all(self.ab_mp, len(self.S) - 1, t)
             for n in range(len(self.S)):
