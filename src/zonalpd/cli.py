@@ -11,15 +11,14 @@ requested precision (so pipelines can tell "inconclusive" from "wrong").
 from __future__ import annotations
 
 import json
-import re
 import sys
 from typing import List, Optional, Tuple
 
 import argparse
 
 from . import __version__
-from .spaces import Point, make_space, load_points
-from .kernels import parse_kernel
+from .spaces import Point, make_space, load_points, parse_args
+from .kernels import FAMILIES, parse_kernel
 from .transform import (
     SIGN_UNDECIDED,
     CoefficientReport,
@@ -65,12 +64,11 @@ def _threads_type(text: str) -> int:
 
 
 def _perturb_type(text: str) -> Tuple[int, float]:
-    m = re.fullmatch(r"n=(\d+),eps=([0-9.eE+-]+)", text.strip())
-    if not m:
-        raise argparse.ArgumentTypeError(
-            "perturbation must look like n=<int>,eps=<float>"
-        )
-    return int(m.group(1)), float(m.group(2))
+    try:
+        args = parse_args(text, {"n": int, "eps": float})
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"perturbation n=<int>,eps=<float>: {e}") from None
+    return args["n"], args["eps"]
 
 
 def _add_common(p: _Parser, digits_default: int) -> None:
@@ -84,6 +82,12 @@ def _add_common(p: _Parser, digits_default: int) -> None:
                    help="re-parse the produced output against its schema")
 
 
+_KERNEL_HELP = " | ".join(
+    [f"{name}:" + ",".join(f"{k}=<{'i' if kind is int else 'f'}>" for k, kind in kinds.items())
+     if kinds else name for name, (kinds, _) in FAMILIES.items()]
+    + ["product(k1,k2)", "lincomb(c1*k1+c2*k2)"])
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="zonalpd",
                   description="Expansion coefficients, definiteness "
@@ -93,19 +97,16 @@ def _build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", required=True)
 
     space_help = "S<k> | RP<k> | CP<k> | HP<k> | OP2 | custom:alpha=<f>,beta=<f>[,kappa=<0.5|1>]"
-    kernel_help = ("riesz-geodesic:s=<f> | riesz-chordal:s=<f> | log-geodesic | "
-                   "log-chordal | gauss-geodesic:lambda=<f> | gauss-chordal:lambda=<f> | "
-                   "cospow:n=<i> | jacobi:n=<i> | product(k1,k2) | lincomb(c1*k1+c2*k2)")
 
     p = sub.add_parser("coeffs", help="expansion coefficients with certified signs")
     p.add_argument("--space", required=True, help=space_help)
-    p.add_argument("--kernel", required=True, help=kernel_help)
+    p.add_argument("--kernel", required=True, help=_KERNEL_HELP)
     p.add_argument("--nmax", type=int, default=32)
     _add_common(p, 50)
 
     p = sub.add_parser("classify", help="definiteness verdict from certified signs")
     p.add_argument("--space", required=True, help=space_help)
-    p.add_argument("--kernel", required=True, help=kernel_help)
+    p.add_argument("--kernel", required=True, help=_KERNEL_HELP)
     p.add_argument("--nmax", type=int, default=32)
     p.add_argument("--mode", choices=("pd", "cpd"), default="cpd")
     _add_common(p, 50)
@@ -128,7 +129,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("energy", help="uniform, discrete, or perturbed-measure energy")
     p.add_argument("--space", required=True, help=space_help)
-    p.add_argument("--kernel", required=True, help=kernel_help)
+    p.add_argument("--kernel", required=True, help=_KERNEL_HELP)
     p.add_argument("--points", default=None,
                    help="point file (as written by the point saver); "
                         "switches to the discrete double-sum energy")
@@ -156,24 +157,17 @@ def _build_parser() -> _Parser:
 # config echo
 
 
-# --out and energy's --threads are deliberately absent: one names a
-# destination, the other a worker count, and neither changes a single output
-# byte (Monte Carlo batches are reduced in batch order).  The echo records
-# what determines the result, so identical configs must mean identical output.
-_CONFIG_KEYS = ("space", "kernel", "nmax", "digits", "mode",
-                "s_min", "s_max", "step", "bisect", "points", "weights",
-                "perturb", "samples", "seed", "format", "r", "theta")
+# --out, --verify and energy's --threads are deliberately absent: one names a
+# destination, one checks what is printed, the last a worker count, and none
+# changes a single output byte (Monte Carlo batches are reduced in batch
+# order).  The echo records what determines the result, so identical configs
+# must mean identical output.
+_NOT_ECHOED = {"out", "threads", "verify"}
 
 
 def _config_dict(args) -> dict:
-    cfg = {"command": args.command}
-    for k in _CONFIG_KEYS:
-        if hasattr(args, k):
-            v = getattr(args, k)
-            if isinstance(v, tuple):
-                v = list(v)
-            cfg[k] = v
-    return cfg
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in vars(args).items() if k not in _NOT_ECHOED}
 
 
 def _render_json(payload: dict, args) -> str:

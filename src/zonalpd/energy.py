@@ -60,16 +60,14 @@ __all__ = [
 ]
 
 MC_BATCH = 1 << 17
-PROBABILITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Finitely many weighted atoms on one space.
 
-    Weights default to uniform 1/N.  Signed weights are allowed (zero-sum
-    measures are how conditional positive definiteness is probed);
-    operations that need a probability measure call `require_probability`.
+    Weights default to uniform 1/N.  Signed weights are allowed: zero-sum
+    measures are how conditional positive definiteness is probed.
     """
 
     space: Space
@@ -99,18 +97,6 @@ class DiscreteMeasure:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def total_mass(self) -> float:
-        return math.fsum(self.weights)
-
-    def require_probability(self) -> None:
-        if abs(self.total_mass() - 1.0) > PROBABILITY_TOL:
-            raise ValueError(
-                f"weights sum to {self.total_mass()}, not a probability measure"
-            )
 
     def coords(self) -> np.ndarray:
         return np.stack([p.coords for p in self.points])

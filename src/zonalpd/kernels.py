@@ -23,15 +23,13 @@ a kernel and `eval_g` run without it.
 """
 from __future__ import annotations
 
-import math
-import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import mpmath as mp
 
 from .jacobi import jacobi_eval
-from .spaces import Space
+from .spaces import Space, parse_args, read_value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -86,10 +84,6 @@ class ZonalKernel:
                 f"{self.sing_exponent} is not integrable on {space.name} "
                 f"(needs < alpha+1 = {space.alpha + 1})"
             )
-
-    def __call__(self, t):
-        import numpy as np
-        return self.f_t(np.asarray(t, dtype=float))
 
 
 def _sgn(s: float) -> float:
@@ -369,16 +363,27 @@ def linear_combination(terms: Sequence[tuple[float, ZonalKernel]]) -> ZonalKerne
 # descriptor grammar
 
 
-_SIMPLE_RE = re.compile(r"^([a-z0-9-]+)(?::(.*))?$")
+# family name -> (argument kinds in order, builder taking the space and then
+# the arguments); the CLI's --kernel help is built from this table
+FAMILIES = {
+    "riesz-geodesic": ({"s": float}, riesz_geodesic),
+    "riesz-chordal": ({"s": float}, riesz_chordal),
+    "log-geodesic": ({}, log_geodesic),
+    "log-chordal": ({}, log_chordal),
+    "gauss-geodesic": ({"lambda": float}, lambda sp, lam: gaussian_kernel(sp, "geodesic", lam)),
+    "gauss-chordal": ({"lambda": float}, lambda sp, lam: gaussian_kernel(sp, "chordal", lam)),
+    "cospow": ({"n": int}, lambda sp, n: cos_power_kernel(n)),
+    "jacobi": ({"n": int}, jacobi_unit_kernel),
+}
 
 
 def parse_kernel(text: str, space: Space) -> ZonalKernel:
-    """Parse a kernel descriptor.
+    """Parse a kernel descriptor: <family>[:<key>=<value>,...] for a family
+    of FAMILIES, product(<spec>,<spec>) or lincomb(<f>*<spec>[+<f>*<spec>]...).
 
-    Grammar: riesz-geodesic:s=<f>, riesz-chordal:s=<f>, log-geodesic,
-    log-chordal, gauss-geodesic:lambda=<f>, gauss-chordal:lambda=<f>,
-    cospow:n=<i>, jacobi:n=<i>, product(<spec>,<spec>),
-    lincomb(<f>*<spec>[+<f>*<spec>]...).
+    Arguments are read by `spaces.parse_args`, so an unknown, repeated,
+    missing or non-finite argument is refused, as is a non-finite lincomb
+    coefficient.
     """
     text = text.strip()
     if text.startswith("product(") and text.endswith(")"):
@@ -394,46 +399,15 @@ def parse_kernel(text: str, space: Space) -> ZonalKernel:
             if "*" not in part:
                 raise ValueError(f"lincomb term {part!r} needs <coeff>*<kernel>")
             c, spec = part.split("*", 1)
-            terms.append((_finite("coefficient", c), parse_kernel(spec, space)))
+            terms.append((read_value("coefficient", c.strip()), parse_kernel(spec, space)))
         return linear_combination(terms)
 
-    m = _SIMPLE_RE.match(text)
-    if not m:
+    name, _, argtext = text.partition(":")
+    if name not in FAMILIES:
         raise ValueError(f"unrecognized kernel descriptor {text!r}")
-    name, argstr = m.group(1), m.group(2)
-    args = {}
-    if argstr:
-        for field in argstr.split(","):
-            if "=" not in field:
-                raise ValueError(f"bad kernel argument {field!r}")
-            k, v = field.split("=", 1)
-            args[k.strip()] = v.strip()
-
-    if name == "riesz-geodesic":
-        return riesz_geodesic(space, _finite("s", args["s"]))
-    if name == "riesz-chordal":
-        return riesz_chordal(space, _finite("s", args["s"]))
-    if name == "log-geodesic":
-        return log_geodesic(space)
-    if name == "log-chordal":
-        return log_chordal(space)
-    if name == "gauss-geodesic":
-        return gaussian_kernel(space, "geodesic", _finite("lambda", args["lambda"]))
-    if name == "gauss-chordal":
-        return gaussian_kernel(space, "chordal", _finite("lambda", args["lambda"]))
-    if name == "cospow":
-        return cos_power_kernel(int(args["n"]))
-    if name == "jacobi":
-        return jacobi_unit_kernel(space, int(args["n"]))
-    raise ValueError(f"unknown kernel name {name!r}")
-
-
-def _finite(name: str, text: str) -> float:
-    """A numeric kernel argument; nan and infinities are refused."""
-    v = float(text)
-    if not math.isfinite(v):
-        raise ValueError(f"kernel argument {name}={text.strip()} is not finite")
-    return v
+    kinds, build = FAMILIES[name]
+    args = parse_args(argtext, kinds)
+    return build(space, *(args[k] for k in kinds))
 
 
 def _split_top(text: str, sep: str) -> list[str]:

@@ -259,6 +259,9 @@ def scan_riesz(
     Grid points certify independently of each other; they are evaluated
     sequentially in grid order so repeated runs are bit-identical.
     """
+    for name, v in (("s_min", s_min), ("s_max", s_max), ("step", step)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name}={v} is not finite")
     if step <= 0:
         raise ValueError("step must be positive")
     if not bisect_tol > 0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import pi
+from math import isfinite, pi
 from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:
@@ -82,74 +82,85 @@ class Space:
         }
 
 
-_SPEC_RE = re.compile(r"^(S|RP|CP|HP|OP)(\d+)$")
+_SPEC_RE = re.compile(r"^(S|RP|CP|HP|OP)([1-9]\d*)$")
+
+# (alpha, beta) of each catalog family as a function of d, and its kappa
+_CATALOG = {
+    "S": (lambda d: ((d - 3) / 2, (d - 3) / 2), 0.5),
+    "RP": (lambda d: ((d - 3) / 2, -0.5), 1.0),
+    "CP": (lambda d: (float(d - 2), 0.0), 1.0),
+    "HP": (lambda d: (float(2 * d - 3), 1.0), 1.0),
+    "OP": (lambda d: (7.0, 3.0), 1.0),
+}
 
 
-def make_space(spec=None, *, family=None, d=None, alpha=None, beta=None, kappa=None) -> Space:
-    """Build a Space from a spec string ("S2", "RP3", "custom:alpha=..,beta=..[,kappa=..]")
-    or from explicit keyword parameters; a custom kappa defaults to 1.
+def make_space(spec=None, *, alpha=None, beta=None, kappa=None) -> Space:
+    """Build a Space from a spec ("S2", "RP3", "custom:alpha=<a>,beta=<b>[,kappa=<k>]",
+    read by `parse_args`) or from the keywords alpha, beta and kappa (default 1).
+    A custom space needs finite alpha >= beta > -1 and kappa 1/2 or 1.
     """
-    if spec is not None:
-        if not isinstance(spec, str):
-            raise ValueError(f"space spec must be a string, got {type(spec).__name__}")
-        text = spec.strip()
-        if text.startswith("custom:"):
-            params = _parse_kv(text[len("custom:"):])
-            missing = {"alpha", "beta"} - params.keys()
-            if missing:
-                raise ValueError(f"custom space spec missing {sorted(missing)}")
-            return make_space(alpha=params["alpha"], beta=params["beta"], kappa=params.get("kappa"))
-        m = _SPEC_RE.match(text)
-        if not m:
-            raise ValueError(f"unrecognized space spec {spec!r}")
-        tag, k = m.group(1), int(m.group(2))
-        family = FAMILY_SPHERE if tag == "S" else tag
-        return make_space(family=family, d=k + 1)
-
-    if family is None:
+    if spec is None:
         if alpha is None or beta is None:
-            raise ValueError("need a family name or custom (alpha, beta, kappa)")
-        family = FAMILY_CUSTOM
-
-    if family == FAMILY_CUSTOM:
-        alpha = float(alpha)
-        beta = float(beta)
+            raise ValueError("need a space spec or custom alpha and beta")
+        alpha, beta = float(alpha), float(beta)
         kappa = 1.0 if kappa is None else float(kappa)
-        if alpha <= -1 or beta <= -1:
-            raise ValueError("custom space needs alpha > -1 and beta > -1")
-        if alpha < beta:
-            raise ValueError("custom space needs alpha >= beta")
+        if not (isfinite(alpha) and alpha >= beta > -1):
+            raise ValueError(
+                f"custom space needs finite alpha >= beta > -1, got alpha={alpha}, beta={beta}"
+            )
         if kappa not in (0.5, 1.0):
             raise ValueError("kappa must be 1/2 or 1")
         return Space(FAMILY_CUSTOM, 2, alpha, beta, kappa)
-
-    if d is None or d < 2:
-        raise ValueError(f"family {family!r} needs integer d >= 2")
-    d = int(d)
-    if family == FAMILY_SPHERE:
-        a = (d - 3) / 2
-        return Space(family, d, a, a, 0.5)
-    if family == FAMILY_RP:
-        return Space(family, d, (d - 3) / 2, -0.5, 1.0)
-    if family == FAMILY_CP:
-        return Space(family, d, float(d - 2), 0.0, 1.0)
-    if family == FAMILY_HP:
-        return Space(family, d, float(2 * (d - 1) - 1), 1.0, 1.0)
-    if family == FAMILY_OP:
-        if d != 3:
-            raise ValueError("the octonionic plane exists only for d=3 (OP2)")
-        return Space(family, 3, 7.0, 3.0, 1.0)
-    raise ValueError(f"unknown family {family!r}")
+    if not isinstance(spec, str):
+        raise ValueError(f"space spec must be a string, got {type(spec).__name__}")
+    text = spec.strip()
+    if text.startswith("custom:"):
+        kinds = {"alpha": float, "beta": float, "kappa": float}
+        return make_space(**parse_args(text[len("custom:"):], kinds, optional=("kappa",)))
+    m = _SPEC_RE.match(text)
+    if not m:
+        raise ValueError(f"unrecognized space spec {spec!r}")
+    tag, d = m.group(1), int(m.group(2)) + 1
+    if tag == "OP" and d != 3:
+        raise ValueError("the octonionic plane exists only for d=3 (OP2)")
+    pair, kappa = _CATALOG[tag]
+    return Space(FAMILY_SPHERE if tag == "S" else tag, d, *pair(d), kappa)
 
 
-def _parse_kv(text: str) -> dict:
+def parse_args(text: str, kinds: dict, optional=()) -> dict:
+    """Read `key=value[,key=value]...` into {key: kinds[key](value)}.
+
+    Keys may come in any order.  Every key of `kinds` must appear exactly
+    once, except those in `optional`, which may be left out.  An unknown,
+    repeated or missing key, a value that does not convert and a non-finite
+    float are refused with a ValueError that names the argument.
+    """
     out = {}
-    for part in text.split(","):
-        if "=" not in part:
-            raise ValueError(f"bad key=value field {part!r}")
-        k, v = part.split("=", 1)
-        out[k.strip()] = float(v)
+    for field in text.split(",") if text.strip() else ():
+        key, eq, value = (part.strip() for part in field.partition("="))
+        if not eq:
+            raise ValueError(f"argument {field.strip()!r} is not key=value")
+        if key not in kinds:
+            raise ValueError(f"unknown argument {key!r} (takes {', '.join(kinds) or 'none'})")
+        if key in out:
+            raise ValueError(f"argument {key!r} given twice")
+        out[key] = read_value(key, value, kinds[key])
+    missing = [k for k in kinds if k not in out and k not in optional]
+    if missing:
+        raise ValueError(f"missing argument {missing[0]!r}")
     return out
+
+
+def read_value(name: str, text: str, kind=float):
+    """One argument value as `kind`; nan and infinities are refused."""
+    try:
+        v = kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"argument {name}={text} is not {what}") from None
+    if not isfinite(v):
+        raise ValueError(f"argument {name}={text} is not finite")
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 import zonalpd
 from conftest import riesz_chordal_exact
 from zonalpd import __version__
-from zonalpd.cli import main
+from zonalpd.cli import _KERNEL_HELP, main
+from zonalpd.kernels import FAMILIES
 from zonalpd.spaces import make_rng, make_space, sample_uniform_points, save_points
 from zonalpd.transform import poisson_kernel
 
@@ -330,6 +331,25 @@ def test_energy_threads_byte_identical(capsys):
     assert "threads" not in json.loads(one)["config"]
 
 
+def test_perturb_keys_in_any_order(capsys):
+    argv = ["energy", "--space", "S2", "--kernel", "riesz-chordal:s=0.5",
+            "--samples", "2000", "--seed", "4", "--perturb"]
+    code, one, _ = run(capsys, *argv, "n=1,eps=0.1")
+    assert code == 0
+    assert run(capsys, *argv, "eps=0.1,n=1") == (0, one, "")
+
+
+def test_kernel_families_in_help_and_readme():
+    """Every family that `parse_kernel` reads is listed in the --kernel help
+    and in README's kernel grammar block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Kernel grammar", 1)[1].split("```")[1]
+    in_readme = {line.split()[0].split(":")[0] for line in block.strip().splitlines()}
+    in_help = {alt.split(":")[0] for alt in _KERNEL_HELP.split(" | ")}
+    for name in FAMILIES:
+        assert name in in_help and name in in_readme, name
+
+
 _BASE_ARGV = {
     "coeffs": ["coeffs", "--space", "S2", "--kernel", "cospow:n=1", "--nmax", "2"],
     "classify": ["classify", "--space", "S2", "--kernel", "cospow:n=1", "--nmax", "2"],
@@ -367,6 +387,19 @@ MALFORMED = (
        for k in ("gauss-chordal:lambda=nan", "gauss-geodesic:lambda=nan",
                  "lincomb(nan*cospow:n=1)", "lincomb(inf*cospow:n=1)",
                  "riesz-chordal:s=-inf", "riesz-geodesic:s=nan")]
+    # unknown, repeated, missing or non-finite descriptor arguments; each one
+    # used to be dropped, overwritten or read as another space or kernel
+    + [("coeffs", ["coeffs", "--kernel", "cospow:n=1", "--nmax", "2", "--space", sp])
+       for sp in ("custom:alpha=1,beta=0,kapa=0.5", "custom:alpha=1,beta=0,alpha=3",
+                  "custom:alpha=nan,beta=0", "custom:alpha=inf,beta=0")]
+    + [("coeffs", ["coeffs", "--space", "S2", "--nmax", "2", "--kernel", k])
+       for k in ("riesz-chordal:s=0.5,s=1", "cospow:n=2,x=1", "log-chordal:s=1",
+                 "riesz-geodesic")]
+    + [
+        ("energy", _BASE_ARGV["energy"] + ["--perturb", "n=1,eps=inf"]),
+        ("scan", _BASE_ARGV["scan"] + ["--s-min", "nan"]),
+        ("scan", _BASE_ARGV["scan"] + ["--s-min=-inf"]),
+    ]
 )
 
 

@@ -51,8 +51,6 @@ def pts(space, rows):
 def test_measure_defaults_and_validation():
     m = DiscreteMeasure(S2, pts(S2, [[0, 0, 1], [1, 0, 0]]))
     assert m.weights == (0.5, 0.5)
-    assert m.total_mass() == 1.0
-    m.require_probability()
     with pytest.raises(ValueError):
         DiscreteMeasure(S2, [])
     with pytest.raises(ValueError):
@@ -61,9 +59,6 @@ def test_measure_defaults_and_validation():
         DiscreteMeasure(S2, pts(S2, [[0, 0, 1]]), weights=[float("nan")])
     with pytest.raises(ValueError):
         DiscreteMeasure(RP2, pts(S2, [[0, 0, 1]]))
-    signed = DiscreteMeasure(S2, pts(S2, [[0, 0, 1], [1, 0, 0]]), weights=[1, -1])
-    with pytest.raises(ValueError):
-        signed.require_probability()
 
 
 def test_energy_single_point():

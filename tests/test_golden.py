@@ -57,6 +57,13 @@ GOLDEN = [
      "32eca8032fa2d4135a0464d3efd1d366f34aff78b83294c9d08e765a80682a8e"),
     (["poisson", "--space", "HP2", "--r", "0.6", "--theta", "0.4"], 0,
      "fd5b9f117f42bd79fd5523e8bda5bdaa1dd45de374bee5cc28db42bbdd55758b"),
+    (["coeffs", "--space", "custom:alpha=2.5,beta=0.5,kappa=0.5",
+      "--kernel", "gauss-geodesic:lambda=2", "--nmax", "6", "--digits", "20"], 0,
+     "e979954dfd00613f8d3a8fd415f4cb4bf3fbff35f87f94e14dc70342450394eb"),
+    (["coeffs", "--space", "custom:alpha=2.5,beta=0.5,kappa=0.5",
+      "--kernel", "gauss-geodesic:lambda=2", "--nmax", "6", "--digits", "20",
+      "--format", "csv"], 0,
+     "24b2730fed85c0bec1185b10bfa42ba2adb975afd29d37ff944087d23e7122bb"),
 ]
 
 

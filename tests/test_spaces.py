@@ -23,6 +23,7 @@ from zonalpd.spaces import (
     load_points,
     make_rng,
     make_space,
+    parse_args,
     sample_uniform_points,
     save_points,
 )
@@ -120,10 +121,14 @@ def test_make_space_custom_and_errors():
         make_space("QP2")
     with pytest.raises(ValueError):
         make_space("RP0")  # d < 2
-    with pytest.raises(ValueError):
-        make_space("custom:alpha=-1.5,beta=0,kappa=1")
-    with pytest.raises(ValueError):
-        make_space("custom:alpha=1,beta=-1,kappa=1")
+    for bad in ("custom:alpha=-1.5,beta=0,kappa=1", "custom:alpha=1,beta=-1,kappa=1",
+                # unknown, repeated, missing and non-finite arguments
+                "custom:alpha=1,beta=0,kapa=0.5", "custom:alpha=1,beta=0,alpha=3",
+                "custom:beta=0", "custom:alpha=nan,beta=0", "custom:alpha=inf,beta=0",
+                "custom:alpha=1,beta=-inf",
+                "custom:alpha=0,beta=1", "custom:alpha=1,beta=0,kappa=0.7"):
+        with pytest.raises(ValueError):
+            make_space(bad)
 
 
 def test_make_space_custom_kappa_defaults_to_one():
@@ -133,6 +138,36 @@ def test_make_space_custom_kappa_defaults_to_one():
     assert make_space(sp.name) == sp
     with pytest.raises(ValueError):
         make_space("custom:alpha=1")
+
+
+def test_parse_args_reads_any_order_and_refuses_by_name():
+    kinds = {"n": int, "eps": float, "kappa": float}
+    want = {"n": 2, "eps": 0.25, "kappa": 0.5}
+    assert parse_args("n=2,eps=0.25,kappa=0.5", kinds) == want
+    assert parse_args(" kappa = 0.5 , eps=0.25,n=2", kinds) == want
+    got = parse_args("eps=1e-1,n=3", kinds, optional=("kappa",))
+    assert got == {"eps": 0.1, "n": 3} and type(got["n"]) is int
+    assert parse_args("", {}) == {}
+    for text, named in [
+        ("n=2,eps=0.25,kappa=0.5,kapa=1", "'kapa'"),   # unknown key
+        ("n=2,eps=0.25,n=3,kappa=1", "'n'"),           # repeated key
+        ("n=2,kappa=1", "'eps'"),                      # missing key
+        ("n=2.5,eps=0.25,kappa=1", "n=2.5"),           # int that does not convert
+        ("n=2,eps=x,kappa=1", "eps=x"),                # float that does not convert
+        ("n=2,eps=nan,kappa=1", "eps=nan"),            # non-finite floats
+        ("n=2,eps=-inf,kappa=1", "eps=-inf"),
+        ("n=2,eps=0.25,kappa=inf", "kappa=inf"),
+        ("n=2,eps,kappa=1", "'eps'"),                  # not key=value
+        ("n=2,eps=0.25,kappa=1,", "''"),               # empty field
+    ]:
+        with pytest.raises(ValueError, match=named):
+            parse_args(text, kinds)
+
+
+def test_custom_keywords_check_finite_alpha_and_beta():
+    for alpha, beta in [(math.inf, 0), (math.nan, 0), (1, math.nan), (1, -1), (0, 1)]:
+        with pytest.raises(ValueError, match="finite alpha >= beta > -1"):
+            make_space(alpha=alpha, beta=beta)
 
 
 @pytest.mark.parametrize("name", CATALOG)
