@@ -1,11 +1,16 @@
 """Command-line front end.
 
-Subcommands: coeffs, classify, scan, table1, energy, poisson.  Every output
-embeds the run configuration and the tool version; output is byte-identical
-for identical (config, version), so runs can be diffed, and `energy
---perturb` gives the same bytes for every `--threads`.  Exit codes: 0
-success, 1 usage or domain error, 2 at least one sign undecided at the
-requested precision (so pipelines can tell "inconclusive" from "wrong").
+Subcommands: coeffs, classify, scan, table1, energy, poisson.  Each one is a
+function from the parsed arguments to (payload, rows, undecided); `main`
+renders that once, as JSON or CSV, checks it with `--verify`, writes it and
+picks the exit code.  Every output embeds the run configuration and the tool
+version; output is byte-identical for identical (config, version), so runs
+can be diffed, and `energy --perturb` gives the same bytes for every
+`--threads`.  Exit codes: 0 success, 1 usage or domain error, 2 the result
+is inconclusive at the requested precision (so pipelines can tell
+"inconclusive" from "wrong"): an undecided sign (coeffs), verdict
+(classify), grid verdict or transition (scan) or table row (table1);
+energy and poisson never exit 2.
 """
 
 from __future__ import annotations
@@ -154,7 +159,7 @@ def _build_parser() -> _Parser:
 
 
 # ---------------------------------------------------------------------------
-# config echo
+# config echo and rendering
 
 
 # --out, --verify and energy's --threads are deliberately absent: one names a
@@ -170,32 +175,19 @@ def _config_dict(args) -> dict:
             for k, v in vars(args).items() if k not in _NOT_ECHOED}
 
 
-def _render_json(payload: dict, args) -> str:
-    doc = dict(payload)
-    doc["version"] = __version__
-    doc["config"] = _config_dict(args)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _csv_preamble(args) -> List[str]:
-    cfg = _config_dict(args)
-    items = " ".join(f"{k}={cfg[k]}" for k in sorted(cfg))
-    return [f"# version={__version__}", f"# config: {items}"]
-
-
-def _render_csv(rows: List[str], args) -> str:
-    return "\n".join(_csv_preamble(args) + rows) + "\n"
+def _render(args, payload: dict, rows: List[str]) -> str:
+    config = _config_dict(args)
+    if args.format == "json":
+        doc = {**payload, "version": __version__, "config": config}
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    items = " ".join(f"{k}={config[k]}" for k in sorted(config))
+    return "\n".join([f"# version={__version__}", f"# config: {items}", *rows]) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# subcommands
-
-
-def _report_csv_rows(report: CoefficientReport) -> List[str]:
-    rows = ["n,value,error,m_n,lambda_n,sign"]
-    for d in report.to_json_dict()["entries"]:
-        rows.append(f"{d['n']},{d['value']},{d['error']},{d['m_n']},{d['lambda_n']},{d['sign']}")
-    return rows
+# subcommands: each returns (payload, rows, undecided).  `payload` is the JSON
+# document without version and config, `rows` the CSV lines after the
+# preamble, header first, and `undecided` asks for exit code 2.
 
 
 def _compute_report(args) -> CoefficientReport:
@@ -204,33 +196,31 @@ def _compute_report(args) -> CoefficientReport:
     return certify_coefficients(space, kernel, N=args.nmax, target_digits=args.digits)
 
 
-def _cmd_coeffs(args) -> Tuple[str, int]:
-    report = _compute_report(args)
-    code = 2 if any(e.sign == SIGN_UNDECIDED for e in report.entries) else 0
-    if args.format == "csv":
-        return _render_csv(_report_csv_rows(report), args), code
-    return _render_json(report.to_json_dict(), args), code
+def _cmd_coeffs(args):
+    payload = _compute_report(args).to_json_dict()
+    entries = payload["entries"]
+    rows = ["n,value,error,m_n,lambda_n,sign"] + [
+        f"{d['n']},{d['value']},{d['error']},{d['m_n']},{d['lambda_n']},{d['sign']}"
+        for d in entries]
+    return payload, rows, any(d["sign"] == SIGN_UNDECIDED for d in entries)
 
 
-def _cmd_classify(args) -> Tuple[str, int]:
+def _cmd_classify(args):
     report = _compute_report(args)
     verdict = classify(report, mode=args.mode)
-    code = 2 if verdict.classification == "undecided" else 0
-    if args.format == "csv":
-        rows = ["classification,witness,N_checked,mode",
-                f"{verdict.classification},"
-                f"{'' if verdict.witness is None else verdict.witness},"
-                f"{verdict.N_checked},{verdict.mode}"]
-        return _render_csv(rows, args), code
     payload = report.to_json_dict()
     payload["verdict"] = verdict.to_json_dict()
-    return _render_json(payload, args), code
+    rows = ["classification,witness,N_checked,mode",
+            f"{verdict.classification},"
+            f"{'' if verdict.witness is None else verdict.witness},"
+            f"{verdict.N_checked},{verdict.mode}"]
+    return payload, rows, verdict.classification == "undecided"
 
 
 _SCAN_KERNELS = {"riesz-geodesic": "geodesic", "riesz-chordal": "chordal"}
 
 
-def _cmd_scan(args) -> Tuple[str, int]:
+def _cmd_scan(args):
     metric = _SCAN_KERNELS.get(args.kernel)
     if metric is None:
         raise _UsageError(
@@ -239,24 +229,17 @@ def _cmd_scan(args) -> Tuple[str, int]:
     space = make_space(args.space)
     result = scan_riesz(space, metric, args.s_min, args.s_max, args.step,
                         N=args.nmax, bisect_tol=args.bisect, digits=args.digits)
+    tr = result.transition_estimate
+    rows = result.to_csv().splitlines() + [
+        f"# transition={'' if tr is None else tr} bracket={result.bracket} note={result.note!r}"]
     undecided = any(v.classification == "undecided" for v in result.verdicts)
-    undecided = undecided or "undecided" in result.note
-    code = 2 if undecided else 0
-    if args.format == "csv":
-        rows = result.to_csv().rstrip("\n").split("\n")
-        tr = result.transition_estimate
-        rows.append(f"# transition={'' if tr is None else tr} "
-                    f"bracket={result.bracket} note={result.note!r}")
-        return _render_csv(rows, args), code
-    return _render_json(result.to_json_dict(), args), code
+    return result.to_json_dict(), rows, undecided or "undecided" in result.note
 
 
-def _cmd_table1(args) -> Tuple[str, int]:
+def _cmd_table1(args):
     result = table1(N=args.nmax, digits=args.digits)
-    code = 2 if any(r[4] == "undecided" for r in result.rows) else 0
-    if args.format == "csv":
-        return _render_csv(result.to_csv().rstrip("\n").split("\n"), args), code
-    return _render_json(result.to_json_dict(), args), code
+    undecided = any(r[4] == "undecided" for r in result.rows)
+    return result.to_json_dict(), result.to_csv().splitlines(), undecided
 
 
 def _load_weights(path: str, count: int) -> Optional[List[float]]:
@@ -267,7 +250,7 @@ def _load_weights(path: str, count: int) -> Optional[List[float]]:
     return vals
 
 
-def _cmd_energy(args) -> Tuple[str, int]:
+def _cmd_energy(args):
     # the energy module brings numpy; the certifying commands run without it
     from .energy import (
         DiscreteMeasure,
@@ -308,14 +291,12 @@ def _cmd_energy(args) -> Tuple[str, int]:
                    "expansion_error": float(err),
                    "quadrature_value": float(qv), "quadrature_error": float(qe)}
 
-    if args.format == "csv":
-        rows = ["energy,stderr,method",
-                f"{payload['energy']!r},{payload['stderr']!r},{payload['method']}"]
-        return _render_csv(rows, args), 0
-    return _render_json(payload, args), 0
+    rows = ["energy,stderr,method",
+            f"{payload['energy']!r},{payload['stderr']!r},{payload['method']}"]
+    return payload, rows, False
 
 
-def _cmd_poisson(args) -> Tuple[str, int]:
+def _cmd_poisson(args):
     space = make_space(args.space)
     if not (0 <= args.r < 1):
         raise ValueError(f"r must lie in [0, 1), got {args.r}")
@@ -332,14 +313,12 @@ def _cmd_poisson(args) -> Tuple[str, int]:
         # near r = 1 the series cannot converge within its term cap, but the
         # closed form stands: print it and say why the check is missing
         payload.update(series=None, diff=None, note=f"series unavailable: {exc}")
-    if args.format == "csv":
-        cells = ["" if payload[k] is None else repr(payload[k]) for k in ("series", "diff")]
-        rows = ["value,closed,series,diff",
-                f"{payload['value']!r},{payload['closed']!r},{cells[0]},{cells[1]}"]
-        if "note" in payload:
-            rows.append(f"# note={payload['note']}")
-        return _render_csv(rows, args), 0
-    return _render_json(payload, args), 0
+    cells = ["" if payload[k] is None else repr(payload[k]) for k in ("series", "diff")]
+    rows = ["value,closed,series,diff",
+            f"{payload['value']!r},{payload['closed']!r},{cells[0]},{cells[1]}"]
+    if "note" in payload:
+        rows.append(f"# note={payload['note']}")
+    return payload, rows, False
 
 
 _COMMANDS = {
@@ -407,34 +386,24 @@ def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as e:
+        args = _build_parser().parse_args(argv)
+        payload, rows, undecided = _COMMANDS[args.command](args)
+        text = _render(args, payload, rows)
+        if args.verify:
+            problem = _verify_output(args.command, args.format, text)
+            if problem is not None:
+                print(f"zonalpd: verification failed: {problem}", file=sys.stderr)
+                return 1
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (_UsageError, ValueError, ArithmeticError, OSError, KeyError, RuntimeError) as e:
         print(f"zonalpd: error: {e}", file=sys.stderr)
         return 1
-
-    try:
-        text, code = _COMMANDS[args.command](args)
-    except _UsageError as e:
-        print(f"zonalpd: error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError, OSError, KeyError, RuntimeError) as e:
-        print(f"zonalpd: error: {e}", file=sys.stderr)
-        return 1
-
-    if args.verify:
-        problem = _verify_output(args.command, args.format, text)
-        if problem is not None:
-            print(f"zonalpd: verification failed: {problem}", file=sys.stderr)
-            return 1
-
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return code
+    return 2 if undecided else 0
 
 
 if __name__ == "__main__":

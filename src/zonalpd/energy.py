@@ -309,6 +309,8 @@ def energy_perturbed(
     """
     if run_mc and samples < 2:
         raise ValueError("need at least 2 samples")
+    # a space without points is refused before its coefficients are certified
+    z = canonical_point(space).coords if run_mc else None
     spec.validate(space)
     n, eps = spec.n, spec.epsilon
 
@@ -328,8 +330,6 @@ def energy_perturbed(
     }
     if not run_mc:
         return out
-
-    z = canonical_point(space).coords
 
     def batch(rng: np.random.Generator, m: int) -> np.ndarray:
         X = sample_uniform_points(space, rng, m)

@@ -429,4 +429,4 @@ def _split_top(text: str, sep: str) -> list[str]:
         else:
             cur.append(ch)
     parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
+    return [p.strip() for p in parts]

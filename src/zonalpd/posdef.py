@@ -22,7 +22,7 @@ Three drivers sit on top of `classify`:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .spaces import Space, make_space
@@ -84,13 +84,7 @@ class PDVerdict:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "witness": self.witness,
-            "N_checked": self.N_checked,
-            "mode": self.mode,
-            "caveat": self.caveat,
-        }
+        return asdict(self)
 
 
 def _caveat(N: int) -> str:

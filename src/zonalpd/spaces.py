@@ -29,9 +29,10 @@ FAMILY_HP = "HP"
 FAMILY_OP = "OP"
 FAMILY_CUSTOM = "Custom"
 
-# real dimension of the base field for each projective family
-_FIELD_DIM = {FAMILY_RP: 1, FAMILY_CP: 2, FAMILY_HP: 4, FAMILY_OP: 8}
-_FIELD_TAG = {FAMILY_SPHERE: "R", FAMILY_RP: "R", FAMILY_CP: "C", FAMILY_HP: "H"}
+# field tag and real dimension of the base field for each family with a
+# point model; OP^2 and custom spaces have none
+_POINT_FIELD = {FAMILY_SPHERE: ("R", 1), FAMILY_RP: ("R", 1), FAMILY_CP: ("C", 2),
+                FAMILY_HP: ("H", 4)}
 
 _CLAMP_TOL = 1e-15
 
@@ -62,7 +63,7 @@ class Space:
     @property
     def field(self) -> Optional[str]:
         """Field tag R/C/H for spaces with a point model, else None."""
-        return _FIELD_TAG.get(self.family)
+        return _POINT_FIELD.get(self.family, (None,))[0]
 
     @property
     def name(self) -> str:
@@ -180,14 +181,12 @@ class Point:
 
     def __post_init__(self):
         import numpy as np
-        if self.space.field is None:
-            raise ValueError(f"{self.space.name} has no point model")
+        expected = _coords_per_point(self.space)
         c = np.asarray(self.coords, dtype=float)
         object.__setattr__(self, "coords", c)
         nrm = np.linalg.norm(c)
         if abs(nrm - 1.0) > 1e-12:
             raise ValueError(f"point norm {nrm!r} is not 1 within 1e-12")
-        expected = _coords_per_point(self.space)
         if c.shape != (expected,):
             raise ValueError(f"expected {expected} real coordinates, got {c.shape}")
 
@@ -200,18 +199,15 @@ def make_rng(seed: int, task: int = 0) -> np.random.Generator:
 
 
 def _coords_per_point(space: Space) -> int:
-    if space.family == FAMILY_SPHERE:
-        return space.d
-    if space.family in _FIELD_DIM:
-        return space.d * _FIELD_DIM[space.family]
-    raise ValueError(f"{space.name} has no point model")
+    """Real coordinates per point; the one check for a point model."""
+    if space.family not in _POINT_FIELD:
+        raise ValueError(f"{space.name} has no point model")
+    return space.d * _POINT_FIELD[space.family][1]
 
 
 def sample_uniform_points(space: Space, rng: np.random.Generator, count: int) -> np.ndarray:
     """Uniform sample of `count` points, one row of real coordinates each."""
     import numpy as np
-    if space.family not in (FAMILY_SPHERE, FAMILY_RP, FAMILY_CP, FAMILY_HP):
-        raise ValueError(f"uniform sampling unsupported on {space.name}")
     m = _coords_per_point(space)
     g = rng.normal(size=(count, m))
     for k in range(0, count, BLOCK):
@@ -288,8 +284,7 @@ def distance_t(x: Point, y: Point) -> float:
 
 def save_points(path: str, space: Space, points: Iterable[Point] | np.ndarray) -> None:
     import numpy as np
-    if space.field is None:
-        raise ValueError(f"{space.name} has no point model")
+    _coords_per_point(space)  # refuses a space without a point model
     rows = points if isinstance(points, np.ndarray) else np.array([p.coords for p in points])
     with open(path, "w") as fh:
         fh.write(f"# space={space.name} field={space.field} d={space.d}\n")

@@ -35,7 +35,6 @@ setting (the scan drivers do).
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 
 import mpmath as mp
@@ -137,9 +136,6 @@ class CoefficientReport:
             "levels": self.levels,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
-
     @staticmethod
     def from_json_dict(data: dict) -> "CoefficientReport":
         sp = data["space"]
@@ -169,10 +165,6 @@ class CoefficientReport:
             method=str(data["method"]),
             levels=dict(data.get("levels", {})),
         )
-
-    @staticmethod
-    def from_json(text: str) -> "CoefficientReport":
-        return CoefficientReport.from_json_dict(json.loads(text))
 
 
 def _nstr_up(x: mp.mpf, sig: int) -> str:

@@ -62,6 +62,11 @@ def test_log_kernel_sign_table():
     assert res.reports["OP2"].entry(8).sign == "-"
     for name in ("RP4", "CP3", "HP2", "OP2"):
         assert res.row(name)[4] == "not-CPD"
+    # the printed first negative degree of every row; on OP2, n = 8 is
+    # negative as well, but n = 6 comes first
+    first_negative = {"RP2": None, "RP3": None, "RP4": 8, "CP2": None,
+                      "CP3": 6, "HP2": 10, "OP2": 6}
+    assert {r[0]: r[3] for r in res.rows} == first_negative
 
     assert elapsed < 120, f"sign table took {elapsed:.1f}s"
 

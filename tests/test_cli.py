@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import zonalpd
 from conftest import riesz_chordal_exact
-from zonalpd import __version__
+from zonalpd import __version__, cli
 from zonalpd.cli import _KERNEL_HELP, main
 from zonalpd.kernels import FAMILIES
 from zonalpd.spaces import make_rng, make_space, sample_uniform_points, save_points
@@ -360,6 +361,21 @@ _BASE_ARGV = {
     "poisson": ["poisson", "--space", "S2", "--r", "0.5", "--theta", "0.3"],
 }
 
+
+def test_command_tables_agree():
+    """The parser's subcommands, the dispatch table and both `--verify`
+    tables name the same six commands, and every command's output passes
+    `--verify` in both formats."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    names = set(sub.choices)
+    assert len(names) == 6
+    for table in (cli._COMMANDS, cli._CSV_HEADERS, cli._JSON_REQUIRED, _BASE_ARGV):
+        assert set(table) == names
+    for name, argv in _BASE_ARGV.items():
+        for fmt in ("json", "csv"):
+            assert main(argv + ["--format", fmt, "--verify"]) == 0, (name, fmt)
+
 MALFORMED = (
     [(name, argv + ["--digits", d]) for name, argv in _BASE_ARGV.items()
      for d in ("-5", "0", "4", "201", "ten")]
@@ -381,6 +397,8 @@ MALFORMED = (
         ("scan", ["scan", "--space", "RP2", "--s-min", "-0.7", "--s-max", "-0.5",
                   "--step", "0.1", "--kernel", "no-such-kernel"]),
         ("energy", _BASE_ARGV["energy"] + ["--weights", "/nonexistent/weights.txt"]),
+        # the output file is written inside the same error handling
+        ("coeffs", _BASE_ARGV["coeffs"] + ["--out", "/nonexistent/dir/out.json"]),
     ]
     # non-finite kernel arguments; nan ones used to run without end
     + [("coeffs", ["coeffs", "--space", "S2", "--nmax", "2", "--kernel", k])
@@ -400,6 +418,10 @@ MALFORMED = (
         ("scan", _BASE_ARGV["scan"] + ["--s-min", "nan"]),
         ("scan", _BASE_ARGV["scan"] + ["--s-min=-inf"]),
     ]
+    # a stray or missing separator leaves an empty factor or term
+    + [("coeffs", ["coeffs", "--space", "S2", "--nmax", "1", "--kernel", k])
+       for k in ("lincomb(1*cospow:n=1+)", "lincomb(2*cospow:n=1++1*cospow:n=2)",
+                 "product(cospow:n=1,cospow:n=2,)", "product()", "lincomb()")]
 )
 
 

@@ -278,6 +278,21 @@ def test_perturbed_rejects_few_samples_before_certifying(monkeypatch, samples):
         energy_perturbed(S2, ker, PerturbedMeasureSpec(1, 0.1), samples=1, run_mc=False)
 
 
+@pytest.mark.parametrize("name", ("OP2", "custom:alpha=3,beta=1"))
+def test_perturbed_refuses_space_without_points_before_certifying(monkeypatch, name):
+    def certify(*args, **kwargs):
+        raise AssertionError("certified before checking for a point model")
+
+    sp = make_space(name)
+    ker = parse_kernel("riesz-geodesic:s=-0.5", sp)
+    monkeypatch.setattr(energy_mod, "certify_coefficients", certify)
+    with pytest.raises(ValueError, match="has no point model"):
+        energy_perturbed(sp, ker, PerturbedMeasureSpec(1, 0.1), samples=100)
+    # the closed form needs no points, so without Monte Carlo it certifies
+    with pytest.raises(AssertionError, match="certified before"):
+        energy_perturbed(sp, ker, PerturbedMeasureSpec(1, 0.1), run_mc=False)
+
+
 def test_mc_mean_chunked_sums_match_whole_batch():
     # two batches, the second not a multiple of BLOCK; Cauchy draws make a
     # naively ordered sum lose digits

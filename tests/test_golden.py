@@ -64,6 +64,29 @@ GOLDEN = [
       "--kernel", "gauss-geodesic:lambda=2", "--nmax", "6", "--digits", "20",
       "--format", "csv"], 0,
      "24b2730fed85c0bec1185b10bfa42ba2adb975afd29d37ff944087d23e7122bb"),
+    # the CSV of every command, with the argv of its JSON job above
+    (["classify", "--space", "RP2",
+      "--kernel", "product(riesz-chordal:s=0.5,gauss-geodesic:lambda=1)",
+      "--nmax", "6", "--digits", "20", "--format", "csv"], 0,
+     "e27f5f491537f004ed34a4614bcc30cff101813c8ecaad03c2fe278be90f90af"),
+    (["table1", "--nmax", "4", "--digits", "20", "--format", "csv"], 0,
+     "b57a457f5b602645184676a44732f33f063a54eb28a8c7c2bc935bc1a4fa0681"),
+    (["scan", "--space", "RP2", "--kernel", "riesz-geodesic", "--s-min", "-0.7",
+      "--s-max", "-0.5", "--step", "0.1", "--nmax", "4", "--digits", "20",
+      "--format", "csv"], 0,
+     "4201b635e0c384f22a78f195fb1777cac52a33b73b65595f54b8cd97898353b3"),
+    (["energy", "--space", "CP2", "--kernel", "riesz-chordal:s=1",
+      "--digits", "20", "--format", "csv"], 0,
+     "65c98e48eebeaf52b67a862dc5afbe9f3fbb86d7ed8ef270f4a8997ac91076f5"),
+    (["poisson", "--space", "HP2", "--r", "0.6", "--theta", "0.4", "--format", "csv"], 0,
+     "42bf05bbb04ddb00301718f3c0c99b9573d1cc402bfd888afe2f57e9d2c509a0"),
+    # exit 2: the exact zeros of jacobi:n=4 below its degree are undecided
+    (["classify", "--space", "CP2", "--kernel", "jacobi:n=4", "--nmax", "5",
+      "--digits", "15", "--mode", "pd"], 2,
+     "8adf7261cb6af43ef30116ddf84c4e90dfc957c5b6ed369f7f007591ea0cd436"),
+    (["classify", "--space", "CP2", "--kernel", "jacobi:n=4", "--nmax", "5",
+      "--digits", "15", "--mode", "pd", "--format", "csv"], 2,
+     "9a16159ca212962aacf07806be5e6663b857da83a3987cd5984037e6a68c3ce2"),
 ]
 
 

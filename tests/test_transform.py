@@ -280,8 +280,8 @@ def test_poisson_smoothing_positivity_and_monotonicity():
 
 def test_report_json_round_trip():
     rep = certify_coefficients(S2, riesz_chordal(S2, 1.0), N=4, target_digits=30)
-    text = rep.to_json()
-    back = CoefficientReport.from_json(text)
+    text = json.dumps(rep.to_json_dict(), indent=2)
+    back = CoefficientReport.from_json_dict(json.loads(text))
     assert back.N == rep.N
     assert back.kernel == rep.kernel
     assert [e.sign for e in back.entries] == [e.sign for e in rep.entries]
@@ -294,8 +294,10 @@ def test_report_json_round_trip():
 
 
 def test_reports_deterministic():
-    a = coefficients_de(CP2, riesz_geodesic(CP2, 0.5), N=6, digits=25).to_json()
-    b = coefficients_de(CP2, riesz_geodesic(CP2, 0.5), N=6, digits=25).to_json()
+    a = json.dumps(coefficients_de(CP2, riesz_geodesic(CP2, 0.5), N=6, digits=25).to_json_dict(),
+                   indent=2)
+    b = json.dumps(coefficients_de(CP2, riesz_geodesic(CP2, 0.5), N=6, digits=25).to_json_dict(),
+                   indent=2)
     assert a == b
 
 
