@@ -179,7 +179,7 @@ def _render(args, payload: dict, rows: List[str]) -> str:
     config = _config_dict(args)
     if args.format == "json":
         doc = {**payload, "version": __version__, "config": config}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     items = " ".join(f"{k}={config[k]}" for k in sorted(config))
     return "\n".join([f"# version={__version__}", f"# config: {items}", *rows]) + "\n"
 
@@ -401,7 +401,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             sys.stdout.write(text)
     except (_UsageError, ValueError, ArithmeticError, OSError, KeyError, RuntimeError) as e:
-        print(f"zonalpd: error: {e}", file=sys.stderr)
+        print(f"zonalpd: error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
     return 2 if undecided else 0
 

@@ -214,8 +214,9 @@ def energy_discrete(
     Python loop runs over pairs and memory stays a few MiB whatever the
     point count (1000 points on HP2: about 5 MiB traced).  Kernels with no
     finite value F(1) at the diagonal admit only the off-diagonal sum;
-    asking for the diagonal raises.  The sum is correctly rounded, so
-    permuting the points changes nothing.
+    asking for the diagonal raises, and so does a pair of coincident points
+    under such a kernel, whose energy is not finite.  The sum is correctly
+    rounded, so permuting the points changes nothing.
     """
     if include_diagonal:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -235,7 +236,11 @@ def energy_discrete(
             i, j = np.divmod(np.arange(start, min(start + BLOCK, pairs)), n - 1)
             j += j >= i
             t = distance_t_arrays(measure.space, X[i], X[j])
-            yield (w[i] * w[j] * kernel.f_t(t)).tolist()
+            terms = w[i] * w[j] * kernel.f_t(t)
+            if not np.isfinite(terms).all():
+                raise ValueError(f"discrete energy of {kernel.descriptor} is not finite: two "
+                                 "points coincide and the kernel is singular at the diagonal")
+            yield terms.tolist()
         if include_diagonal:
             yield (w * w * f_diag).tolist()
 

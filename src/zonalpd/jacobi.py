@@ -14,15 +14,18 @@ Golub-Welsch solve, `_golub_welsch` (implicit QL on the tridiagonal Jacobi
 matrix), so the module runs on mpmath and the standard library; numpy is
 imported only where `gauss_jacobi_rule` returns arrays.  Rules carry
 unnormalized weights (they sum to the weight's total mass Z);
-probability-normalized variants divide by Z at the call site.
+probability-normalized variants divide by Z at the call site.  The plan,
+the rule weights, the Poisson series and `dim_m_n` read one normalisation,
+`_prefactors`; float inputs of `dim_m_n` are exact Fractions, rounded once.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass
-from math import lgamma
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import mpmath as mp
@@ -107,42 +110,50 @@ def jacobi_eval(params, n: int, t):
     return jacobi_eval_all(params, n, t)[n]
 
 
+def _prefactors(a, b):
+    """m_n / P_n(1)^2 = Z/h_n, n = 0, 1, ..., in the arithmetic of a and b:
+    1, then (2n+a+b+1) r_n with r_1 = 1/((a+1)(b+1)) and r_n = r_{n-1}
+    n(a+b+n)/((a+n)(b+n)).  Nothing divides by a+b+1: the circle is regular."""
+    yield a * 0 + 1
+    r, n = 1 / ((a + 1) * (b + 1)), 1
+    while True:
+        yield (2 * n + a + b + 1) * r
+        n += 1
+        r = r * n * (a + b + n) / ((a + n) * (b + n))
+
+
+def _exact(params) -> tuple:
+    """(a, b, out): mpf inputs stay mpf at the ambient precision; others become
+    the exact Fractions of their binary values, and out rounds to float once."""
+    a, b = _ab(params)
+    if isinstance(a, mp.mpf) or isinstance(b, mp.mpf):
+        return mp.mpf(a), mp.mpf(b), mp.mpf
+    return Fraction(a), Fraction(b), float
+
+
 def jacobi_value_at_one(params, n: int):
-    """P_n(1) = (alpha+1)_n / n!."""
-    a, _ = _ab(params)
-    if isinstance(a, mp.mpf):
-        return pochhammer(a + 1, n) / mp.factorial(n)
-    # ratio of huge gammas; do it in log space
-    return math.exp(math.lgamma(a + 1 + n) - math.lgamma(a + 1) - math.lgamma(n + 1))
+    """P_n(1) = (alpha+1)_n / n!, in the arithmetic of `_exact`."""
+    a, _, out = _exact(params)
+    return out(pochhammer(a + 1, n) / math.factorial(n))
+
+
+def _multiplicities(params, n_max: int) -> list:
+    """m_0..m_{n_max}, each pref_n P_n(1)^2, in one pass of `_prefactors`."""
+    a, b, out = _exact(params)
+    dims, p1 = [], 1
+    for n, pref in zip(range(n_max + 1), _prefactors(a, b)):
+        dims.append(out(pref * p1 * p1))
+        p1 = p1 * (a + n + 1) / (n + 1)
+    return dims
 
 
 def dim_m_n(params, n: int):
-    """Multiplicity of the n-th eigenspace:
-
-        m_0 = 1,
-        m_n = (2n+a+b+1)/(a+b+1) * (a+b+1)_n (a+1)_n / (n! (b+1)_n).
-
-    Integer-valued on the catalog spaces (a consistency test elsewhere).
-    """
-    a, b = _ab(params)
+    """Multiplicity m_n = (2n+a+b+1) (a+b+2)_{n-1} (a+1)_n / (n! (b+1)_n) of the
+    n-th eigenspace, m_0 = 1 (2 for n >= 1 on the circle); exact integers on
+    the catalog spaces."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1.0
-    # (a+b+1)_n / (a+b+1) = (a+b+2)_{n-1}, which stays regular at a+b+1 = 0
-    # (the circle case, where m_n = 2)
-    if isinstance(a, mp.mpf):
-        num = (2 * n + a + b + 1) * pochhammer(a + b + 2, n - 1) * pochhammer(a + 1, n)
-        return num / (mp.factorial(n) * pochhammer(b + 1, n))
-    # interleaved ratio product: every partial product stays O(m_n), so no
-    # overflow for any n a float can express m_n at, and the small integer
-    # catalog values come out exact
-    m = float(2 * n + a + b + 1)
-    for j in range(n - 1):
-        m *= (a + b + 2 + j) / (b + 1 + j)
-    for j in range(n):
-        m *= (a + 1 + j) / (1 + j)
-    return m / (b + n)
+    return _multiplicities(params, n)[n]
 
 
 def eigenvalue_lambda_n(space, n: int) -> float:
@@ -183,9 +194,8 @@ class QuadratureRule:
 def weight_total_mass(params) -> float:
     """Z = int (1-t)^a (1+t)^b dt = 2^(a+b+1) B(a+1, b+1)."""
     a, b = _ab(params)
-    return math.exp(
-        (a + b + 1) * math.log(2) + lgamma(a + 1) + lgamma(b + 1) - lgamma(a + b + 2)
-    )
+    lg = math.lgamma
+    return math.exp((a + b + 1) * math.log(2) + lg(a + 1) + lg(b + 1) - lg(a + b + 2))
 
 
 def _golub_welsch(a: float, b: float, m: int) -> tuple[list, list]:
@@ -356,9 +366,9 @@ def _plan(alpha: float, beta: float, N: int, prec: int) -> tuple:
     in mpf at prec, the caller's ambient precision.  C sin(u)^(2a+1)
     cos(u)^(2b+1) du is a probability measure; the third entry scales the DE
     tail test.  A certification ladder reads three precisions, a scan one."""
-    ab = a, b = mp.mpf(alpha), mp.mpf(beta)
+    a, b = mp.mpf(alpha), mp.mpf(beta)
     C = 2 * mp.gamma(a + b + 2) / (mp.gamma(a + 1) * mp.gamma(b + 1))
-    pref = tuple(dim_m_n(ab, n) / jacobi_value_at_one(ab, n) ** 2 for n in range(N + 1))
+    pref = tuple(itertools.islice(_prefactors(a, b), N + 1))
     tail = max(1.0, abs(jacobi_value_at_one((alpha, beta), N)))
     return C, pref, tail, _fixed_recurrence(alpha, beta, N, prec), _fixed_rounding(alpha, beta, N)
 
@@ -371,10 +381,11 @@ def gauss_jacobi_rule_mp(params, m: int) -> tuple[list, list]:
     `_fixed_recurrence` in integers scaled by 2^W, W = prec + `_guard_bits`,
     so a pass costs three integer products and shifts per degree; P_m'
     comes from the same-parameter identity.  Once a step predicts that the
-    next one is below 2^-(prec + 2 log2 m + 8), that next pass also sums the Christoffel function sum_k P_k^2/h_k (1/h_k in
-    fixed point), and a step below that bound ends the node.  The weight is
-    the total mass over that sum, divided in mpf at W bits.  Nodes and
-    weights are rounded to the ambient precision once, at the end.
+    next one is below 2^-(prec + 2 log2 m + 8), that next pass also sums
+    sum_k P_k^2 Z/h_k (`_prefactors` at W bits), and a step below that bound
+    ends the node.  The weight is the total mass Z over that sum, divided in
+    mpf at W bits.  Nodes and weights are rounded to the ambient precision
+    once, at the end.
 
     Against an mpf polish at 20 more digits, nodes agree to half an ulp and
     weights to one ulp relative (dps 30-100, m <= 90; at dps 40, 5.7e-42 and
@@ -401,13 +412,7 @@ def gauss_jacobi_rule_mp(params, m: int) -> tuple[list, list]:
     # (2m+a+b)(1-x^2) P_m' = m(a-b-(2m+a+b)x) P_m + 2(m+a)(m+b) P_{m-1}
     k_ab, k_x = fix(m * (am - bm)), fix(m * (2 * m + am + bm))
     k_prev, k_lhs = fix(2 * (m + am) * (m + bm)), fix(2 * m + am + bm)
-    # 1/h_n = (2n+a+b+1) n! (a+b+2)_{n-1} / ((a+1)_n (b+1)_n), n >= 1
-    inv_h = [one]
-    inv_r = 1 / ((am + 1) * (bm + 1))
-    for n in range(1, m):
-        if n > 1:
-            inv_r = inv_r * n * (am + bm + n) / ((am + n) * (bm + n))
-        inv_h.append(fix((2 * n + am + bm + 1) * inv_r))
+    inv_h = [fix(p) for p in itertools.islice(_prefactors(am, bm), m)]
     # Z = int (1-t)^a (1+t)^b dt = 2^(a+b+1) G(a+1) G(b+1) / G(a+b+2)
     mass = ctx.power(2, am + bm + 1) * ctx.gamma(am + 1) * ctx.gamma(bm + 1)
     mass /= ctx.gamma(am + bm + 2)

@@ -4,9 +4,11 @@ A kernel with expansion F = sum F^(n) P_n is positive definite exactly when
 every coefficient is nonnegative, strictly so when they are positive, and
 conditionally positive definite when the n >= 1 coefficients are nonnegative
 (the constant term is irrelevant for signed measures of total mass zero).
-Numerics can certify a negative coefficient rigorously, but a clean sweep of
-positive signs up to degree N is evidence only; every verdict produced here
-carries that finite-degree caveat.
+A sign is reported only when the coefficient's interval excludes zero, but
+every reported error except the derived fixed-point rounding term is an
+estimate, not a proven bound, so a negative sign is as sound as that
+estimate; a clean sweep of positive signs up to degree N is evidence
+only, and every verdict produced here carries that finite-degree caveat.
 
 Three drivers sit on top of `classify`:
 
@@ -247,8 +249,8 @@ def scan_riesz(
     (not-CPD); above it the truncated expansion is nonnegative.  Bisection
     refines the bracket between the largest not-CPD grid point and the
     smallest nonnegative point above it until its width is at most
-    bisect_tol (which must be positive), a midpoint comes back undecided, or
-    no double lies strictly inside the bracket.
+    bisect_tol (positive and finite), a midpoint comes back undecided, or no
+    double lies strictly inside the bracket.
 
     Grid points certify independently of each other; they are evaluated
     sequentially in grid order so repeated runs are bit-identical.
@@ -258,8 +260,8 @@ def scan_riesz(
             raise ValueError(f"{name}={v} is not finite")
     if step <= 0:
         raise ValueError("step must be positive")
-    if not bisect_tol > 0:
-        raise ValueError(f"bisection tolerance must be positive, got {bisect_tol}")
+    if not 0 < bisect_tol < math.inf:
+        raise ValueError(f"bisection tolerance must be positive and finite, got {bisect_tol}")
     if s_max < s_min:
         raise ValueError("empty grid: s_max < s_min")
     if s_max >= space.dim_D:
@@ -343,7 +345,9 @@ class AllSpacesResult:
     geometric list (error ~ 1/alpha, so the doubled point cancels the
     leading term: b_n = 2 a_last - a_prev).  A single certified-negative a_n
     at any swept alpha witnesses failure of simultaneous positive
-    definiteness over the family.
+    definiteness over the family.  `verdict` is "not-PD-for-large-alpha"
+    when such a witness exists, else "undecided" when some sign is
+    undecided, else "consistent-with-all-spaces-PD".
     """
 
     kernel: str
@@ -433,7 +437,9 @@ def all_spaces_check(
     if len(alphas) >= 2:
         limits = [2.0 * last - prev for prev, last in zip(*(values[al] for al in alphas[-2:]))]
 
-    verdict = "not-PD-for-large-alpha" if witness else "consistent-with-all-spaces-PD"
+    undecided = any(SIGN_UNDECIDED in ss for ss in signs.values())
+    verdict = ("not-PD-for-large-alpha" if witness
+               else "undecided" if undecided else "consistent-with-all-spaces-PD")
     return AllSpacesResult(
         kernel=descriptor,
         beta=float(beta),

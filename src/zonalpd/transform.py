@@ -41,9 +41,10 @@ import mpmath as mp
 from mpmath import libmp
 
 from .jacobi import (
+    _multiplicities,
     _plan,
+    _prefactors,
     _recurrence_coeffs,
-    dim_m_n,
     eigenvalue_lambda_n,
     gauss_jacobi_rule_mp,
     jacobi_eval_all,
@@ -84,8 +85,6 @@ class CoefficientEntry:
     n: int
     value: mp.mpf
     error: mp.mpf
-    m_n: float
-    lambda_n: float
     sign: str
 
 
@@ -110,23 +109,18 @@ class CoefficientReport:
     def to_json_dict(self) -> dict:
         """Printed values carry `digits` significant digits; each printed
         error adds the rounding of its value and is rounded up, so the
-        printed interval contains the computed one."""
+        printed interval contains the computed one.  m_n and lambda_n are
+        functions of (space, n), formed here in one pass."""
         d = self.digits()
         entries = []
+        dims = _multiplicities(self.space, len(self.entries) - 1)
         with mp.workdps(d + 20):
-            for e in self.entries:
+            for e, m_n in zip(self.entries, dims):
                 value = mp.nstr(e.value, d, strip_zeros=False)
                 error = e.error + abs(mp.mpf(value) - e.value)
-                entries.append(
-                    {
-                        "n": e.n,
-                        "value": value,
-                        "error": _nstr_up(error, 8),
-                        "m_n": e.m_n,
-                        "lambda_n": e.lambda_n,
-                        "sign": e.sign,
-                    }
-                )
+                entries.append({"n": e.n, "value": value, "error": _nstr_up(error, 8),
+                                "m_n": m_n, "lambda_n": eigenvalue_lambda_n(self.space, e.n),
+                                "sign": e.sign})
         return {
             "space": self.space.descriptor(),
             "kernel": self.kernel,
@@ -146,17 +140,12 @@ class CoefficientReport:
             and abs(space.kappa - sp["kappa"]) < 1e-12
         ):
             raise ValueError("space descriptor inconsistent with its name")
-        entries = [
-            CoefficientEntry(
-                n=int(e["n"]),
-                value=mp.mpf(e["value"]),
-                error=mp.mpf(e["error"]),
-                m_n=float(e["m_n"]),
-                lambda_n=float(e["lambda_n"]),
-                sign=str(e["sign"]),
-            )
-            for e in data["entries"]
-        ]
+        entries = []
+        for e in data["entries"]:
+            # m_n and lambda_n follow from (space, n): required numbers, not kept
+            float(e["m_n"]), float(e["lambda_n"])
+            entries.append(CoefficientEntry(int(e["n"]), mp.mpf(e["value"]),
+                                            mp.mpf(e["error"]), str(e["sign"])))
         return CoefficientReport(
             space=space,
             kernel=str(data["kernel"]),
@@ -198,17 +187,8 @@ def _sign_for(value: mp.mpf, error: mp.mpf, n: int, kernel: ZonalKernel, space: 
 def _report(
     space: Space, kernel: ZonalKernel, values, errors, method: str, levels: dict
 ) -> CoefficientReport:
-    entries = [
-        CoefficientEntry(
-            n=n,
-            value=v,
-            error=e,
-            m_n=float(dim_m_n(space, n)),
-            lambda_n=eigenvalue_lambda_n(space, n),
-            sign=_sign_for(v, e, n, kernel, space),
-        )
-        for n, (v, e) in enumerate(zip(values, errors))
-    ]
+    entries = [CoefficientEntry(n, v, e, _sign_for(v, e, n, kernel, space))
+               for n, (v, e) in enumerate(zip(values, errors))]
     return CoefficientReport(
         space=space,
         kernel=kernel.descriptor,
@@ -651,18 +631,16 @@ def poisson_kernel(
                 peak = poisson_kernel(space_or_params, r, 0.0, "closed", digits)
                 if far >= 2 * eps * peak:
                     raise capped
-            # incremental state: poch = (a+b+1)_n/(b+1)_n, p1 = P_n(1), r^n,
-            # and the last two recurrence values
-            poch = mp.mpf(1)
-            p1 = mp.mpf(1)
-            rn = mp.mpf(1)
+            # incremental state: p1 = P_n(1), r^n and the last two recurrence
+            # values; coef_n = (m_n / P_n(1)^2) P_n(1), regular on the circle
+            p1 = rn = p_prev = mp.mpf(1)
             p_prev2 = None
-            p_prev = mp.mpf(1)
-            for n in range(1, POISSON_SERIES_MAX_TERMS + 1):
-                poch *= (am + bm + n) / (bm + n)
+            prefs = _prefactors(am, bm)
+            next(prefs)
+            for n, pref in zip(range(1, POISSON_SERIES_MAX_TERMS + 1), prefs):
                 p1 *= (am + n) / n
                 rn *= rm
-                coef_n = (2 * n + am + bm + 1) / (am + bm + 1) * poch
+                coef_n = pref * p1
                 if n == 1:
                     p_cur = (am + 1) + (am + bm + 2) * (t - 1) / 2
                 else:

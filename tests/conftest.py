@@ -8,7 +8,6 @@ from zonalpd.jacobi import (
     JacobiParams,
     _ab,
     dim_m_n,
-    eigenvalue_lambda_n,
     jacobi_eval_all,
     jacobi_value_at_one,
 )
@@ -69,8 +68,6 @@ def synthetic_report(space_name, values, errors=None, signs=None, kernel="synthe
                 n=n,
                 value=mp.mpf(v),
                 error=e,
-                m_n=float(dim_m_n(space, n)),
-                lambda_n=eigenvalue_lambda_n(space, n),
                 sign=sgn,
             )
         )

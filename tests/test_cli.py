@@ -384,6 +384,7 @@ MALFORMED = (
         ("table1", ["table1", "--nmax", "-1"]),
         ("scan", _BASE_ARGV["scan"] + ["--bisect", "0"]),
         ("scan", _BASE_ARGV["scan"] + ["--bisect", "-0.1"]),
+        ("scan", _BASE_ARGV["scan"] + ["--bisect", "inf"]),
         ("energy", _BASE_ARGV["energy"] + ["--perturb", "n=1,eps=0.1", "--samples", "1"]),
         ("energy", _BASE_ARGV["energy"] + ["--perturb", "n=1,eps=0.1", "--threads", "0"]),
         ("energy", _BASE_ARGV["energy"] + ["--perturb", "n=1,eps=0.1", "--threads", "-5"]),
@@ -438,6 +439,18 @@ def test_malformed_argv_exits_1_without_traceback(argv, capsys):
     assert code == 1 and captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("zonalpd: error: "), captured.err
+    assert lines[0][len("zonalpd: error: "):].strip(), captured.err
+
+
+def test_error_without_text_names_its_type(monkeypatch, capsys):
+    """An exception with an empty message (mpmath raises ZeroDivisionError()
+    that way) still leaves a readable error line."""
+    def fail(*args, **kwargs):
+        raise ZeroDivisionError()
+
+    monkeypatch.setattr(cli, "poisson_kernel", fail)
+    code, out, err = run(capsys, *_BASE_ARGV["poisson"])
+    assert (code, out, err) == (1, "", "zonalpd: error: ZeroDivisionError\n")
 
 
 def _child_env():

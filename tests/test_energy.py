@@ -321,6 +321,27 @@ def test_energy_discrete_keeps_clamp_check():
         energy_discrete(m, gaussian_kernel(S2, "chordal", 1.0))
 
 
+@pytest.mark.parametrize("kernel,fmt", (("riesz-chordal:s=1", "json"), ("log-chordal", "csv")))
+def test_discrete_energy_refuses_coincident_points(tmp_path, capsys, kernel, fmt):
+    """Two coincident points under a kernel singular at the diagonal have no
+    finite energy: exit 1 with a reason, where `Infinity` (JSON) and `inf`
+    (CSV) used to be printed with exit 0."""
+    from zonalpd.cli import main
+
+    path = tmp_path / "twice.pts"
+    path.write_text("# space=S2 field=R d=3\n0,0,1\n0,0,1\n1,0,0\n")
+    code = main(["energy", "--space", "S2", "--kernel", kernel, "--points", str(path),
+                 "--format", fmt, "--verify"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert "two points coincide" in captured.err
+    # signed weights make the same pair inf - inf
+    twice = pts(S2, [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    for weights in (None, (1.0, -1.0)):
+        with pytest.raises(ValueError, match="two points coincide"):
+            energy_discrete(DiscreteMeasure(S2, twice, weights), parse_kernel(kernel, S2))
+
+
 # ---------------------------------------------------------------------------
 # uniform energy
 

@@ -5,7 +5,8 @@ in-process through `main` and compute their results in mpmath alone, so
 the digests do not depend on the numpy build.  They were recorded with
 mpmath 1.3.0 on its pure-Python backend; a different mpmath version may
 round the last printed digit differently, so the test is skipped there.
-A deliberate change of output replaces the digest of the job it moves.
+A deliberate change of output replaces the digest of the job it moves,
+after a field diff against the previous output shows what moved.
 """
 import hashlib
 
@@ -20,10 +21,10 @@ RECORDED_MPMATH = "1.3.0"
 GOLDEN = [
     (["coeffs", "--space", "RP2", "--kernel", "riesz-geodesic:s=-0.6",
       "--nmax", "6", "--digits", "20"], 0,
-     "63bb3f11dd4bb5c4701efd307825f544c9f702adc2333e28122f2eee6586a1ff"),
+     "86f547f39dde34306c16b57e9653c0722428a4e757ad46753d1bea3a8dfa4e26"),
     (["coeffs", "--space", "HP2", "--kernel", "riesz-chordal:s=0.7",
       "--nmax", "6", "--digits", "20"], 0,
-     "a3de3055f33bdc0c66ab19cdaf84049fa3824134a715baeb64c40eedaa294d6d"),
+     "e4b66141aa18d6c5531062c0dde697a81bd3e1893b2289ca24b82377c8029f55"),
     (["coeffs", "--space", "CP2", "--kernel", "log-geodesic",
       "--nmax", "6", "--digits", "20"], 0,
      "d2a6f0bb90543cdb850eedfaed06b6eaed284eddde7c38e0508851627829f41e"),
@@ -32,10 +33,10 @@ GOLDEN = [
      "d56082d2e4abbaade8745a6d26adb332afdac4073879e77ae1e944db45476e05"),
     (["coeffs", "--space", "RP2", "--kernel", "gauss-geodesic:lambda=2",
       "--nmax", "6", "--digits", "20"], 0,
-     "107015ee0fc04dae5611a1d5e9193c8039707a1024a7a7f32d3a21c2079765d2"),
+     "47dc9bdcbc3b0ddbd1aa9cc6825be1a9adc13ae5cc32708989b8fecb9f5f03d9"),
     (["coeffs", "--space", "S4", "--kernel", "gauss-chordal:lambda=0.5",
       "--nmax", "6", "--digits", "20"], 0,
-     "89ad0f45ad3565968c0999d80e8323db8df3019430cc0bd65454fcf64d670c37"),
+     "e980aa37a1066aab5d70faa024374461173d3e26ac1951f25afff8af53d57193"),
     (["coeffs", "--space", "CP2", "--kernel", "cospow:n=2",
       "--nmax", "4", "--digits", "20", "--format", "csv"], 0,
      "a01a396dcb259acbb7d4fa0de7b821c1bfb0ca8a2ff9cb46ccd658d3027539ef"),
@@ -46,7 +47,7 @@ GOLDEN = [
     (["classify", "--space", "RP2",
       "--kernel", "product(riesz-chordal:s=0.5,gauss-geodesic:lambda=1)",
       "--nmax", "6", "--digits", "20"], 0,
-     "8ebea20b2000dade41831436cc6637e2b816c3d0b23d63c2dc3dac367046aff9"),
+     "3bd6ecd1f2a83009f8bacae0ed8a164be160c1d26d3800b35a0f687229754b52"),
     (["table1", "--nmax", "4", "--digits", "20"], 0,
      "6af11f80dd482c2faebdf8e7bb981bd5e07fe72c767505703656120d7acdc9aa"),
     (["scan", "--space", "RP2", "--kernel", "riesz-geodesic", "--s-min", "-0.7",
@@ -59,11 +60,11 @@ GOLDEN = [
      "fd5b9f117f42bd79fd5523e8bda5bdaa1dd45de374bee5cc28db42bbdd55758b"),
     (["coeffs", "--space", "custom:alpha=2.5,beta=0.5,kappa=0.5",
       "--kernel", "gauss-geodesic:lambda=2", "--nmax", "6", "--digits", "20"], 0,
-     "e979954dfd00613f8d3a8fd415f4cb4bf3fbff35f87f94e14dc70342450394eb"),
+     "e16ba7cc128798fb529b0cbae7369668259dd5937ecf49d430823685f300c613"),
     (["coeffs", "--space", "custom:alpha=2.5,beta=0.5,kappa=0.5",
       "--kernel", "gauss-geodesic:lambda=2", "--nmax", "6", "--digits", "20",
       "--format", "csv"], 0,
-     "24b2730fed85c0bec1185b10bfa42ba2adb975afd29d37ff944087d23e7122bb"),
+     "16723e7e7ce3e73028d3a4118622580d8f005dd3724ed110d29b4c62175749ef"),
     # the CSV of every command, with the argv of its JSON job above
     (["classify", "--space", "RP2",
       "--kernel", "product(riesz-chordal:s=0.5,gauss-geodesic:lambda=1)",
@@ -87,6 +88,13 @@ GOLDEN = [
     (["classify", "--space", "CP2", "--kernel", "jacobi:n=4", "--nmax", "5",
       "--digits", "15", "--mode", "pd", "--format", "csv"], 2,
      "9a16159ca212962aacf07806be5e6663b857da83a3987cd5984037e6a68c3ce2"),
+    # the circle, alpha = beta = -1/2, where the Poisson series used to divide
+    # by alpha + beta + 1 = 0
+    (["poisson", "--space", "S1", "--r", "0.5", "--theta", "0.3"], 0,
+     "d0220c42f63e0a6e9c313cb607c3e6f1235cd58b5fbefba3f496ddba0f370eac"),
+    (["coeffs", "--space", "S1", "--kernel", "riesz-chordal:s=0.5", "--nmax", "4",
+      "--digits", "15"], 0,
+     "f12c7e26bc2ab567ff3bd8a1ef3acd29692c7334f61ac8fe5bbe303589c37f06"),
 ]
 
 

@@ -251,6 +251,19 @@ def test_all_spaces_cospow_consistent():
         assert res.signs[al][1] == "+"
 
 
+def test_all_spaces_undecided_without_witness():
+    """No negative witness but undecided signs: the sweep says so instead of
+    reporting consistency.  jacobi:n=2 has exact zeros below its degree that
+    the angle-variable routes cannot decide."""
+    res = all_spaces_check(
+        lambda sp: parse_kernel("jacobi:n=2", sp), beta=0.0, alpha_list=(2.0, 4.0), N=3,
+        digits=15,
+    )
+    assert res.witness is None
+    assert sum(s == "undecided" for al in res.alphas for s in res.signs[al]) == 4
+    assert res.verdict == "undecided"
+
+
 def test_all_spaces_riesz_geodesic_witness():
     res = all_spaces_check(
         lambda sp: parse_kernel("riesz-geodesic:s=1", sp),

@@ -188,6 +188,20 @@ def test_poisson_series_closed_mutual(subtests=None):
                 assert a == pytest.approx(b, abs=1e-10 * max(1, abs(a)))
 
 
+@pytest.mark.parametrize("name", ("S1", "RP1"))
+@pytest.mark.parametrize("r", (0.3, 0.9))
+def test_poisson_circle_closed_and_series(name, r):
+    """On the circle (alpha = beta = -1/2) both forms equal the classical
+    Poisson kernel (1 - r^2) / (1 - 2 r cos 2 kappa theta + r^2); the series
+    used to divide by alpha + beta + 1 = 0."""
+    sp = make_space(name)
+    for theta in (0.0, 0.4 * sp.diameter, sp.diameter):
+        want = (1 - r * r) / (1 - 2 * r * math.cos(2 * sp.kappa * theta) + r * r)
+        for method in ("closed", "series"):
+            got = poisson_kernel(sp, r, theta, method=method)
+            assert got == pytest.approx(want, rel=1e-12), (method, theta)
+
+
 def test_poisson_closed_near_z_one():
     """r = 0.99 puts z within 3e-5 of 1, where summing the 2F1 series would
     take millions of terms; the closed form must still answer, fast."""
