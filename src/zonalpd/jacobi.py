@@ -7,12 +7,14 @@ doubles.  The high-precision paths, the Newton polish of
 `gauss_jacobi_rule_mp` and the coefficient sums of `transform`, step one
 fixed-point copy of the recurrence, `_fixed_recurrence`: ratios c2/c1,
 c3/c1, c4/c1 scaled by 2^W, W a few dozen bits above the working precision,
-so a degree costs integer products and shifts, with the rounding bounded by
+each the exact floor formed in integers from the binary alpha and beta, so
+a degree costs integer products and shifts, with the rounding bounded by
 `_fixed_rounding`; the sums read both from `_plan`, one per (alpha, beta,
-N, precision).  Both Gauss-Jacobi rules start from one pure-Python
-Golub-Welsch solve, `_golub_welsch` (implicit QL on the tridiagonal Jacobi
-matrix), so the module runs on mpmath and the standard library; numpy is
-imported only where `gauss_jacobi_rule` returns arrays.  Rules carry
+N, precision), and every precision shares the rounding bounds.  Both
+Gauss-Jacobi rules start from one pure-Python Golub-Welsch solve,
+`_golub_welsch` (implicit QL on the tridiagonal Jacobi matrix), so the
+module runs on mpmath and the standard library; numpy is imported only
+where `gauss_jacobi_rule` returns arrays.  Rules carry
 unnormalized weights (they sum to the weight's total mass Z);
 probability-normalized variants divide by Z at the call site.  The plan,
 the rule weights, the Poisson series and `dim_m_n` read one normalisation,
@@ -74,14 +76,15 @@ def pochhammer(x, n: int):
     return out
 
 
-def _recurrence_coeffs(n: int, a, b) -> tuple:
+def _recurrence_coeffs(n: int, a, b, unit=1) -> tuple:
     """(c1, c2, c3, c4) of c1 P_n = (c2 + c3 t) P_{n-1} - c4 P_{n-2}, n >= 2,
     in the arithmetic of a and b (float, numpy scalar or mpf at the ambient
-    precision)."""
-    c1 = 2 * n * (n + a + b) * (2 * n + a + b - 2)
-    c2 = (2 * n + a + b - 1) * (a * a - b * b)
-    c3 = (2 * n + a + b - 2) * (2 * n + a + b - 1) * (2 * n + a + b)
-    c4 = 2 * (n + a - 1) * (n + b - 1) * (2 * n + a + b)
+    precision).  Each c_i is homogeneous of degree 3 in (n, a, b, unit), so
+    integers n D, A, B and unit D give D^3 c_i exactly for a = A/D, b = B/D."""
+    c1 = 2 * n * (n + a + b) * (2 * n + a + b - 2 * unit)
+    c2 = (2 * n + a + b - unit) * (a * a - b * b)
+    c3 = (2 * n + a + b - 2 * unit) * (2 * n + a + b - unit) * (2 * n + a + b)
+    c4 = 2 * (n + a - unit) * (n + b - unit) * (2 * n + a + b)
     return c1, c2, c3, c4
 
 
@@ -284,28 +287,39 @@ def _guard_bits(a: float, b: float, m: int) -> int:
     return math.ceil(peak / math.log(2)) + 3 * m.bit_length() + 24
 
 
+def _dyadic(x) -> tuple:
+    """(m, k), k >= 0, with x = m / 2^k exactly, for a float or an mpf x."""
+    if hasattr(x, "_mpf_"):
+        sign, man, exp, _ = x._mpf_
+        m = -man if sign else man
+        return (m << exp, 0) if exp >= 0 else (m, -exp)
+    num, den = float(x).as_integer_ratio()
+    return num, den.bit_length() - 1
+
+
 def _fixed_recurrence(a, b, n_max: int, prec: int) -> tuple:
     """(W, ratios, seed): the recurrence at W = prec + `_guard_bits` bits.
 
     ratios are c2/c1, c3/c1, c4/c1 for n = 2..n_max and seed the P_1
-    constant a+1 and slope (a+b+2)/2, formed in mpf at W bits (in a private
-    context, so the global precision is never touched) and truncated to
-    integers times 2^W.  With X = t 2^W, P_0 = 2^W, P_1 = const + (slope
-    (X - 2^W) >> W) and P_n = ((r2 + (r3 X >> W)) P_{n-1} - r4 P_{n-2}) >> W.
-    a and b are floats or mpf at the precision prec.
+    constant a+1 and slope (a+b+2)/2, each the exact floor of the value
+    times 2^W: with a = A/D and b = B/D, D = 2^k, `_recurrence_coeffs` of the
+    integers (n D, A, B, D) is D^3 (c1, c2, c3, c4), and a ratio is
+    (D^3 c_i 2^W) // (D^3 c1), so it errs by rho with -2^-W < rho <= 0.
+    With X = t 2^W, P_0 = 2^W, P_1 = const + (slope (X - 2^W) >> W) and
+    P_n = ((r2 + (r3 X >> W)) P_{n-1} - r4 P_{n-2}) >> W.  a and b are floats
+    or mpf, read exactly.
     """
     wbits = prec + _guard_bits(float(a), float(b), n_max)
-    ctx = _context(wbits)
-
-    def fix(v):
-        return libmp.to_fixed(ctx.mpf(v)._mpf_, wbits)
-
-    am, bm = ctx.mpf(a), ctx.mpf(b)
+    (A, ka), (B, kb) = _dyadic(a), _dyadic(b)
+    k = max(ka, kb)
+    A, B, D = A << (k - ka), B << (k - kb), 1 << k
     ratios = []
     for n in range(2, n_max + 1):
-        c1, c2, c3, c4 = _recurrence_coeffs(n, am, bm)
-        ratios.append((fix(c2 / c1), fix(c3 / c1), fix(c4 / c1)))
-    return wbits, tuple(ratios), (fix(am + 1), fix((am + bm + 2) / 2))
+        # c1 > 0 for n >= 2 and a, b > -1
+        c1, c2, c3, c4 = _recurrence_coeffs(n * D, A, B, D)
+        ratios.append(((c2 << wbits) // c1, (c3 << wbits) // c1, (c4 << wbits) // c1))
+    seed = ((A + D) << wbits) >> k, ((A + B + 2 * D) << wbits) >> (k + 1)
+    return wbits, tuple(ratios), seed
 
 
 _LOCAL = threading.local()
@@ -320,12 +334,14 @@ def _context(prec: int):
     return _LOCAL.ctx
 
 
+@functools.lru_cache(maxsize=4)
 def _fixed_rounding(a: float, b: float, n_max: int) -> tuple:
     """(B, E), n = 0..n_max: B[n] >= |P_n(t)| and 2^-W E[n] >= |p_n - P_n(t)|
     on [-1, 1], p_n the `_fixed_recurrence` value at X = t 2^W truncated.
 
     Truncation errs by less than u = 2^-W, so with ratios r + rho and
-    X = (t + xi) 2^W, |rho|, |xi| < u, each step is exact up to d_n:
+    X = (t + xi) 2^W, |rho|, |xi| < u (the ratios are exact floors,
+    -u < rho <= 0), each step is exact up to d_n:
         p_n = (r2 + r3 t) p_{n-1} - r4 p_{n-2} + d_n,
         |d_n| < u ((4 + |r3|) |p_{n-1}| + |p_{n-2}| + 1),  |d_1| < u (5 + |slope|),
     with |p_k| <= B[k] + u E[k] <= B[k] + 1.  The error recurrence is linear:
@@ -333,7 +349,9 @@ def _fixed_rounding(a: float, b: float, n_max: int) -> tuple:
     G(k-1, k) = 0, G(k, k) = 1.  P_n and G(n, k) are polynomials, bounded on
     [-1, 1] by the sum of their absolute Chebyshev coefficients; doubling
     covers carrying those in float64.  E[n] is about B[n] n^2, 2^24 n below
-    the 2^(W - prec) that `_guard_bits` leaves.
+    the 2^(W - prec) that `_guard_bits` leaves.  B and E do not depend on W,
+    so they are cached per (a, b, n_max) and the precisions of a
+    certification ladder share one O(n_max^3) build.
     """
     # row 0 holds P_n, row k >= 1 holds G(n, k), of degree n - k; entries
     # are Chebyshev coefficients
@@ -365,7 +383,8 @@ def _plan(alpha: float, beta: float, N: int, prec: int) -> tuple:
     `_fixed_rounding`): the kernel-independent part of the coefficient sums,
     in mpf at prec, the caller's ambient precision.  C sin(u)^(2a+1)
     cos(u)^(2b+1) du is a probability measure; the third entry scales the DE
-    tail test.  A certification ladder reads three precisions, a scan one."""
+    tail test.  A certification ladder reads three precisions, a scan one;
+    all of them share one `_fixed_rounding`."""
     a, b = mp.mpf(alpha), mp.mpf(beta)
     C = 2 * mp.gamma(a + b + 2) / (mp.gamma(a + 1) * mp.gamma(b + 1))
     pref = tuple(itertools.islice(_prefactors(a, b), N + 1))

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import mpmath as mp
+from mpmath import libmp
 
 from .jacobi import jacobi_eval
 from .spaces import Space, parse_args, read_value
@@ -90,6 +91,12 @@ def _sgn(s: float) -> float:
     return 1.0 if s > 0 else -1.0
 
 
+def _exact_mpf(x: float):
+    """The float x as an mpf, exactly at any working precision, so an
+    envelope converts its constants once instead of at every node."""
+    return mp.make_mpf(libmp.from_float(float(x)))
+
+
 def _fmt(v: float) -> str:
     """Shortest round-trip repr of a float, without a trailing ".0"."""
     r = repr(float(v))
@@ -113,12 +120,13 @@ def riesz_geodesic(space: Space, s: float) -> ZonalKernel:
         raise ValueError(f"s={s} >= D={space.dim_D}: Riesz kernel not integrable")
     kappa = space.kappa
     sign = _sgn(s)
+    kappa_m, sign_m, half_s = _exact_mpf(kappa), _exact_mpf(sign), _exact_mpf(s / 2)
 
     def eval_g(u, sin_u, cos_u):
         # (1-t)^{s/2} theta^{-s} = (2 r^2)^{s/2} with r = sin(k theta)/theta;
         # valid for either sign of s
-        r = sin_u / (u / kappa)
-        return sign * (2 * r * r) ** (s / 2)
+        r = sin_u / (u / kappa_m)
+        return sign_m * (2 * r * r) ** half_s
 
     def f_t(t: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -176,9 +184,10 @@ def riesz_chordal(space: Space, s: float) -> ZonalKernel:
 
 def log_geodesic(space: Space) -> ZonalKernel:
     kappa = space.kappa
+    kappa_m = _exact_mpf(kappa)
 
     def eval_g(u, sin_u, cos_u):
-        return -mp.log(u / kappa)
+        return -mp.log(u / kappa_m)
 
     def f_t(t: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -224,11 +233,12 @@ def gaussian_kernel(space: Space, metric: str, lam: float) -> ZonalKernel:
     if metric not in ("geodesic", "chordal"):
         raise ValueError(f"unknown metric {metric!r}")
     kappa = space.kappa
+    kappa_m, neg_lam = _exact_mpf(kappa), _exact_mpf(-lam)
 
     if metric == "geodesic":
 
         def eval_g(u, sin_u, cos_u):
-            return mp.exp(-lam * (u / kappa) ** 2)
+            return mp.exp(neg_lam * (u / kappa_m) ** 2)
 
         def f_t(t: np.ndarray) -> np.ndarray:
             import numpy as np
@@ -238,7 +248,7 @@ def gaussian_kernel(space: Space, metric: str, lam: float) -> ZonalKernel:
     else:
 
         def eval_g(u, sin_u, cos_u):
-            return mp.exp(-lam * (sin_u * sin_u))
+            return mp.exp(neg_lam * (sin_u * sin_u))
 
         def f_t(t: np.ndarray) -> np.ndarray:
             import numpy as np

@@ -22,12 +22,15 @@ envelope `eval_g` reads that triple directly.  Weight exponents are
 formed in mpf from the binary inputs, never in float64.
 Certification runs both, folds the cross-method discrepancy into the error
 bound, and escalates precision until every requested sign is decided or a
-cap is reached.  Nodes, weights and the integrand run in mpmath; the sums
-f P_n run in fixed-point integers, with their rounding bound folded into the
-error.  What does not depend on the kernel is built once and shared: DE node
-geometry per working precision, and one plan, `jacobi._plan` (measure
-constant, prefactors, fixed-point recurrence and its rounding bounds), per
-(space, N, precision).  Gauss-Jacobi rules are not shared: their weight
+cap is reached.  Nodes, weights and the integrand run in mpmath, the
+integrand's per-node steps through `mpmath.libmp` without operator dispatch
+(bit-identical to the operators); the sums f P_n run in fixed-point
+integers, with their rounding bound folded into the error.  What does not
+depend on the kernel is built once and shared: DE node geometry per working
+precision, one node per +-tau pair (the map is odd in tau), and one plan,
+`jacobi._plan` (measure constant, prefactors, fixed-point recurrence and
+its rounding bounds), per (space, N, precision), the bounds per (space, N).
+Gauss-Jacobi rules are not shared: their weight
 exponent 2a+1-2sigma depends on the kernel.  The mpmath context is
 process-global, so concurrent certifications must share one precision
 setting (the scan drivers do).
@@ -38,7 +41,10 @@ import functools
 from dataclasses import dataclass, field
 
 import mpmath as mp
-from mpmath import libmp
+from mpmath.libmp import (
+    finf, fnan, fninf, fone, from_float, mpf_abs, mpf_cosh_sinh, mpf_div, mpf_lt, mpf_mul,
+    mpf_mul_int, mpf_pow, mpf_sub, to_fixed,
+)
 
 from .jacobi import (
     _multiplicities,
@@ -140,16 +146,21 @@ class CoefficientReport:
             and abs(space.kappa - sp["kappa"]) < 1e-12
         ):
             raise ValueError("space descriptor inconsistent with its name")
+        N, rows = int(data["N"]), data["entries"]
+        if [e["n"] for e in rows] != list(range(N + 1)):
+            raise ValueError(f"entries must run over n = 0..{N} in order")
         entries = []
-        for e in data["entries"]:
-            # m_n and lambda_n follow from (space, n): required numbers, not kept
-            float(e["m_n"]), float(e["lambda_n"])
-            entries.append(CoefficientEntry(int(e["n"]), mp.mpf(e["value"]),
+        # m_n and lambda_n follow from (space, n): checked exactly, not kept
+        for n, (e, m_n) in enumerate(zip(rows, _multiplicities(space, N))):
+            if e["m_n"] != m_n or e["lambda_n"] != eigenvalue_lambda_n(space, n):
+                raise ValueError(f"entry {n}: m_n or lambda_n is not the value for "
+                                 f"{space.name} at n = {n}")
+            entries.append(CoefficientEntry(n, mp.mpf(e["value"]),
                                             mp.mpf(e["error"]), str(e["sign"])))
         return CoefficientReport(
             space=space,
             kernel=str(data["kernel"]),
-            N=int(data["N"]),
+            N=N,
             entries=entries,
             method=str(data["method"]),
             levels=dict(data.get("levels", {})),
@@ -234,14 +245,26 @@ class _AngleSums:
     def add(self, u: mp.mpf, sinu: mp.mpf, cosu: mp.mpf, factor: mp.mpf, comp=None):
         """Add the node u, with its sine and cosine, and rule weight `factor`
         (comp = pi/2 - u free of cancellation, needed with sinc=True);
-        returns |f| for the caller's tail test."""
-        t = 1 - 2 * sinu * sinu
-        s, c = (sinu / u, cosu / comp) if self.sinc else (sinu, cosu)
-        f = self.const * factor * s**self.e_sin * c**self.e_cos
-        f *= self.kernel.eval_g(u, sinu, cosu)
-        self.finite = self.finite and mp.isfinite(f)
+        returns |f| as a raw mpf value for the caller's tail test.
+
+        The mpf steps are those of the operator form
+            t = 1 - 2 sinu sinu,  f = const factor s^e_sin c^e_cos g,
+        in that order and at the ambient precision and rounding, called
+        through `mpmath.libmp` without operator dispatch; the results are
+        bit-identical."""
+        prec, rnd = mp.mp._prec_rounding
+        su, cu = sinu._mpf_, cosu._mpf_
+        t = mpf_sub(fone, mpf_mul(mpf_mul_int(su, 2, prec, rnd), su, prec, rnd), prec, rnd)
+        s, c = su, cu
+        if self.sinc:
+            s, c = mpf_div(su, u._mpf_, prec, rnd), mpf_div(cu, comp._mpf_, prec, rnd)
+        f = mpf_mul(self.const._mpf_, factor._mpf_, prec, rnd)
+        f = mpf_mul(f, mpf_pow(s, self.e_sin._mpf_, prec, rnd), prec, rnd)
+        f = mpf_mul(f, mpf_pow(c, self.e_cos._mpf_, prec, rnd), prec, rnd)
+        f = mpf_mul(f, self.kernel.eval_g(u, sinu, cosu)._mpf_, prec, rnd)
+        self.finite = self.finite and f not in (finf, fninf, fnan)
         W, S = self.wbits, self.S
-        x, F = libmp.to_fixed(t._mpf_, W), libmp.to_fixed(f._mpf_, W)
+        x, F = to_fixed(t, W), to_fixed(f, W)
         self.count += 1
         self.abs_f += abs(F)
         S[0] += F << W
@@ -249,10 +272,12 @@ class _AngleSums:
             one, (const, slope) = 1 << W, self.seed
             p_prev, p = one, const + (slope * (x - one) >> W)
             S[1] += F * p
-            for n, (r2, r3, r4) in enumerate(self.ratios, start=2):
+            n = 2
+            for r2, r3, r4 in self.ratios:
                 p_prev, p = p, ((r2 + (r3 * x >> W)) * p - r4 * p_prev) >> W
                 S[n] += F * p
-        return abs(f)
+                n += 1
+        return mpf_abs(f)
 
     def values(self) -> list:
         """S[n] in mpf at the ambient precision (nan once an f was not finite)."""
@@ -282,21 +307,25 @@ def _de_node(tau: mp.mpf):
     """tanh-sinh node geometry at abscissa tau.
 
     Returns (u, comp, w) with u in (0, pi/2), comp = pi/2 - u computed
-    without cancellation, and w = du/dtau.
+    without cancellation, and w = du/dtau.  Every step is odd or even in
+    tau, so the node at -tau is (comp, u, w) bit for bit; cosh tau and
+    sinh tau come from the one libmp call behind both mp.cosh and mp.sinh.
     """
+    prec, rnd = mp.mp._prec_rounding
+    cosh_tau, sinh_tau = map(mp.make_mpf, mpf_cosh_sinh(tau._mpf_, prec, rnd))
     half_pi = mp.pi / 2
-    y = half_pi * mp.sinh(tau)
+    y = half_pi * sinh_tau
     # 1 -+ tanh(y) = 2/(1+exp(+-2y))
     one_plus_x = 2 / (1 + mp.exp(-2 * y))
     one_minus_x = 2 / (1 + mp.exp(2 * y))
     u = mp.pi / 4 * one_plus_x
     comp = mp.pi / 4 * one_minus_x
-    w = (mp.pi / 4) * half_pi * mp.cosh(tau) / mp.cosh(y) ** 2
+    w = (mp.pi / 4) * half_pi * cosh_tau / mp.cosh(y) ** 2
     return u, comp, w
 
 
 # DE node geometry depends only on the working precision, so every route at
-# one precision shares it: one dict {(level, i): node at tau = i 2^-level}
+# one precision shares it: one dict {(level, |i|): node at tau = |i| 2^-level}
 # per precision, for the four most recent; a certification ladder uses three.
 _DE_NODE_PRECISIONS = 4
 
@@ -307,16 +336,18 @@ def _de_nodes_at(prec: int) -> dict:
 
 
 def _de_geometry(nodes: dict, level: int, i: int) -> tuple:
-    """(u, sin u, cos u, w) at tau = i 2^-level, built on first use (threads
-    racing on a node build equal values; setdefault keeps one).  All four
-    are positive, so a node is held as its mantissas and exponents only."""
-    packed = nodes.get((level, i))
-    if packed is None:
-        u, comp, w = _de_node(mp.ldexp(i, -level))
-        values = (u, mp.sin(u), mp.sin(comp), w)
-        packed = nodes.setdefault((level, i), tuple(x for v in values for x in v._mpf_[1:3]))
-    pairs = zip(packed[::2], packed[1::2])
-    return tuple(mp.make_mpf((0, m, e, m.bit_length())) for m, e in pairs)
+    """(u, sin u, cos u, w) at tau = i 2^-level for i >= 0, and for i < 0 the
+    same node of |i| swapped, (comp, cos u, sin u, w) with comp = pi/2 - u:
+    the tanh-sinh map is odd in tau.  Built on first use (threads racing on
+    a node build equal values; setdefault keeps one) and held as the mpf
+    values themselves, which no caller mutates."""
+    key = (level, abs(i))
+    node = nodes.get(key)
+    if node is None:
+        u, comp, w = _de_node(mp.ldexp(abs(i), -level))
+        node = nodes.setdefault(key, (u, comp, mp.sin(u), mp.sin(comp), w))
+    u, comp, sinu, cosu, w = node
+    return (u, sinu, cosu, w) if i >= 0 else (comp, cosu, sinu, w)
 
 
 def _de_sums(space: Space, kernel: ZonalKernel, N: int, dps: int):
@@ -324,11 +355,14 @@ def _de_sums(space: Space, kernel: ZonalKernel, N: int, dps: int):
 
     Returns (I, err, level_used) with I, err lists of mpf.  Levels are
     cumulative, up to DE_MAX_LEVEL; the error per n is the last level-to-level difference plus
-    a rounding floor and the rounding bound of the fixed-point sums.
+    a rounding floor and the rounding bound of the fixed-point sums.  A side
+    stops after three nodes in a row with |f| pmax < floor scale, tested in
+    raw mpf values.
     """
     sums = _AngleSums(space, kernel, N)
     nodes = _de_nodes_at(mp.mp.prec)
-    pmax = _plan(space.alpha, space.beta, N, mp.mp.prec)[2]
+    prec, rnd = mp.mp._prec_rounding
+    pmax = from_float(_plan(space.alpha, space.beta, N, mp.mp.prec)[2])
     floor = mp.mpf(10) ** (-(dps + 8))
     scale = mp.mpf(1)
 
@@ -342,11 +376,12 @@ def _de_sums(space: Space, kernel: ZonalKernel, N: int, dps: int):
         if level == 0:
             sums.add(*_de_geometry(nodes, 0, 0))
         step, cap = (1, 199) if level == 0 else (2, 200000)
+        quiet_below = mpf_mul(floor._mpf_, scale._mpf_, prec, rnd)
         for direction in (1, -1):
             j, quiet = 0, 0
             while quiet < 3 and j < cap:
                 sz = sums.add(*_de_geometry(nodes, level, direction * (step * j + 1)))
-                quiet = quiet + 1 if sz * pmax < floor * scale else 0
+                quiet = quiet + 1 if mpf_lt(mpf_mul(sz, pmax, prec, rnd), quiet_below) else 0
                 j += 1
         I_prev = I_cur
         I_cur = [h * s for s in sums.values()]

@@ -307,6 +307,54 @@ def test_verify_flag_all_formats(capsys):
         assert code == 0 and err == ""
 
 
+def _corrupt_m4(doc):
+    doc["entries"][4]["m_n"] = 999.0
+
+
+def _corrupt_lambda4(doc):
+    doc["entries"][4]["lambda_n"] = -5
+
+
+def _swap_entries(doc):
+    entries = doc["entries"]
+    entries[2], entries[3] = entries[3], entries[2]
+
+
+def _drop_last_entry(doc):
+    doc["entries"].pop()
+
+
+def _renumber_entry(doc):
+    doc["entries"][3]["n"] = 4
+
+
+@pytest.mark.parametrize("command", ("coeffs", "classify"))
+@pytest.mark.parametrize("corrupt", (_corrupt_m4, _corrupt_lambda4, _swap_entries,
+                                     _drop_last_entry, _renumber_entry))
+def test_verify_refuses_wrong_m_n_lambda_n_or_order(monkeypatch, capsys, command, corrupt):
+    """`--verify` compares m_n and lambda_n with the values for (space, n)
+    exactly and wants n = 0..N in order: a report whose rendering is
+    corrupted exits 1, and the same document passes once left intact."""
+    argv = [command, "--space", "RP2", "--kernel", "riesz-geodesic:s=-0.6",
+            "--nmax", "6", "--digits", "20"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and cli._verify_output(command, "json", out) is None
+    doc = json.loads(out)
+    corrupt(doc)
+    assert cli._verify_output(command, "json", json.dumps(doc)) is not None
+
+    render = cli.CoefficientReport.to_json_dict
+
+    def corrupted(report):
+        payload = render(report)
+        corrupt(payload)
+        return payload
+
+    monkeypatch.setattr(cli.CoefficientReport, "to_json_dict", corrupted)
+    code, out, err = run(capsys, *argv, "--verify")
+    assert code == 1 and out == "" and "verification failed" in err
+
+
 def test_out_writes_file_byte_identical(tmp_path, capsys):
     argv = ["coeffs", "--space", "CP2", "--kernel", "riesz-geodesic:s=0.5",
             "--nmax", "4", "--digits", "25"]

@@ -13,7 +13,7 @@ import hashlib
 import mpmath as mp
 import pytest
 
-from zonalpd.cli import main
+from zonalpd.cli import _verify_output, main
 
 RECORDED_MPMATH = "1.3.0"
 
@@ -39,7 +39,7 @@ GOLDEN = [
      "e980aa37a1066aab5d70faa024374461173d3e26ac1951f25afff8af53d57193"),
     (["coeffs", "--space", "CP2", "--kernel", "cospow:n=2",
       "--nmax", "4", "--digits", "20", "--format", "csv"], 0,
-     "a01a396dcb259acbb7d4fa0de7b821c1bfb0ca8a2ff9cb46ccd658d3027539ef"),
+     "f84c86900bf3270283204544b0ad54b8a01d9e3050dbab4f647a39e49db8fd56"),
     (["coeffs", "--space", "S2",
       "--kernel", "lincomb(2*riesz-chordal:s=0.5+-1*gauss-chordal:lambda=1)",
       "--nmax", "6", "--digits", "20"], 0,
@@ -84,7 +84,7 @@ GOLDEN = [
     # exit 2: the exact zeros of jacobi:n=4 below its degree are undecided
     (["classify", "--space", "CP2", "--kernel", "jacobi:n=4", "--nmax", "5",
       "--digits", "15", "--mode", "pd"], 2,
-     "8adf7261cb6af43ef30116ddf84c4e90dfc957c5b6ed369f7f007591ea0cd436"),
+     "184fe8e352efa46fac582b4374af93da6b2b53d1edb0288649b817ed758c7b6f"),
     (["classify", "--space", "CP2", "--kernel", "jacobi:n=4", "--nmax", "5",
       "--digits", "15", "--mode", "pd", "--format", "csv"], 2,
      "9a16159ca212962aacf07806be5e6663b857da83a3987cd5984037e6a68c3ce2"),
@@ -106,3 +106,6 @@ def test_stdout_digest(argv, code, digest, capsys):
     got = main(list(argv))
     out = capsys.readouterr().out
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+    # every golden output passes the checks of --verify
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    assert _verify_output(argv[0], fmt, out) is None

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -574,6 +575,42 @@ def test_fixed_rounding_bounds_the_recurrence(space, n_max):
                     assert err <= mp.ldexp(growth[n], -wbits), (t, n)
     # the guard bits keep the bound far below the working precision
     assert growth[-1] < 2.0 ** (wbits - prec - 16)
+
+
+def exact_fraction(x) -> Fraction:
+    """The exact binary value of a float or an mpf."""
+    if isinstance(x, mp.mpf):
+        sign, man, exp, _ = x._mpf_
+        return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+    return Fraction(x)
+
+
+# Gauss-Jacobi weight pairs (2b+1, 2a+1-2 sigma) as the rules receive them,
+# mpf at the working precision; negative exponents keep their sign
+GJ_PAIRS = [(0.0, 1.6), (-0.99, -0.99), (1.0, -0.4), (2.2, 7.3)]
+
+
+@pytest.mark.parametrize("prec", (70, 140))
+@pytest.mark.parametrize("params", [(sp.alpha, sp.beta) for sp in CATALOG_PARAMS] + GJ_PAIRS
+                         + [tuple(map(mp.mpf, pair)) for pair in GJ_PAIRS], ids=str)
+def test_fixed_recurrence_ratios_are_exact_floors(params, prec):
+    """Every ratio and seed is the floor of its exact value times 2^W, so
+    the truncation error rho of `_fixed_rounding` has -2^-W < rho <= 0."""
+    n_max = 30
+    with mp.workprec(prec):
+        params = tuple(+p if isinstance(p, mp.mpf) else p for p in params)
+        wbits, ratios, seed = _fixed_recurrence(*params, n_max, prec)
+    a, b = map(exact_fraction, params)
+    scale = 1 << wbits
+
+    def is_floor(fixed, value):
+        return fixed <= value * scale < fixed + 1
+
+    assert is_floor(seed[0], a + 1) and is_floor(seed[1], (a + b + 2) / 2)
+    assert len(ratios) == n_max - 1
+    for n, (r2, r3, r4) in enumerate(ratios, start=2):
+        c1, c2, c3, c4 = _recurrence_coeffs(n, a, b)
+        assert is_floor(r2, c2 / c1) and is_floor(r3, c3 / c1) and is_floor(r4, c4 / c1), n
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import threading
 
 import mpmath as mp
 import pytest
+from mpmath import libmp
 
 import zonalpd
 from zonalpd import cli, jacobi, posdef, transform
@@ -53,6 +54,47 @@ class PairedSums(transform._AngleSums):
         return super().add(u, sinu, cosu, factor, comp)
 
 
+class OperatorSums(transform._AngleSums):
+    """`_AngleSums.add` written with mpmath operators; the library calls
+    `mpmath.libmp` directly and must agree with this form bit for bit."""
+
+    def add(self, u, sinu, cosu, factor, comp=None):
+        t = 1 - 2 * sinu * sinu
+        s, c = (sinu / u, cosu / comp) if self.sinc else (sinu, cosu)
+        f = self.const * factor * s**self.e_sin * c**self.e_cos
+        f *= self.kernel.eval_g(u, sinu, cosu)
+        self.finite = self.finite and mp.isfinite(f)
+        W, S = self.wbits, self.S
+        x, F = libmp.to_fixed(t._mpf_, W), libmp.to_fixed(f._mpf_, W)
+        self.count += 1
+        self.abs_f += abs(F)
+        S[0] += F << W
+        if len(S) > 1:
+            one, (const, slope) = 1 << W, self.seed
+            p_prev, p = one, const + (slope * (x - one) >> W)
+            S[1] += F * p
+            for n, (r2, r3, r4) in enumerate(self.ratios, start=2):
+                p_prev, p = p, ((r2 + (r3 * x >> W)) * p - r4 * p_prev) >> W
+                S[n] += F * p
+        return abs(f)
+
+
+def de_node_operators(tau):
+    """`transform._de_node` with mp.sinh and mp.cosh called separately."""
+    half_pi = mp.pi / 2
+    y = half_pi * mp.sinh(tau)
+    one_plus_x = 2 / (1 + mp.exp(-2 * y))
+    one_minus_x = 2 / (1 + mp.exp(2 * y))
+    u = mp.pi / 4 * one_plus_x
+    comp = mp.pi / 4 * one_minus_x
+    w = (mp.pi / 4) * half_pi * mp.cosh(tau) / mp.cosh(y) ** 2
+    return u, comp, w
+
+
+def raw(values):
+    return [v._mpf_ for v in values]
+
+
 def caches():
     """Every object with a `cache_clear` in the namespace of a zonalpd module."""
     found = {}
@@ -72,8 +114,22 @@ def make_cold():
 
 
 def test_only_the_plan_and_de_nodes_are_cached():
+    # the plan per (space, N, precision), its rounding bounds per (space, N)
     found = caches()
-    assert len(found) == 2 and jacobi._plan in found and transform._de_nodes_at in found
+    assert len(found) == 3
+    assert jacobi._plan in found and jacobi._fixed_rounding in found
+    assert transform._de_nodes_at in found
+
+
+def test_escalation_builds_the_rounding_bounds_once():
+    """The three rungs of an escalating certification read three plans, one
+    per precision, and one set of rounding bounds."""
+    make_cold()
+    argv = ["classify", "--space", "CP2", "--kernel", "jacobi:n=4", "--nmax", "5",
+            "--digits", "15", "--mode", "pd"]
+    assert cli.main(argv) == 2
+    assert jacobi._plan.cache_info().misses == 3
+    assert jacobi._fixed_rounding.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("text", KERNELS)
@@ -125,6 +181,8 @@ def test_scan_builds_each_de_node_once_per_precision(monkeypatch):
     assert res.bracket is not None
     assert len(certifications) >= 4
     assert built and len(built) == len(set(built))
+    # a node at -tau is the swapped node at +tau, never built on its own
+    assert all(tau >= 0 for _, tau in built)
 
 
 def test_scan_builds_one_plan_for_every_certification(monkeypatch):
@@ -212,3 +270,54 @@ def test_shared_plan_under_threads():
             sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert failures == []
+
+
+@pytest.mark.parametrize("dps", (15, 30, 60, 110))
+def test_de_node_at_minus_tau_is_the_swapped_node(dps):
+    """The tanh-sinh map is odd in tau: at levels 0-10 and |tau| <= 12 the
+    node at -tau is (comp, u, w) of the node at +tau, bit for bit, and the
+    store serves -i as the geometry built directly at -tau."""
+    with mp.workdps(dps):
+        for level in range(11):
+            top = 12 << level
+            for i in sorted({1, top, *range(1, top + 1, max(1, top // 40))}):
+                tau = mp.ldexp(i, -level)
+                plus, minus = transform._de_node(tau), transform._de_node(-tau)
+                assert raw(plus) == raw(de_node_operators(tau)), (level, i)
+                assert raw(minus) == raw(de_node_operators(-tau)), (level, i)
+                u, comp, w = plus
+                assert raw(minus) == raw((comp, u, w)), (level, i)
+                u, comp, w = minus
+                want = (u, mp.sin(u), mp.sin(comp), w)
+                assert raw(transform._de_geometry({}, level, -i)) == raw(want), (level, i)
+
+
+@pytest.mark.parametrize("text", KERNELS)
+@pytest.mark.parametrize("name", ("RP2", "HP2"))
+def test_libmp_sums_equal_operator_sums(name, text):
+    """Fed the same DE and Gauss-Jacobi (sinc) nodes, the library's sums and
+    the operator form agree in S, count, sum |f|, finiteness and |f|."""
+    space = make_space(name)
+    kernel = parse_kernel(text, space)
+    N = 12
+    with mp.workdps(40):
+        nodes = {}
+        de = [transform._de_geometry(nodes, level, i)
+              for level in range(4) for i in range(-(3 << level), (3 << level) + 1)]
+        for sinc in (False, True):
+            lib = transform._AngleSums(space, kernel, N, sinc)
+            ops = OperatorSums(space, kernel, N, sinc)
+            if sinc:
+                v_nodes, weights = jacobi.gauss_jacobi_rule_mp((lib.e_cos, lib.e_sin), 24)
+                quarter_pi = mp.pi / 4
+                args = []
+                for v, w in zip(v_nodes, weights):
+                    u, comp = quarter_pi * (1 + v), quarter_pi * (1 - v)
+                    args.append((u, mp.sin(u), mp.sin(comp), w, comp))
+            else:
+                args = de
+            for node in args:
+                assert lib.add(*node) == ops.add(*node)._mpf_
+            assert (lib.S, lib.count, lib.abs_f, lib.finite) == \
+                (ops.S, ops.count, ops.abs_f, ops.finite)
+            assert lib.count == len(args)
