@@ -34,14 +34,6 @@ from .transform import (
     hyp2f1,
     poisson_kernel,
 )
-from .posdef import (
-    PDVerdict,
-    ScanResult,
-    classify,
-    scan_riesz,
-    all_spaces_check,
-    table1,
-)
 
 __version__ = "0.1.0"
 
@@ -87,20 +79,20 @@ __all__ = [
     "__version__",
 ]
 
-# the energy functions need numpy, which the rest of the package does without,
-# so their module is imported on first use (PEP 562)
-_ENERGY_NAMES = frozenset({
-    "DiscreteMeasure",
-    "PerturbedMeasureSpec",
-    "energy_uniform",
-    "energy_discrete",
-    "energy_perturbed",
-})
+# modules imported on first use of one of their names (PEP 562): the energy
+# functions need numpy, which the rest of the package does without, and only
+# classify, scan and table1 run the verdicts
+_LAZY = {
+    **dict.fromkeys(("PDVerdict", "ScanResult", "classify", "scan_riesz",
+                     "all_spaces_check", "table1"), "posdef"),
+    **dict.fromkeys(("DiscreteMeasure", "PerturbedMeasureSpec", "energy_uniform",
+                     "energy_discrete", "energy_perturbed"), "energy"),
+}
 
 
 def __getattr__(name):
-    if name in _ENERGY_NAMES:
-        from . import energy
+    if name in _LAZY:
+        from importlib import import_module
 
-        return getattr(energy, name)
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

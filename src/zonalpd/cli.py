@@ -24,13 +24,16 @@ import argparse
 from . import __version__
 from .spaces import Point, make_space, load_points, parse_args
 from .kernels import FAMILIES, parse_kernel
+from .jacobi import _multiplicities, eigenvalue_lambda_n
 from .transform import (
+    SIGN_NEG,
+    SIGN_POS,
     SIGN_UNDECIDED,
+    SIGN_ZERO,
     CoefficientReport,
     certify_coefficients,
     poisson_kernel,
 )
-from .posdef import classify, scan_riesz, table1
 
 
 class _UsageError(Exception):
@@ -206,6 +209,8 @@ def _cmd_coeffs(args):
 
 
 def _cmd_classify(args):
+    from .posdef import classify
+
     report = _compute_report(args)
     verdict = classify(report, mode=args.mode)
     payload = report.to_json_dict()
@@ -226,6 +231,8 @@ def _cmd_scan(args):
         raise _UsageError(
             f"scan kernel must be one of {sorted(_SCAN_KERNELS)}, got {args.kernel!r}"
         )
+    from .posdef import scan_riesz
+
     space = make_space(args.space)
     result = scan_riesz(space, metric, args.s_min, args.s_max, args.step,
                         N=args.nmax, bisect_tol=args.bisect, digits=args.digits)
@@ -237,6 +244,8 @@ def _cmd_scan(args):
 
 
 def _cmd_table1(args):
+    from .posdef import table1
+
     result = table1(N=args.nmax, digits=args.digits)
     undecided = any(r[4] == "undecided" for r in result.rows)
     return result.to_json_dict(), result.to_csv().splitlines(), undecided
@@ -379,6 +388,34 @@ def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
             return f"CSV row has wrong arity: {ln!r}"
     if not any(ln.startswith("# version=") for ln in text.splitlines()):
         return "CSV output is missing the version line"
+    if command == "coeffs":
+        return _verify_coeffs_rows(text, lines[1:])
+    return None
+
+
+_SIGNS = (SIGN_POS, SIGN_NEG, SIGN_ZERO, SIGN_UNDECIDED)
+
+
+def _verify_coeffs_rows(text: str, rows: List[str]) -> Optional[str]:
+    """The checks of `CoefficientReport.from_json_dict` on CSV rows: n runs
+    over 0..N in order, with N and the space from the config line, m_n and
+    lambda_n print as the values for (space, n), and each sign is known."""
+    head = next((ln for ln in text.splitlines() if ln.startswith("# config: ")), None)
+    if head is None:
+        return "CSV output is missing the config line"
+    config = dict(item.partition("=")[::2] for item in head[len("# config: "):].split(" "))
+    try:
+        space, N = make_space(config["space"]), int(config["nmax"])
+    except (KeyError, ValueError) as e:
+        return f"CSV config line names no valid space and nmax: {e}"
+    cells = [ln.split(",") for ln in rows]
+    if len(cells) != N + 1 or [c[0] for c in cells] != [str(n) for n in range(N + 1)]:
+        return f"CSV rows must run over n = 0..{N} in order"
+    for n, (c, m_n) in enumerate(zip(cells, _multiplicities(space, N))):
+        if c[3:5] != [f"{m_n}", f"{eigenvalue_lambda_n(space, n)}"]:
+            return f"row {n}: m_n or lambda_n is not the value for {space.name} at n = {n}"
+        if c[5] not in _SIGNS:
+            return f"row {n}: sign {c[5]!r} is not one of {', '.join(_SIGNS)}"
     return None
 
 

@@ -206,7 +206,12 @@ def _coords_per_point(space: Space) -> int:
 
 
 def sample_uniform_points(space: Space, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Uniform sample of `count` points, one row of real coordinates each."""
+    """Uniform sample of `count` points, one row of real coordinates each.
+
+    The rows come from one `rng.normal` draw in row order, so drawing
+    `count` rows in consecutive calls of any sizes that add up to `count`
+    gives the same array as one call; callers may draw block by block.
+    """
     import numpy as np
     m = _coords_per_point(space)
     g = rng.normal(size=(count, m))

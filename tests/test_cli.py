@@ -355,6 +355,49 @@ def test_verify_refuses_wrong_m_n_lambda_n_or_order(monkeypatch, capsys, command
     assert code == 1 and out == "" and "verification failed" in err
 
 
+def _append_entry(doc):
+    doc["entries"].append({"n": 9, "value": "1", "error": "1", "m_n": 1, "lambda_n": 1,
+                           "sign": "+"})
+
+
+def _unknown_sign(doc):
+    doc["entries"][2]["sign"] = "positive"
+
+
+@pytest.mark.parametrize("corrupt", (_corrupt_m4, _corrupt_lambda4, _swap_entries,
+                                     _drop_last_entry, _append_entry, _unknown_sign))
+def test_verify_refuses_wrong_coeffs_csv_rows(monkeypatch, capsys, corrupt):
+    """The CSV rows of `coeffs` get the checks of the JSON report: n over
+    0..N in order, N and the space read from the config line, the printed
+    m_n and lambda_n of (space, n), and a known sign."""
+    argv = ["coeffs", "--space", "RP2", "--kernel", "riesz-geodesic:s=-0.6",
+            "--nmax", "6", "--digits", "20", "--format", "csv", "--verify"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    render = cli.CoefficientReport.to_json_dict
+
+    def corrupted(report):
+        payload = render(report)
+        corrupt(payload)
+        return payload
+
+    monkeypatch.setattr(cli.CoefficientReport, "to_json_dict", corrupted)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "verification failed" in err
+
+
+def test_verify_reads_space_and_nmax_from_csv_config(capsys):
+    argv = ["coeffs", "--space", "CP2", "--kernel", "cospow:n=2", "--nmax", "4",
+            "--digits", "20", "--format", "csv"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and cli._verify_output("coeffs", "csv", out) is None
+    # the same rows under another space or N no longer match
+    for edit in (("space=CP2", "space=HP2"), ("nmax=4", "nmax=5"), ("nmax=4", f"nmax={10**12}")):
+        assert cli._verify_output("coeffs", "csv", out.replace(*edit)) is not None
+    config = next(ln for ln in out.splitlines() if ln.startswith("# config: "))
+    assert cli._verify_output("coeffs", "csv", out.replace(config + "\n", "")) is not None
+
+
 def test_out_writes_file_byte_identical(tmp_path, capsys):
     argv = ["coeffs", "--space", "CP2", "--kernel", "riesz-geodesic:s=0.5",
             "--nmax", "4", "--digits", "25"]
@@ -620,3 +663,31 @@ def test_discrete_energy_leaves_numpy_random_unloaded(tmp_path, capsys):
         code, out, _ = run(capsys, *base, *extra)
         assert code == 0
         assert r.stdout == out
+
+
+def test_posdef_loads_only_for_verdict_commands(tmp_path, capsys):
+    """Only classify, scan and table1 run the verdicts, so the other
+    commands and --version leave `zonalpd.posdef` unloaded; each child
+    prints what the in-process run prints."""
+    sp = make_space("S2")
+    path = tmp_path / "s2.pts"
+    save_points(str(path), sp, sample_uniform_points(sp, make_rng(5), 20))
+    for argv, loaded in (
+        (["coeffs", "--space", "RP2", "--kernel", "riesz-geodesic:s=-0.6", "--nmax", "4",
+          "--digits", "20"], False),
+        (["energy", "--space", "S2", "--kernel", "riesz-chordal:s=1", "--points", str(path)],
+         False),
+        (["poisson", "--space", "RP2", "--r", "0.5", "--theta", "0.3"], False),
+        (["--version"], False),
+        (["classify", "--space", "S2", "--kernel", "log-geodesic", "--nmax", "4",
+          "--digits", "20"], True),
+    ):
+        r = _run_child(argv, block_numpy=False, probe="zonalpd.posdef")
+        assert r.returncode == 0, r.stderr
+        assert r.stderr.splitlines()[-1] == f"zonalpd.posdef {loaded}"
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's --version action
+            code = exc.code
+        assert code == 0
+        assert r.stdout == capsys.readouterr().out

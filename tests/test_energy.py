@@ -7,6 +7,7 @@ import pytest
 
 from conftest import funk_hecke_mc
 from zonalpd import energy as energy_mod
+from zonalpd import spaces as spaces_mod
 from zonalpd.energy import (
     MC_BATCH,
     DiscreteMeasure,
@@ -240,14 +241,9 @@ def test_energy_discrete_memory_independent_of_pairs():
     assert peak < 8 * 2**20
 
 
-@pytest.mark.parametrize(
-    "name,text",
-    (("S2", "riesz-chordal:s=0.5"), ("CP2", "gauss-chordal:lambda=1"),
-     ("HP2", "riesz-chordal:s=1")),
-)
-def test_mc_batch_memory_bounded(monkeypatch, name, text):
-    """A full batch holds its samples X and Y in full, plus the batch's
-    values and temporaries of BLOCK rows: a fixed 5 MiB allowance."""
+def _mc_peak(monkeypatch, name, text, threads):
+    """Traced peak of the Monte Carlo part of `threads` full batches run on
+    `threads` workers, and the bytes of one batch's X sample."""
     sp = make_space(name)
     ker = parse_kernel(text, sp)
     real = energy_mod._mc_mean
@@ -259,9 +255,44 @@ def test_mc_batch_memory_bounded(monkeypatch, name, text):
         return out
 
     monkeypatch.setattr(energy_mod, "_mc_mean", spy)
-    energy_perturbed(sp, ker, PerturbedMeasureSpec(1, 0.1), samples=MC_BATCH, digits=15)
-    xy = 2 * MC_BATCH * _coords_per_point(sp) * 8
-    assert peaks[0] <= xy + 5 * 2**20
+    energy_perturbed(sp, ker, PerturbedMeasureSpec(1, 0.1), samples=threads * MC_BATCH,
+                     digits=15, threads=threads)
+    return peaks[0], MC_BATCH * _coords_per_point(sp) * 8
+
+
+MC_MEMORY_CASES = (("S2", "riesz-chordal:s=0.5"), ("CP2", "gauss-chordal:lambda=1"),
+                   ("HP2", "riesz-chordal:s=1"))
+
+
+@pytest.mark.parametrize("name,text", MC_MEMORY_CASES)
+def test_mc_batch_memory_bounded(monkeypatch, name, text):
+    """A full batch holds its sample X in full, plus the batch's values and
+    the Y rows and temporaries of one block: a fixed 7 MiB allowance."""
+    peak, x = _mc_peak(monkeypatch, name, text, threads=1)
+    assert peak <= x + 7 * 2**20
+
+
+@pytest.mark.parametrize("name,text", MC_MEMORY_CASES)
+def test_mc_two_threads_memory_bounded(monkeypatch, name, text):
+    """Two workers hold two batches at once, each with its X and one block."""
+    peak, x = _mc_peak(monkeypatch, name, text, threads=2)
+    assert peak <= 2 * x + 10 * 2**20
+
+
+@pytest.mark.parametrize("name", ("S2", "CP2", "HP2"))
+def test_mc_estimate_independent_of_block(monkeypatch, name):
+    """BLOCK only bounds memory: a block of 1000 rows, which leaves a
+    partial last block in every batch, draws the same Y rows and gives the
+    same estimate and standard error as the default."""
+    sp = make_space(name)
+    ker = parse_kernel("gauss-chordal:lambda=1", sp)
+    spec = PerturbedMeasureSpec(1, 0.1)
+    kwargs = dict(samples=MC_BATCH + 2 * BLOCK + 7, seed=9, digits=15)
+    want = energy_perturbed(sp, ker, spec, **kwargs)
+    monkeypatch.setattr(spaces_mod, "BLOCK", 1000)
+    monkeypatch.setattr(energy_mod, "BLOCK", 1000)
+    got = energy_perturbed(sp, ker, spec, **kwargs)
+    assert (got["mc_estimate"], got["stderr"]) == (want["mc_estimate"], want["stderr"])
 
 
 @pytest.mark.parametrize("samples", (1, 0, -3))

@@ -1,21 +1,27 @@
 """Golden stdout: SHA-256 digests of the CLI output for a fixed set of jobs.
 
 A refactor that must not move a number keeps every digest.  The jobs run
-in-process through `main` and compute their results in mpmath alone, so
-the digests do not depend on the numpy build.  They were recorded with
-mpmath 1.3.0 on its pure-Python backend; a different mpmath version may
-round the last printed digit differently, so the test is skipped there.
+in-process through `main`; those of GOLDEN compute their results in mpmath
+alone, so their digests do not depend on the numpy build.  They were
+recorded with mpmath 1.3.0 on its pure-Python backend; a different mpmath
+version may round the last printed digit differently, so the test is
+skipped there.
+The Monte Carlo jobs also pin the Philox streams and their normal draws,
+which numpy does not promise to keep across releases (NEP 19), so they are
+skipped under any numpy but the one they were recorded with.
 A deliberate change of output replaces the digest of the job it moves,
 after a field diff against the previous output shows what moved.
 """
 import hashlib
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from zonalpd.cli import _verify_output, main
 
 RECORDED_MPMATH = "1.3.0"
+RECORDED_NUMPY = "2.4.6"
 
 # (argv, exit code, sha256 of stdout)
 GOLDEN = [
@@ -98,14 +104,46 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.skipif(mp.__version__ != RECORDED_MPMATH,
-                    reason=f"digests recorded with mpmath {RECORDED_MPMATH}")
-@pytest.mark.parametrize("argv,code,digest", GOLDEN,
-                         ids=[f"{a[0]}-{i}" for i, (a, _, _) in enumerate(GOLDEN)])
-def test_stdout_digest(argv, code, digest, capsys):
+# `energy --perturb` with 131077 samples: two batches, the second a partial
+# block of 5 rows
+_MC = ["--samples", "131077", "--digits", "20"]
+GOLDEN_MC = [
+    (["energy", "--space", "S2", "--kernel", "jacobi:n=1", "--perturb", "n=1,eps=0.1",
+      *_MC], 0,
+     "9592cb4f14d0d86331b7fa78742a47e6f13b54efe251207892f397d30f5ee84a"),
+    (["energy", "--space", "S2", "--kernel", "jacobi:n=1", "--perturb", "n=1,eps=0.1",
+      *_MC, "--format", "csv"], 0,
+     "67a3a17eef24e1fa3738c6c1d5aceddc169462d3e67cfeeca78445405d62ef99"),
+    (["energy", "--space", "CP2", "--kernel", "gauss-chordal:lambda=1",
+      "--perturb", "n=2,eps=0.1", *_MC], 0,
+     "882f470ea59e9ea77f0648e4fbbed0c2b086752fcc64e999c7a5c9a9a7b0485c"),
+    (["energy", "--space", "CP2", "--kernel", "gauss-chordal:lambda=1",
+      "--perturb", "n=2,eps=0.1", *_MC, "--format", "csv"], 0,
+     "fd357619f324bd7705c3cb09cf6020f5067a3c1aa07d48e3112c9022dc1cac70"),
+]
+
+
+def _check_digest(argv, code, digest, capsys):
     got = main(list(argv))
     out = capsys.readouterr().out
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
     # every golden output passes the checks of --verify
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
     assert _verify_output(argv[0], fmt, out) is None
+
+
+@pytest.mark.skipif(mp.__version__ != RECORDED_MPMATH,
+                    reason=f"digests recorded with mpmath {RECORDED_MPMATH}")
+@pytest.mark.parametrize("argv,code,digest", GOLDEN,
+                         ids=[f"{a[0]}-{i}" for i, (a, _, _) in enumerate(GOLDEN)])
+def test_stdout_digest(argv, code, digest, capsys):
+    _check_digest(argv, code, digest, capsys)
+
+
+@pytest.mark.skipif((mp.__version__, np.__version__) != (RECORDED_MPMATH, RECORDED_NUMPY),
+                    reason=f"digests recorded with mpmath {RECORDED_MPMATH} "
+                           f"and numpy {RECORDED_NUMPY}")
+@pytest.mark.parametrize("argv,code,digest", GOLDEN_MC,
+                         ids=[f"{a[2]}-{i}" for i, (a, _, _) in enumerate(GOLDEN_MC)])
+def test_mc_stdout_digest(argv, code, digest, capsys):
+    _check_digest(argv, code, digest, capsys)

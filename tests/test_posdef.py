@@ -311,3 +311,13 @@ def test_table1_rows():
     d = res.to_json_dict()
     json.dumps(d)
     assert d["rows"][3]["space"] == "CP2"
+
+
+def test_package_resolves_posdef_names_on_demand():
+    import zonalpd
+    from zonalpd import posdef
+
+    for name in ("PDVerdict", "ScanResult", "classify", "scan_riesz",
+                 "all_spaces_check", "table1"):
+        assert name in zonalpd.__all__
+        assert getattr(zonalpd, name) is getattr(posdef, name)

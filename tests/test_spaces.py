@@ -482,6 +482,21 @@ def test_sampling_normalises_by_block(name, count):
     assert np.array_equal(sample_uniform_points(sp, make_rng(808, count), count), want)
 
 
+@pytest.mark.parametrize("name", ("S2", "CP2", "HP2"))
+@pytest.mark.parametrize("count", (1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 3, 118928))
+def test_sampling_in_consecutive_blocks_matches_one_draw(name, count):
+    """The Monte Carlo batches draw Y one block at a time after X: drawing
+    `count` rows in consecutive calls of at most BLOCK rows gives the array
+    of one call, and leaves the stream where one call leaves it."""
+    sp = make_space(name)
+    whole_rng, block_rng = make_rng(313, count), make_rng(313, count)
+    whole = sample_uniform_points(sp, whole_rng, count)
+    parts = [sample_uniform_points(sp, block_rng, min(BLOCK, count - k))
+             for k in range(0, count, BLOCK)]
+    assert (np.concatenate(parts) == whole).all()
+    assert (block_rng.normal(size=5) == whole_rng.normal(size=5)).all()
+
+
 @pytest.mark.parametrize("name", ("HP2", "HP3", "HP5"))
 def test_hp_inner_product_matches_quaternion_products(name):
     """The component formulas give the same bits as the former path, which
