@@ -16,6 +16,7 @@ energy and poisson never exit 2.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from typing import List, Optional, Tuple
 
@@ -24,16 +25,7 @@ import argparse
 from . import __version__
 from .spaces import Point, make_space, load_points, parse_args
 from .kernels import FAMILIES, parse_kernel
-from .jacobi import _multiplicities, eigenvalue_lambda_n
-from .transform import (
-    SIGN_NEG,
-    SIGN_POS,
-    SIGN_UNDECIDED,
-    SIGN_ZERO,
-    CoefficientReport,
-    certify_coefficients,
-    poisson_kernel,
-)
+from .transform import SIGN_UNDECIDED, CoefficientReport, certify_coefficients, poisson_kernel
 
 
 class _UsageError(Exception):
@@ -355,7 +347,7 @@ _CSV_HEADERS = {
 
 _JSON_REQUIRED = {
     "coeffs": ("space", "kernel", "N", "entries", "method", "levels"),
-    "classify": ("space", "kernel", "N", "entries", "verdict"),
+    "classify": ("space", "kernel", "N", "entries", "method", "verdict"),
     "scan": ("space", "metric", "N", "grid", "transition"),
     "table1": ("N", "rows"),
     "energy": ("energy", "stderr", "method"),
@@ -363,8 +355,15 @@ _JSON_REQUIRED = {
 }
 
 
+# a coeffs config line: its keys are sorted, so kernel, nmax and space come
+# last, and a lincomb kernel or a custom space may hold spaces
+_COEFFS_CONFIG = re.compile(r"# config: .* kernel=(.*) nmax=(\d+) space=(.*)")
+
+
 def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
-    """Re-parse rendered output; returns an error message or None."""
+    """Re-parse rendered output; returns an error message or None.  Coefficient
+    tables, JSON or CSV, are read back by `CoefficientReport.from_json_dict`,
+    and a printed verdict must be the one its signs give."""
     if fmt == "json":
         try:
             doc = json.loads(text)
@@ -373,49 +372,37 @@ def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
         for key in _JSON_REQUIRED[command] + ("version", "config"):
             if key not in doc:
                 return f"output JSON is missing {key!r}"
-        if command in ("coeffs", "classify"):
-            try:
-                CoefficientReport.from_json_dict(doc)
-            except Exception as e:
-                return f"report schema check failed: {e}"
-        return None
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    if not lines or lines[0] != _CSV_HEADERS[command]:
-        return f"CSV header mismatch: expected {_CSV_HEADERS[command]!r}"
-    width = len(lines[0].split(","))
-    for ln in lines[1:]:
-        if len(ln.split(",")) != width:
-            return f"CSV row has wrong arity: {ln!r}"
-    if not any(ln.startswith("# version=") for ln in text.splitlines()):
-        return "CSV output is missing the version line"
-    if command == "coeffs":
-        return _verify_coeffs_rows(text, lines[1:])
-    return None
-
-
-_SIGNS = (SIGN_POS, SIGN_NEG, SIGN_ZERO, SIGN_UNDECIDED)
-
-
-def _verify_coeffs_rows(text: str, rows: List[str]) -> Optional[str]:
-    """The checks of `CoefficientReport.from_json_dict` on CSV rows: n runs
-    over 0..N in order, with N and the space from the config line, m_n and
-    lambda_n print as the values for (space, n), and each sign is known."""
-    head = next((ln for ln in text.splitlines() if ln.startswith("# config: ")), None)
-    if head is None:
-        return "CSV output is missing the config line"
-    config = dict(item.partition("=")[::2] for item in head[len("# config: "):].split(" "))
+        if command not in ("coeffs", "classify"):
+            return None
+    else:
+        lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+        if not lines or lines[0] != _CSV_HEADERS[command]:
+            return f"CSV header mismatch: expected {_CSV_HEADERS[command]!r}"
+        header = lines[0].split(",")
+        for ln in lines[1:]:
+            if len(ln.split(",")) != len(header):
+                return f"CSV row has wrong arity: {ln!r}"
+        if not any(ln.startswith("# version=") for ln in text.splitlines()):
+            return "CSV output is missing the version line"
+        if command != "coeffs":
+            return None
+        config = next(filter(None, map(_COEFFS_CONFIG.fullmatch, text.splitlines())), None)
+        if config is None:
+            return "CSV output is missing the coeffs config line"
+        doc = dict(zip(("kernel", "N", "space"), config.groups()),
+                   entries=[dict(zip(header, ln.split(","))) for ln in lines[1:]])
     try:
-        space, N = make_space(config["space"]), int(config["nmax"])
-    except (KeyError, ValueError) as e:
-        return f"CSV config line names no valid space and nmax: {e}"
-    cells = [ln.split(",") for ln in rows]
-    if len(cells) != N + 1 or [c[0] for c in cells] != [str(n) for n in range(N + 1)]:
-        return f"CSV rows must run over n = 0..{N} in order"
-    for n, (c, m_n) in enumerate(zip(cells, _multiplicities(space, N))):
-        if c[3:5] != [f"{m_n}", f"{eigenvalue_lambda_n(space, n)}"]:
-            return f"row {n}: m_n or lambda_n is not the value for {space.name} at n = {n}"
-        if c[5] not in _SIGNS:
-            return f"row {n}: sign {c[5]!r} is not one of {', '.join(_SIGNS)}"
+        if fmt == "csv":
+            doc["space"] = make_space(doc["space"]).descriptor()
+        report = CoefficientReport.from_json_dict(doc)
+        if command == "classify":
+            from .posdef import classify
+
+            verdict = doc["verdict"]
+            if classify(report, mode=verdict["mode"]).to_json_dict() != verdict:
+                return "the printed verdict is not the one its signs give"
+    except Exception as e:
+        return f"report schema check failed: {e}"
     return None
 
 

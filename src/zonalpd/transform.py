@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import mpmath as mp
 from mpmath.libmp import (
@@ -138,31 +139,43 @@ class CoefficientReport:
 
     @staticmethod
     def from_json_dict(data: dict) -> "CoefficientReport":
+        """Read a printed table back: a JSON report, or `coeffs` CSV as the same
+        document with text cells.  Refused: a descriptor unlike its name, an N
+        or rows other than n = 0..N, and n, m_n or lambda_n printed unlike
+        (space, n); an error < 0 or a sign outside `+ - 0 undecided`; on the
+        exact printed decimals, a `+` without value > error, a `-` without
+        value < -error, an `undecided` without |value| <= error.  Decimals are
+        read 20 digits past their printed length, errors rounded up."""
         sp = data["space"]
         space = make_space(sp["name"])
-        if not (
-            abs(space.alpha - sp["alpha"]) < 1e-12
-            and abs(space.beta - sp["beta"]) < 1e-12
-            and abs(space.kappa - sp["kappa"]) < 1e-12
-        ):
+        if not all(abs(getattr(space, k) - sp[k]) < 1e-12 for k in ("alpha", "beta", "kappa")):
             raise ValueError("space descriptor inconsistent with its name")
         N, rows = int(data["N"]), data["entries"]
-        if [e["n"] for e in rows] != list(range(N + 1)):
-            raise ValueError(f"entries must run over n = 0..{N} in order")
+        if str(data["N"]) != str(N) or len(rows) != N + 1:
+            raise ValueError(f"N = {data['N']} needs the entries n = 0..N, got {len(rows)}")
         entries = []
-        # m_n and lambda_n follow from (space, n): checked exactly, not kept
+        # n, m_n and lambda_n follow from (space, n): checked as printed, not kept
         for n, (e, m_n) in enumerate(zip(rows, _multiplicities(space, N))):
-            if e["m_n"] != m_n or e["lambda_n"] != eigenvalue_lambda_n(space, n):
-                raise ValueError(f"entry {n}: m_n or lambda_n is not the value for "
+            printed = [str(e[k]) for k in ("n", "m_n", "lambda_n")]
+            if printed != [str(n), str(m_n), str(eigenvalue_lambda_n(space, n))]:
+                raise ValueError(f"entry {n}: n, m_n or lambda_n is not the value for "
                                  f"{space.name} at n = {n}")
-            entries.append(CoefficientEntry(n, mp.mpf(e["value"]),
-                                            mp.mpf(e["error"]), str(e["sign"])))
+            value, error, sign = str(e["value"]), str(e["error"]), e["sign"]
+            v, r = Fraction(value), Fraction(error)
+            rules = {SIGN_POS: v > r, SIGN_NEG: v < -r, SIGN_ZERO: True,
+                     SIGN_UNDECIDED: abs(v) <= r}
+            if r < 0 or not rules.get(sign, False):
+                raise ValueError(f"entry {n}: sign {sign!r} with error {error} does not "
+                                 f"follow from value {value}")
+            entries.append(CoefficientEntry(n, mp.mpf(value, dps=len(value) + 20),
+                                            mp.mpf(error, dps=len(error) + 20, rounding="u"),
+                                            sign))
         return CoefficientReport(
             space=space,
             kernel=str(data["kernel"]),
             N=N,
             entries=entries,
-            method=str(data["method"]),
+            method=str(data.get("method", "")),
             levels=dict(data.get("levels", {})),
         )
 

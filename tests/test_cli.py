@@ -8,6 +8,8 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zonalpd
 from conftest import riesz_chordal_exact
@@ -15,7 +17,7 @@ from zonalpd import __version__, cli
 from zonalpd.cli import _KERNEL_HELP, main
 from zonalpd.kernels import FAMILIES
 from zonalpd.spaces import make_rng, make_space, sample_uniform_points, save_points
-from zonalpd.transform import poisson_kernel
+from zonalpd.transform import CoefficientReport, poisson_kernel
 
 
 def run(capsys, *argv):
@@ -328,12 +330,33 @@ def _renumber_entry(doc):
     doc["entries"][3]["n"] = 4
 
 
+def _fractional_n_max(doc):
+    doc["N"] = 6.5
+
+
+def _unknown_sign(doc):
+    doc["entries"][2]["sign"] = "positive"
+
+
+def _minus_on_positive(doc):
+    # entry 2 is printed as a positive interval
+    doc["entries"][2]["sign"] = "-"
+
+
+def _wide_error_under_plus(doc):
+    # the interval now contains 0, but the sign stays `+`
+    doc["entries"][3]["error"] = "1e+5"
+
+
 @pytest.mark.parametrize("command", ("coeffs", "classify"))
 @pytest.mark.parametrize("corrupt", (_corrupt_m4, _corrupt_lambda4, _swap_entries,
-                                     _drop_last_entry, _renumber_entry))
+                                     _drop_last_entry, _renumber_entry, _fractional_n_max,
+                                     _unknown_sign, _minus_on_positive,
+                                     _wide_error_under_plus))
 def test_verify_refuses_wrong_m_n_lambda_n_or_order(monkeypatch, capsys, command, corrupt):
-    """`--verify` compares m_n and lambda_n with the values for (space, n)
-    exactly and wants n = 0..N in order: a report whose rendering is
+    """`--verify` compares n, m_n and lambda_n with the values for (space,
+    n) as printed, wants n = 0..N in order, a known sign and a sign that
+    agrees with its printed interval: a report whose rendering is
     corrupted exits 1, and the same document passes once left intact."""
     argv = [command, "--space", "RP2", "--kernel", "riesz-geodesic:s=-0.6",
             "--nmax", "6", "--digits", "20"]
@@ -360,16 +383,14 @@ def _append_entry(doc):
                            "sign": "+"})
 
 
-def _unknown_sign(doc):
-    doc["entries"][2]["sign"] = "positive"
-
-
 @pytest.mark.parametrize("corrupt", (_corrupt_m4, _corrupt_lambda4, _swap_entries,
-                                     _drop_last_entry, _append_entry, _unknown_sign))
+                                     _drop_last_entry, _append_entry, _unknown_sign,
+                                     _minus_on_positive, _wide_error_under_plus))
 def test_verify_refuses_wrong_coeffs_csv_rows(monkeypatch, capsys, corrupt):
     """The CSV rows of `coeffs` get the checks of the JSON report: n over
     0..N in order, N and the space read from the config line, the printed
-    m_n and lambda_n of (space, n), and a known sign."""
+    m_n and lambda_n of (space, n), and a known sign that agrees with its
+    printed interval."""
     argv = ["coeffs", "--space", "RP2", "--kernel", "riesz-geodesic:s=-0.6",
             "--nmax", "6", "--digits", "20", "--format", "csv", "--verify"]
     code, out, err = run(capsys, *argv)
@@ -396,6 +417,69 @@ def test_verify_reads_space_and_nmax_from_csv_config(capsys):
         assert cli._verify_output("coeffs", "csv", out.replace(*edit)) is not None
     config = next(ln for ln in out.splitlines() if ln.startswith("# config: "))
     assert cli._verify_output("coeffs", "csv", out.replace(config + "\n", "")) is not None
+
+
+@pytest.mark.parametrize("space, kernel", [
+    ("custom:alpha=1, beta=0", "cospow:n=1"),
+    ("S2", "lincomb(1*cospow:n=1 + 1*cospow:n=2)"),
+])
+def test_verify_reads_csv_config_values_with_spaces(capsys, space, kernel):
+    """The config line quotes nothing: a custom space or a lincomb kernel
+    with spaces is read back whole, as in JSON."""
+    argv = ["coeffs", "--space", space, "--kernel", kernel, "--nmax", "2", "--digits", "15",
+            "--verify"]
+    for fmt in ("json", "csv"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 0 and err == "", (fmt, err)
+
+
+_QUARTERS = st.integers(-12, 3).map(lambda k: k / 4)
+_READ_BACK_KERNELS = st.one_of(
+    st.builds("riesz-chordal:s={}".format, _QUARTERS),
+    st.builds("riesz-geodesic:s={}".format, _QUARTERS),
+    st.builds("gauss-chordal:lambda={}".format, st.integers(1, 12).map(lambda k: k / 4)),
+    st.builds("cospow:n={}".format, st.integers(0, 4)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(space=st.sampled_from(["S1", "S2", "S3", "RP2", "RP3", "CP2", "CP3", "HP2", "OP2"]),
+       kernel=_READ_BACK_KERNELS, nmax=st.integers(0, 6), digits=st.integers(15, 20))
+def test_verify_reads_back_both_renderings(space, kernel, nmax, digits):
+    """Both renderings of a certified table pass the reader, and every read
+    interval contains its printed value."""
+    args = cli._build_parser().parse_args(["coeffs", "--space", space, "--kernel", kernel,
+                                           "--nmax", str(nmax), "--digits", str(digits)])
+    payload, rows, _ = cli._cmd_coeffs(args)
+    for fmt in ("csv", "json"):
+        args.format = fmt
+        text = cli._render(args, payload, rows)
+        assert cli._verify_output("coeffs", fmt, text) is None, (fmt, text)
+    doc = json.loads(text)
+    back = CoefficientReport.from_json_dict(doc)
+    with mp.workdps(200):
+        for e, b in zip(doc["entries"], back.entries):
+            assert abs(b.value - mp.mpf(e["value"])) <= b.error, e
+
+
+def test_verify_refuses_a_verdict_its_signs_do_not_give(monkeypatch, capsys):
+    argv = ["classify", "--space", "RP2", "--kernel", "riesz-geodesic:s=-0.6",
+            "--nmax", "6", "--digits", "20"]
+    code, out, _ = run(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"]["classification"] == "strictly-CPD-only"
+    doc["verdict"]["classification"] = "strictly-PD"
+    assert cli._verify_output("classify", "json", json.dumps(doc)) is not None
+
+    render = cli._render
+
+    def corrupted(args, payload, rows):
+        payload["verdict"]["classification"] = "strictly-PD"
+        return render(args, payload, rows)
+
+    monkeypatch.setattr(cli, "_render", corrupted)
+    code, out, err = run(capsys, *argv, "--verify")
+    assert code == 1 and out == "" and "verification failed" in err
 
 
 def test_out_writes_file_byte_identical(tmp_path, capsys):

@@ -307,6 +307,50 @@ def test_report_json_round_trip():
     assert {"space", "kernel", "N", "entries", "method", "levels"} <= set(d)
 
 
+def test_report_json_round_trip_keeps_printed_digits():
+    # none of these values is a short binary fraction: read at 53 bits they
+    # would move by up to 5e-17, far outside errors of 1e-33 to 1e-28
+    rep = certify_coefficients(RP2, riesz_geodesic(RP2, -0.6), N=6, target_digits=30)
+    doc = json.loads(json.dumps(rep.to_json_dict()))
+    back = CoefficientReport.from_json_dict(doc)
+    with mp.workdps(60):
+        for e, b in zip(doc["entries"], back.entries):
+            assert abs(b.value - mp.mpf(e["value"])) < mp.mpf("1e-40")
+            assert b.error >= mp.mpf(e["error"])
+
+
+def test_report_reader_refuses_an_unknown_sign():
+    # read back as an unknown sign, the `-` at n = 8 would let `classify`
+    # call this not-CPD kernel strictly-CPD-only
+    rp4 = make_space("RP4")
+    rep = certify_coefficients(rp4, parse_kernel("log-geodesic", rp4), N=10, target_digits=30)
+    doc = rep.to_json_dict()
+    assert doc["entries"][8]["sign"] == "-"
+    doc["entries"][8]["sign"] = "negative"
+    with pytest.raises(ValueError, match="negative"):
+        CoefficientReport.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("n, key, text, ok", [
+    (2, "sign", "0", True),  # a `0` is not checked against its interval
+    (2, "sign", "undecided", False),
+    (2, "sign", "-", False),
+    (2, "error", "-1e-40", False),
+    (2, "value", "nan", False),
+    (2, "n", "2.0", False),
+    (0, "sign", "+", False),
+])
+def test_report_reader_checks_signs_on_printed_decimals(n, key, text, ok):
+    doc = certify_coefficients(RP2, riesz_geodesic(RP2, -0.6), N=3, target_digits=20).to_json_dict()
+    assert [e["sign"] for e in doc["entries"]] == ["-", "+", "+", "+"]
+    doc["entries"][n][key] = text
+    if ok:
+        CoefficientReport.from_json_dict(doc)
+    else:
+        with pytest.raises(ValueError):
+            CoefficientReport.from_json_dict(doc)
+
+
 def test_reports_deterministic():
     a = json.dumps(coefficients_de(CP2, riesz_geodesic(CP2, 0.5), N=6, digits=25).to_json_dict(),
                    indent=2)
