@@ -22,10 +22,14 @@ envelope `eval_g` reads that triple directly.  Weight exponents are
 formed in mpf from the binary inputs, never in float64.
 Certification runs both, folds the cross-method discrepancy into the error
 bound, and escalates precision until every requested sign is decided or a
-cap is reached.  Nodes, weights and the integrand run in mpmath, the
-integrand's per-node steps through `mpmath.libmp` without operator dispatch
-(bit-identical to the operators); the sums f P_n run in fixed-point
-integers, with their rounding bound folded into the error.  What does not
+cap is reached.  Nodes, weights and the integrand run in mpmath.  The
+per-node and per-level steps (DE node geometry and its sines, the
+Gauss-Jacobi angle nodes and their sines, the integrand, and the DE level
+sums, errors and stop test) call `mpmath.libmp` on raw mpf values, without
+operator dispatch, in the order of the operator form and at the ambient
+precision and rounding, so every bit equals the operator form's; the sums
+f P_n run in fixed-point integers, with their rounding bound folded into
+the error.  What does not
 depend on the kernel is built once and shared: DE node geometry per working
 precision, one node per +-tau pair (the map is odd in tau), and one plan,
 `jacobi._plan` (measure constant, prefactors, fixed-point recurrence and
@@ -43,8 +47,9 @@ from fractions import Fraction
 
 import mpmath as mp
 from mpmath.libmp import (
-    finf, fnan, fninf, fone, from_float, mpf_abs, mpf_cosh_sinh, mpf_div, mpf_lt, mpf_mul,
-    mpf_mul_int, mpf_pow, mpf_sub, to_fixed,
+    finf, fnan, fninf, fone, from_float, from_int, from_man_exp, mpf_abs, mpf_add, mpf_cosh,
+    mpf_cosh_sinh, mpf_div, mpf_exp, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_pi,
+    mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_shift, mpf_sin, mpf_sub, to_fixed,
 )
 
 from .jacobi import (
@@ -85,6 +90,11 @@ SIGN_POS = "+"
 SIGN_NEG = "-"
 SIGN_ZERO = "0"
 SIGN_UNDECIDED = "undecided"
+
+# what a report's `method` and `levels` may hold: the route, or both, and the
+# working digits, the DE level and the two Gauss-Jacobi orders it used
+_METHODS = ("de", "gj", "both")
+_LEVEL_KEYS = ("digits", "de_level", "gj_nodes", "gj_nodes_check")
 
 
 @dataclass(frozen=True)
@@ -144,8 +154,18 @@ class CoefficientReport:
         or rows other than n = 0..N, and n, m_n or lambda_n printed unlike
         (space, n); an error < 0 or a sign outside `+ - 0 undecided`; on the
         exact printed decimals, a `+` without value > error, a `-` without
-        value < -error, an `undecided` without |value| <= error.  Decimals are
-        read 20 digits past their printed length, errors rounded up."""
+        value < -error, an `undecided` without |value| <= error; a `method`
+        other than `de`, `gj` or `both`, and a `levels` key outside
+        `digits`, `de_level`, `gj_nodes` and `gj_nodes_check` or a value that
+        is not an integer.  Decimals are read 20 digits past their printed
+        length, errors rounded up."""
+        if "method" in data and data["method"] not in _METHODS:
+            raise ValueError(f"method {data['method']!r} is not one of {_METHODS}")
+        levels = data.get("levels", {})
+        for key, v in levels.items():
+            if key not in _LEVEL_KEYS or type(v) is not int:
+                raise ValueError(f"levels entry {key!r}: {v!r} is not a known key with an "
+                                 f"integer value")
         sp = data["space"]
         space = make_space(sp["name"])
         if not all(abs(getattr(space, k) - sp[k]) < 1e-12 for k in ("alpha", "beta", "kappa")):
@@ -175,8 +195,8 @@ class CoefficientReport:
             kernel=str(data["kernel"]),
             N=N,
             entries=entries,
-            method=str(data.get("method", "")),
-            levels=dict(data.get("levels", {})),
+            method=data.get("method", ""),
+            levels=dict(levels),
         )
 
 
@@ -293,47 +313,64 @@ class _AngleSums:
         return mpf_abs(f)
 
     def values(self) -> list:
-        """S[n] in mpf at the ambient precision (nan once an f was not finite)."""
-        return [mp.mpf((s, -2 * self.wbits)) if self.finite else mp.nan for s in self.S]
+        """S[n] as raw mpf values at the ambient precision (nan once an f was
+        not finite)."""
+        prec, rnd = mp.mp._prec_rounding
+        scale = -2 * self.wbits
+        return [from_man_exp(s, scale, prec, rnd) if self.finite else fnan for s in self.S]
 
     def rounding(self) -> list:
-        """Bound per n on |values() - sum_j f_j P_n(t_j)|, the exact sums
-        over the same mpf nodes, short of the final rounding to mpf.
+        """Bound per n, as raw mpf values, on |values() - sum_j f_j P_n(t_j)|,
+        the exact sums over the same mpf nodes, short of the final rounding
+        to mpf.
 
         Truncating f_j errs by less than u = 2^-W; by the plan's rounding
         bounds the integer P_n errs by at most u E[n] and is at most B[n] + 1.
         Products and sums are exact, so K nodes add at most sum_j u (B[n] + 1) +
         (|f_j| + u) u E[n].  With W = prec + `_guard_bits` that is about
-        2^-(prec+20) sum_j |f_j|, far below the routes' floors.
+        2^-(prec+20) sum_j |f_j|, far below the routes' floors.  The mpf steps
+        are those of u * (k * (B[n] + 1) + E[n] * mass), with float B and E.
         """
+        prec, rnd = mp.mp._prec_rounding
         B, E = self.bounds
-        u, k = mp.mpf((1, -self.wbits)), self.count
-        mass = mp.mpf((self.abs_f, -self.wbits)) + k * u
-        return [u * (k * (bn + 1) + en * mass) for bn, en in zip(B, E)]
+        u, k = from_man_exp(1, -self.wbits, prec, rnd), self.count
+        mass = mpf_add(from_man_exp(self.abs_f, -self.wbits, prec, rnd),
+                       mpf_mul_int(u, k, prec, rnd), prec, rnd)
+        return [mpf_mul(u, mpf_add(mpf_mul(mass, from_float(en), prec, rnd),
+                                   from_float(k * (bn + 1)), prec, rnd), prec, rnd)
+                for bn, en in zip(B, E)]
 
 
 # ---------------------------------------------------------------------------
 # double-exponential engine
 
 
-def _de_node(tau: mp.mpf):
-    """tanh-sinh node geometry at abscissa tau.
+def _de_node(tau: tuple) -> tuple:
+    """tanh-sinh node geometry at the raw mpf abscissa tau.
 
-    Returns (u, comp, w) with u in (0, pi/2), comp = pi/2 - u computed
-    without cancellation, and w = du/dtau.  Every step is odd or even in
-    tau, so the node at -tau is (comp, u, w) bit for bit; cosh tau and
-    sinh tau come from the one libmp call behind both mp.cosh and mp.sinh.
+    Returns raw mpf values (u, comp, w) with u in (0, pi/2), comp = pi/2 - u
+    computed without cancellation, and w = du/dtau.  Every step is odd or
+    even in tau, so the node at -tau is (comp, u, w) bit for bit.  The steps
+    are those of the operator form
+        y = (pi/2) sinh(tau),  1 -+ tanh(y) = 2/(1+exp(+-2y)),
+        u = pi/4 (1+x),  comp = pi/4 (1-x),
+        w = (pi/4) (pi/2) cosh(tau) / cosh(y)^2,
+    at the ambient precision and rounding, through `mpmath.libmp`; cosh tau
+    and sinh tau come from the one call behind both mp.cosh and mp.sinh.
     """
     prec, rnd = mp.mp._prec_rounding
-    cosh_tau, sinh_tau = map(mp.make_mpf, mpf_cosh_sinh(tau._mpf_, prec, rnd))
-    half_pi = mp.pi / 2
-    y = half_pi * sinh_tau
-    # 1 -+ tanh(y) = 2/(1+exp(+-2y))
-    one_plus_x = 2 / (1 + mp.exp(-2 * y))
-    one_minus_x = 2 / (1 + mp.exp(2 * y))
-    u = mp.pi / 4 * one_plus_x
-    comp = mp.pi / 4 * one_minus_x
-    w = (mp.pi / 4) * half_pi * cosh_tau / mp.cosh(y) ** 2
+    cosh_tau, sinh_tau = mpf_cosh_sinh(tau, prec, rnd)
+    pi = mpf_pi(prec, rnd)
+    half_pi, quarter_pi = mpf_div(pi, from_int(2), prec, rnd), mpf_div(pi, from_int(4), prec, rnd)
+    y = mpf_mul(half_pi, sinh_tau, prec, rnd)
+    one_plus_x = mpf_rdiv_int(
+        2, mpf_add(mpf_exp(mpf_mul_int(y, -2, prec, rnd), prec, rnd), fone, prec, rnd), prec, rnd)
+    one_minus_x = mpf_rdiv_int(
+        2, mpf_add(mpf_exp(mpf_mul_int(y, 2, prec, rnd), prec, rnd), fone, prec, rnd), prec, rnd)
+    u = mpf_mul(quarter_pi, one_plus_x, prec, rnd)
+    comp = mpf_mul(quarter_pi, one_minus_x, prec, rnd)
+    w = mpf_mul(mpf_mul(quarter_pi, half_pi, prec, rnd), cosh_tau, prec, rnd)
+    w = mpf_div(w, mpf_pow_int(mpf_cosh(y, prec, rnd), 2, prec, rnd), prec, rnd)
     return u, comp, w
 
 
@@ -357,8 +394,10 @@ def _de_geometry(nodes: dict, level: int, i: int) -> tuple:
     key = (level, abs(i))
     node = nodes.get(key)
     if node is None:
-        u, comp, w = _de_node(mp.ldexp(abs(i), -level))
-        node = nodes.setdefault(key, (u, comp, mp.sin(u), mp.sin(comp), w))
+        prec, rnd = mp.mp._prec_rounding
+        u, comp, w = _de_node(mpf_shift(from_int(abs(i)), -level))
+        node = (u, comp, mpf_sin(u, prec, rnd), mpf_sin(comp, prec, rnd), w)
+        node = nodes.setdefault(key, tuple(map(mp.make_mpf, node)))
     u, comp, sinu, cosu, w = node
     return (u, sinu, cosu, w) if i >= 0 else (comp, cosu, sinu, w)
 
@@ -369,27 +408,31 @@ def _de_sums(space: Space, kernel: ZonalKernel, N: int, dps: int):
     Returns (I, err, level_used) with I, err lists of mpf.  Levels are
     cumulative, up to DE_MAX_LEVEL; the error per n is the last level-to-level difference plus
     a rounding floor and the rounding bound of the fixed-point sums.  A side
-    stops after three nodes in a row with |f| pmax < floor scale, tested in
-    raw mpf values.
+    stops after three nodes in a row with |f| pmax < floor scale.  Per level,
+        I = h S,  scale = max(1, |I[0]|),
+        err = |I - I_prev| + floor (1 + |I|) + h rounding,
+    and the refinement stops once err <= tol (1 + |I|) for every n; these
+    steps run on raw mpf values through `mpmath.libmp`, bit-identical to the
+    operator forms.
     """
     sums = _AngleSums(space, kernel, N)
     nodes = _de_nodes_at(mp.mp.prec)
     prec, rnd = mp.mp._prec_rounding
     pmax = from_float(_plan(space.alpha, space.beta, N, mp.mp.prec)[2])
-    floor = mp.mpf(10) ** (-(dps + 8))
-    scale = mp.mpf(1)
+    floor = (mp.mpf(10) ** (-(dps + 8)))._mpf_
+    tol = (mp.mpf(10) ** (-(dps - 6)))._mpf_
+    scale = fone
 
-    I_prev = None
     I_cur = None
-    err = [mp.mpf("inf")] * (N + 1)
+    err = [finf] * (N + 1)
     level_used = 0
     for level in range(DE_MAX_LEVEL + 1):
-        h = mp.ldexp(1, -level)
+        h = mpf_shift(fone, -level)
         # level 0 takes tau = 0, +-1, +-2, ...; level L the odd multiples of h
         if level == 0:
             sums.add(*_de_geometry(nodes, 0, 0))
         step, cap = (1, 199) if level == 0 else (2, 200000)
-        quiet_below = mpf_mul(floor._mpf_, scale._mpf_, prec, rnd)
+        quiet_below = mpf_mul(floor, scale, prec, rnd)
         for direction in (1, -1):
             j, quiet = 0, 0
             while quiet < 3 and j < cap:
@@ -397,18 +440,22 @@ def _de_sums(space: Space, kernel: ZonalKernel, N: int, dps: int):
                 quiet = quiet + 1 if mpf_lt(mpf_mul(sz, pmax, prec, rnd), quiet_below) else 0
                 j += 1
         I_prev = I_cur
-        I_cur = [h * s for s in sums.values()]
-        scale = max(mp.mpf(1), abs(I_cur[0]))
+        I_cur = [mpf_mul(h, v, prec, rnd) for v in sums.values()]
+        size0 = mpf_abs(I_cur[0], prec, rnd)
+        scale = size0 if mpf_gt(size0, fone) else fone
         level_used = level
         if I_prev is not None:
+            # 1 + |I[n]|, read by the floor term and the stop test
+            sizes = [mpf_add(mpf_abs(cur, prec, rnd), fone, prec, rnd) for cur in I_cur]
             err = [
-                abs(cur - prev) + floor * (1 + abs(cur)) + h * r
-                for cur, prev, r in zip(I_cur, I_prev, sums.rounding())
+                mpf_add(mpf_add(mpf_abs(mpf_sub(cur, prev, prec, rnd), prec, rnd),
+                                mpf_mul(floor, size, prec, rnd), prec, rnd),
+                        mpf_mul(h, r, prec, rnd), prec, rnd)
+                for cur, prev, size, r in zip(I_cur, I_prev, sizes, sums.rounding())
             ]
-            tol = mp.mpf(10) ** (-(dps - 6))
-            if all(err[n] <= tol * (1 + abs(I_cur[n])) for n in range(N + 1)):
+            if all(mpf_le(e, mpf_mul(tol, size, prec, rnd)) for e, size in zip(err, sizes)):
                 break
-    return I_cur, err, level_used
+    return list(map(mp.make_mpf, I_cur)), list(map(mp.make_mpf, err)), level_used
 
 
 def coefficients_de(
@@ -449,11 +496,17 @@ def _gj_once_u(space: Space, kernel: ZonalKernel, N: int, m: int):
     """
     sums = _AngleSums(space, kernel, N, sinc=True)
     nodes, weights = gauss_jacobi_rule_mp((sums.e_cos, sums.e_sin), m)
-    quarter_pi = mp.pi / 4
+    prec, rnd = mp.mp._prec_rounding
+    # the steps of u, comp = pi/4 (1 + v), pi/4 (1 - v) and their sines in
+    # the operator form, through `mpmath.libmp`
+    quarter_pi = mpf_div(mpf_pi(prec, rnd), from_int(4), prec, rnd)
     for v, w in zip(nodes, weights):
-        u, comp = quarter_pi * (1 + v), quarter_pi * (1 - v)
-        sums.add(u, mp.sin(u), mp.sin(comp), w, comp)
-    return sums.values(), sums.rounding()
+        u = mpf_mul(quarter_pi, mpf_add(v._mpf_, fone, prec, rnd), prec, rnd)
+        comp = mpf_mul(quarter_pi, mpf_sub(fone, v._mpf_, prec, rnd), prec, rnd)
+        u, sinu, cosu, comp = map(mp.make_mpf, (u, mpf_sin(u, prec, rnd),
+                                                mpf_sin(comp, prec, rnd), comp))
+        sums.add(u, sinu, cosu, w, comp)
+    return list(map(mp.make_mpf, sums.values())), list(map(mp.make_mpf, sums.rounding()))
 
 
 def coefficients_gj(
@@ -504,6 +557,11 @@ def coefficients_gj(
 # certification
 
 
+def _precision_ladder(target_digits: int) -> tuple:
+    """The working digits of the certification rungs, in the order they run."""
+    return (target_digits, target_digits + 20, target_digits + 40)
+
+
 def certify_coefficients(
     space: Space,
     kernel: ZonalKernel,
@@ -517,12 +575,11 @@ def certify_coefficients(
     report mean the precision ladder was exhausted, never that a stage was
     skipped.
     """
-    ladder = [target_digits, target_digits + 20, target_digits + 40]
     # an integrable power singularity leaves the split weight exponent
     # 2a+1-2sigma above -1, so Gauss-Jacobi applies to every non-log kernel
     use_gj = not kernel.log_flag
     report = None
-    for digits in ladder:
+    for digits in _precision_ladder(target_digits):
         de = coefficients_de(space, kernel, N, digits=digits)
         levels = {"digits": digits, "de_level": de.levels["de_level"]}
         values = [e.value for e in de.entries]

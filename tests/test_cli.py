@@ -348,16 +348,55 @@ def _wide_error_under_plus(doc):
     doc["entries"][3]["error"] = "1e+5"
 
 
+def _unknown_method(doc):
+    doc["method"] = "anything"
+
+
+def _de_method_for_power_kernel(doc):
+    # riesz-geodesic is certified by both routes
+    doc["method"] = "de"
+
+
+def _unknown_levels_key(doc):
+    doc["levels"]["rung"] = 1
+
+
+def _float_level(doc):
+    doc["levels"]["de_level"] = 6.0
+
+
+def _text_level(doc):
+    doc["levels"]["gj_nodes"] = str(doc["levels"]["gj_nodes"])
+
+
+def _digits_off_the_ladder(doc):
+    # the config asks for 20 digits: the rungs are 20, 40 and 60
+    doc["levels"]["digits"] = 30
+
+
+def _unknown_kernel(doc):
+    doc["kernel"] = "no-such-kernel"
+
+
+def _kernel_without_its_argument(doc):
+    doc["kernel"] = "riesz-geodesic"
+
+
 @pytest.mark.parametrize("command", ("coeffs", "classify"))
 @pytest.mark.parametrize("corrupt", (_corrupt_m4, _corrupt_lambda4, _swap_entries,
                                      _drop_last_entry, _renumber_entry, _fractional_n_max,
                                      _unknown_sign, _minus_on_positive,
-                                     _wide_error_under_plus))
+                                     _wide_error_under_plus, _unknown_method,
+                                     _de_method_for_power_kernel, _unknown_levels_key,
+                                     _float_level, _text_level, _digits_off_the_ladder,
+                                     _unknown_kernel, _kernel_without_its_argument))
 def test_verify_refuses_wrong_m_n_lambda_n_or_order(monkeypatch, capsys, command, corrupt):
     """`--verify` compares n, m_n and lambda_n with the values for (space,
     n) as printed, wants n = 0..N in order, a known sign and a sign that
-    agrees with its printed interval: a report whose rendering is
-    corrupted exits 1, and the same document passes once left intact."""
+    agrees with its printed interval, a known method and levels, the route
+    and precision rung the kernel and the config give, and a kernel that
+    parses on the space: a report whose rendering is corrupted exits 1, and
+    the same document passes once left intact."""
     argv = [command, "--space", "RP2", "--kernel", "riesz-geodesic:s=-0.6",
             "--nmax", "6", "--digits", "20"]
     code, out, _ = run(capsys, *argv)
@@ -375,6 +414,22 @@ def test_verify_refuses_wrong_m_n_lambda_n_or_order(monkeypatch, capsys, command
 
     monkeypatch.setattr(cli.CoefficientReport, "to_json_dict", corrupted)
     code, out, err = run(capsys, *argv, "--verify")
+    assert code == 1 and out == "" and "verification failed" in err
+
+
+@pytest.mark.parametrize("method", ("both", "gj"))
+def test_verify_refuses_a_log_kernel_off_the_de_route(monkeypatch, capsys, method):
+    """A log kernel is certified by DE alone, so its report says `de`."""
+    argv = ["coeffs", "--space", "RP2", "--kernel", "log-geodesic", "--nmax", "4",
+            "--digits", "15", "--verify"]
+    assert run(capsys, *argv)[0] == 0
+    render = cli.CoefficientReport.to_json_dict
+
+    def corrupted(report):
+        return {**render(report), "method": method}
+
+    monkeypatch.setattr(cli.CoefficientReport, "to_json_dict", corrupted)
+    code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and "verification failed" in err
 
 
@@ -413,7 +468,8 @@ def test_verify_reads_space_and_nmax_from_csv_config(capsys):
     code, out, _ = run(capsys, *argv)
     assert code == 0 and cli._verify_output("coeffs", "csv", out) is None
     # the same rows under another space or N no longer match
-    for edit in (("space=CP2", "space=HP2"), ("nmax=4", "nmax=5"), ("nmax=4", f"nmax={10**12}")):
+    for edit in (("space=CP2", "space=HP2"), ("nmax=4", "nmax=5"), ("nmax=4", f"nmax={10**12}"),
+                 ("kernel=cospow:n=2", "kernel=no-such-kernel")):
         assert cli._verify_output("coeffs", "csv", out.replace(*edit)) is not None
     config = next(ln for ln in out.splitlines() if ln.startswith("# config: "))
     assert cli._verify_output("coeffs", "csv", out.replace(config + "\n", "")) is not None
@@ -480,6 +536,34 @@ def test_verify_refuses_a_verdict_its_signs_do_not_give(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_render", corrupted)
     code, out, err = run(capsys, *argv, "--verify")
     assert code == 1 and out == "" and "verification failed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--space", "RP2", "--kernel", "riesz-geodesic", "--s-min", "-0.7",
+     "--s-max", "-0.5", "--step", "0.1", "--nmax", "0"],
+    ["classify", "--space", "S2", "--kernel", "log-geodesic", "--nmax", "0"],
+    ["classify", "--space", "S2", "--kernel", "log-geodesic", "--nmax", "0", "--mode", "cpd"],
+    ["table1", "--nmax", "0"],
+], ids=["scan", "classify", "classify-cpd", "table1"])
+def test_cpd_verdict_refuses_nmax_0_before_certifying(monkeypatch, capsys, argv):
+    """A cpd verdict reads n >= 1 only, so --nmax 0 is refused by name
+    before any certification runs."""
+    from zonalpd import posdef
+
+    def certify(*args, **kwargs):
+        raise AssertionError("a certification ran")
+
+    for module in (cli, posdef):
+        monkeypatch.setattr(module, "certify_coefficients", certify)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("zonalpd: error: --nmax ") and err.count("\n") == 1, err
+
+
+def test_pd_verdict_reads_nmax_0(capsys):
+    code, out, _ = run(capsys, "classify", "--space", "S2", "--kernel", "log-geodesic",
+                       "--nmax", "0", "--mode", "pd", "--digits", "15", "--verify")
+    assert code == 0 and json.loads(out)["verdict"]["N_checked"] == 0
 
 
 def test_out_writes_file_byte_identical(tmp_path, capsys):
@@ -650,6 +734,133 @@ def test_version_flag():
     assert r.stdout.strip() == f"zonalpd {__version__}"
 
 
+# the jobs of perfbench/run.py: its certify, scan and energy workloads
+_BENCH_ARGV = [
+    ["coeffs", "--space", "RP2", "--kernel", "riesz-geodesic:s=-0.6", "--nmax", "24",
+     "--digits", "30"],
+    ["coeffs", "--space", "HP2", "--kernel", "riesz-chordal:s=0.7", "--nmax", "12",
+     "--digits", "30"],
+    ["table1", "--nmax", "10", "--digits", "30"],
+    ["scan", "--space", "RP2", "--kernel", "riesz-geodesic", "--s-min", "-0.7",
+     "--s-max", "-0.5", "--step", "0.1", "--bisect", "0.05", "--nmax", "16", "--digits", "20"],
+    ["energy", "--space", "S2", "--kernel", "riesz-chordal:s=0.5", "--perturb", "n=1,eps=0.1",
+     "--samples", "250000", "--seed", "3"],
+    ["energy", "--space", "CP2", "--kernel", "gauss-chordal:lambda=1", "--perturb",
+     "n=2,eps=0.1", "--samples", "250000", "--seed", "3"],
+]
+_BENCH_POINTS = (("RP2", "gauss-chordal:lambda=1", 150), ("CP2", "riesz-chordal:s=1", 150),
+                 ("HP2", "log-geodesic", 100))
+
+
+def test_cli_output_equals_in_process_main(tmp_path, capsys):
+    """On the benchmark's jobs, `python -m zonalpd`, which ends with
+    `os._exit` once its output is flushed, prints what `main` prints and
+    exits with its code."""
+    jobs = [argv + ["--verify"] for argv in _BENCH_ARGV]
+    for task, (name, kernel, count) in enumerate(_BENCH_POINTS, start=1):
+        sp = make_space(name)
+        path = tmp_path / f"{name}.pts"
+        save_points(str(path), sp, sample_uniform_points(sp, make_rng(3, task), count))
+        jobs.append(["energy", "--space", name, "--kernel", kernel, "--points", str(path),
+                     "--verify"])
+    for argv in jobs:
+        child = _run_proc(argv)
+        code, out, err = run(capsys, *argv)
+        assert (child.returncode, child.stdout, child.stderr) == (code, out, err), argv
+
+
+def test_cli_exit_codes_equal_in_process_main(monkeypatch, capsys):
+    """Exit codes 0, 1 and 2, and usage errors, which exit 1 here, are those
+    `main` returns; --help and --version exit 0 with argparse's text."""
+    # argparse wraps help to the terminal width; give both sides one width
+    monkeypatch.setenv("COLUMNS", "80")
+    codes = set()
+    for argv in (
+        ["coeffs", "--space", "S2", "--kernel", "cospow:n=1", "--nmax", "2"],
+        ["coeffs", "--space", "S2", "--kernel", "no-such-kernel"],
+        ["classify", "--space", "CP2", "--kernel", "jacobi:n=4", "--nmax", "5",
+         "--digits", "15", "--mode", "pd"],
+        ["coeffs", "--space", "S2", "--no-such-option"],
+        ["coeffs", "--space", "S2"],
+        [],
+    ):
+        child = _run_proc(argv)
+        code, out, err = run(capsys, *argv)
+        assert (child.returncode, child.stdout, child.stderr) == (code, out, err), argv
+        codes.add(code)
+    assert codes == {0, 1, 2}
+    for argv in (["--help"], ["coeffs", "--help"], ["--version"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr().out
+        child = _run_proc(argv)
+        assert exc.value.code == 0
+        assert (child.returncode, child.stdout, child.stderr) == (0, out, ""), argv
+
+
+def test_cli_runs_atexit_handlers_once_and_skips_teardown(tmp_path):
+    """A handler registered before the CLI starts runs exactly once, and
+    `--out` is written whole; a module global's finalizer, which the
+    interpreter's teardown would run, does not."""
+    out = tmp_path / "out.json"
+    argv = ["coeffs", "--space", "S2", "--kernel", "cospow:n=1", "--nmax", "2", "--out",
+            str(out)]
+    code = "\n".join([
+        "import atexit, runpy, sys",
+        "atexit.register(lambda: print('atexit', file=sys.stderr))",
+        "class Late:",
+        "    def __del__(self):",
+        "        print('teardown', file=sys.stderr)",
+        "late = Late()",
+        "runpy.run_module('zonalpd', run_name='__main__', alter_sys=True)",
+    ])
+    for args in (argv, ["--version"]):
+        r = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                           env=_child_env(), timeout=300)
+        assert r.returncode == 0 and r.stderr == "atexit\n", r.stderr
+    assert out.read_text() == _run_proc(argv[:-2]).stdout
+
+
+def test_cli_threads_print_what_one_thread_prints():
+    argv = ["energy", "--space", "S2", "--kernel", "riesz-chordal:s=0.5", "--perturb",
+            "n=1,eps=0.1", "--samples", "140000", "--seed", "4"]
+    one, two = _run_proc(argv + ["--threads", "1"]), _run_proc(argv + ["--threads", "2"])
+    assert one.returncode == two.returncode == 0
+    assert two.stdout == one.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["coeffs", "--space", "S2", "--kernel", "cospow:n=1", "--nmax", "2", "--digits", "15"],
+    ["coeffs", "--space", "S2", "--kernel", "cospow:n=1", "--nmax", "40", "--digits", "15"],
+], ids=["version", "small", "over-a-pipe-buffer"])
+@pytest.mark.parametrize("unbuffered", (False, True))
+def test_cli_reader_closing_early(argv, unbuffered):
+    """When the reader closes the pipe before the output comes, the exit
+    status and stderr are the interpreter's: a failed flush of buffered
+    stdout is reported as teardown reports it, with status 120, and a
+    failed write inside `main` is a clean exit 1."""
+    env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "zonalpd", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=300)
+    if argv == ["--version"] and unbuffered:
+        # argparse drops the failed write of its version text
+        assert (code, err) == (0, "")
+    elif unbuffered:
+        assert (code, err) == (1, "zonalpd: error: [Errno 32] Broken pipe\n")
+    else:
+        lines = err.splitlines()
+        assert code == 120 and len(lines) == 2, err
+        assert lines[0].startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert lines[1] == "BrokenPipeError: [Errno 32] Broken pipe"
+
+
 def test_traced_job_matches_plain_run(tmp_path):
     """perfbench/traced_job.py patches the functions that perfbench/tracer.py
     names and rebuilds each kernel with `dataclasses.replace`; the traced
@@ -675,15 +886,15 @@ def test_traced_job_matches_plain_run(tmp_path):
 
 def _run_child(argv, block_numpy, probe="numpy"):
     """`zonalpd argv` in a fresh interpreter, optionally one where numpy
-    cannot be imported; the last stderr line says whether the module named
-    `probe` was loaded."""
+    cannot be imported; the last stderr line, printed by an atexit handler
+    (the CLI ends with `os._exit` after running those), says whether the
+    module named `probe` was loaded."""
     code = "\n".join([
-        "import runpy, sys",
+        "import atexit, runpy, sys",
         "sys.modules['numpy'] = None" if block_numpy else "",
-        "try:",
-        "    runpy.run_module('zonalpd', run_name='__main__', alter_sys=True)",
-        "finally:",
-        f"    print({probe!r}, sys.modules.get({probe!r}) is not None, file=sys.stderr)",
+        f"atexit.register(lambda: print({probe!r}, sys.modules.get({probe!r}) is not None,",
+        "                              file=sys.stderr))",
+        "runpy.run_module('zonalpd', run_name='__main__', alter_sys=True)",
     ])
     return subprocess.run(
         [sys.executable, "-c", code, *argv],

@@ -8,6 +8,8 @@ import threading
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import libmp
 
 import zonalpd
@@ -91,8 +93,82 @@ def de_node_operators(tau):
     return u, comp, w
 
 
+def de_geometry_operators(level, i):
+    """`transform._de_geometry` at tau = i 2^-level in mpmath operators."""
+    u, comp, w = de_node_operators(mp.ldexp(abs(i), -level))
+    if i < 0:
+        u, comp = comp, u
+    return u, mp.sin(u), mp.sin(comp), w
+
+
+def values_operators(sums):
+    """`_AngleSums.values` in mpmath operators."""
+    return [mp.mpf((s, -2 * sums.wbits)) if sums.finite else mp.nan for s in sums.S]
+
+
+def rounding_operators(sums):
+    """`_AngleSums.rounding` in mpmath operators; B and E are floats."""
+    B, E = sums.bounds
+    u, k = mp.mpf((1, -sums.wbits)), sums.count
+    mass = mp.mpf((sums.abs_f, -sums.wbits)) + k * u
+    return [u * (k * (bn + 1) + en * mass) for bn, en in zip(B, E)]
+
+
+def de_levels_operators(space, kernel, N, dps):
+    """`transform._de_sums` with its level bookkeeping in mpmath operators,
+    over the library's node sums: (I, err) of every level it runs, up to
+    the one whose stop test passes.  Each level also checks the library's
+    `values` and `rounding` against their operator forms."""
+    sums = transform._AngleSums(space, kernel, N)
+    nodes = {}
+    pmax = jacobi._plan(space.alpha, space.beta, N, mp.mp.prec)[2]
+    floor = mp.mpf(10) ** (-(dps + 8))
+    tol = mp.mpf(10) ** (-(dps - 6))
+    scale = mp.mpf(1)
+    levels, I_cur = [], None
+    err = [mp.mpf("inf")] * (N + 1)
+    for level in range(transform.DE_MAX_LEVEL + 1):
+        h = mp.ldexp(1, -level)
+        if level == 0:
+            sums.add(*transform._de_geometry(nodes, 0, 0))
+        step, cap = (1, 199) if level == 0 else (2, 200000)
+        for direction in (1, -1):
+            j, quiet = 0, 0
+            while quiet < 3 and j < cap:
+                node = transform._de_geometry(nodes, level, direction * (step * j + 1))
+                size = mp.make_mpf(sums.add(*node))
+                quiet = quiet + 1 if size * pmax < floor * scale else 0
+                j += 1
+        assert tuple(sums.values()) == raw(values_operators(sums))
+        assert tuple(sums.rounding()) == raw(rounding_operators(sums))
+        I_prev, I_cur = I_cur, [h * s for s in values_operators(sums)]
+        scale = max(mp.mpf(1), abs(I_cur[0]))
+        if I_prev is not None:
+            err = [abs(cur - prev) + floor * (1 + abs(cur)) + h * r
+                   for cur, prev, r in zip(I_cur, I_prev, rounding_operators(sums))]
+        levels.append((I_cur, err))
+        if I_prev is not None and all(e <= tol * (1 + abs(v)) for e, v in zip(err, I_cur)):
+            break
+    return levels
+
+
 def raw(values):
-    return [v._mpf_ for v in values]
+    return tuple(v._mpf_ for v in values)
+
+
+class RecordingSums(transform._AngleSums):
+    """The library's sums, keeping the arguments of every `add`."""
+
+    made: list = []
+
+    def __init__(self, space, kernel, N, sinc=False):
+        super().__init__(space, kernel, N, sinc)
+        self.calls = []
+        RecordingSums.made.append(self)
+
+    def add(self, *args):
+        self.calls.append(args)
+        return super().add(*args)
 
 
 def caches():
@@ -149,7 +225,7 @@ def test_fixed_point_sums_within_rounding_bound(monkeypatch, name, text):
     with mp.workdps(digits + 10):
         pref = jacobi._plan(space.alpha, space.beta, N, mp.mp.prec)[1]
         for sums in PairedSums.made:
-            bound = sums.rounding()
+            bound = list(map(mp.make_mpf, sums.rounding()))
             with mp.workdps(digits + 10 + EXTRA_DPS):
                 exact = [mp.mpf((s, -2 * sums.wbits)) for s in sums.S]
                 for n in range(N + 1):
@@ -182,7 +258,7 @@ def test_scan_builds_each_de_node_once_per_precision(monkeypatch):
     assert len(certifications) >= 4
     assert built and len(built) == len(set(built))
     # a node at -tau is the swapped node at +tau, never built on its own
-    assert all(tau >= 0 for _, tau in built)
+    assert all(mp.make_mpf(tau) >= 0 for _, tau in built)
 
 
 def test_scan_builds_one_plan_for_every_certification(monkeypatch):
@@ -282,12 +358,12 @@ def test_de_node_at_minus_tau_is_the_swapped_node(dps):
             top = 12 << level
             for i in sorted({1, top, *range(1, top + 1, max(1, top // 40))}):
                 tau = mp.ldexp(i, -level)
-                plus, minus = transform._de_node(tau), transform._de_node(-tau)
-                assert raw(plus) == raw(de_node_operators(tau)), (level, i)
-                assert raw(minus) == raw(de_node_operators(-tau)), (level, i)
+                plus, minus = transform._de_node(tau._mpf_), transform._de_node((-tau)._mpf_)
+                assert plus == raw(de_node_operators(tau)), (level, i)
+                assert minus == raw(de_node_operators(-tau)), (level, i)
                 u, comp, w = plus
-                assert raw(minus) == raw((comp, u, w)), (level, i)
-                u, comp, w = minus
+                assert minus == (comp, u, w), (level, i)
+                u, comp, w = map(mp.make_mpf, minus)
                 want = (u, mp.sin(u), mp.sin(comp), w)
                 assert raw(transform._de_geometry({}, level, -i)) == raw(want), (level, i)
 
@@ -321,3 +397,60 @@ def test_libmp_sums_equal_operator_sums(name, text):
             assert (lib.S, lib.count, lib.abs_f, lib.finite) == \
                 (ops.S, ops.count, ops.abs_f, ops.finite)
             assert lib.count == len(args)
+
+
+@settings(max_examples=80, deadline=None)
+@given(level=st.integers(0, 8), i=st.integers(-600, 600), prec=st.integers(60, 400))
+def test_de_node_and_geometry_equal_operator_forms(level, i, prec):
+    """`_de_node` and `_de_geometry` call `mpmath.libmp` and give the bits
+    of the operator forms, far out in the tails included."""
+    with mp.workprec(prec):
+        tau = mp.ldexp(i, -level)
+        assert transform._de_node(tau._mpf_) == raw(de_node_operators(tau))
+        assert raw(transform._de_geometry({}, level, i)) == raw(de_geometry_operators(level, i))
+
+
+@pytest.mark.parametrize("prec", (60, 170, 400))
+@pytest.mark.parametrize("name, text", (("RP2", "riesz-geodesic:s=-0.6"),
+                                        ("HP2", "riesz-chordal:s=0.7")))
+def test_gj_angle_nodes_equal_operator_forms(monkeypatch, name, text, prec):
+    """The Gauss-Jacobi loop feeds each rule node v to the sums as the
+    operator form's (u, sin u, sin(pi/2 - u), w, pi/2 - u), u = pi/4 (1 + v),
+    and returns the operator forms of their values and rounding bounds."""
+    space = make_space(name)
+    kernel = parse_kernel(text, space)
+    monkeypatch.setattr(transform, "_AngleSums", RecordingSums)
+    monkeypatch.setattr(RecordingSums, "made", [])
+    with mp.workprec(prec):
+        values, rounding = transform._gj_once_u(space, kernel, 6, 20)
+        (sums,) = RecordingSums.made
+        v_nodes, weights = jacobi.gauss_jacobi_rule_mp((sums.e_cos, sums.e_sin), 20)
+        quarter_pi = mp.pi / 4
+        want = []
+        for v, w in zip(v_nodes, weights):
+            u, comp = quarter_pi * (1 + v), quarter_pi * (1 - v)
+            want.append(raw((u, mp.sin(u), mp.sin(comp), w, comp)))
+        assert [raw(args) for args in sums.calls] == want
+        assert raw(values) == raw(values_operators(sums))
+        assert raw(rounding) == raw(rounding_operators(sums))
+
+
+@pytest.mark.parametrize("dps", (20, 45))
+@pytest.mark.parametrize("name, text", (("RP2", "riesz-geodesic:s=-0.6"),
+                                        ("CP2", "log-geodesic"),
+                                        ("HP2", "riesz-chordal:s=0.7")))
+def test_de_levels_equal_operator_forms(monkeypatch, name, text, dps):
+    """Capped at each level in turn, `_de_sums` returns that level's I and
+    err of the operator form bit for bit, and uncapped it stops at the
+    level where the operator form's stop test passes."""
+    space = make_space(name)
+    kernel = parse_kernel(text, space)
+    N = 6
+    with mp.workdps(dps + 10):
+        levels = de_levels_operators(space, kernel, N, dps)
+        I, err, used = transform._de_sums(space, kernel, N, dps)
+        assert used == len(levels) - 1 < transform.DE_MAX_LEVEL
+        for cap, (I_want, err_want) in enumerate(levels):
+            monkeypatch.setattr(transform, "DE_MAX_LEVEL", cap)
+            I, err, used = transform._de_sums(space, kernel, N, dps)
+            assert (used, raw(I), raw(err)) == (cap, raw(I_want), raw(err_want)), cap
