@@ -30,6 +30,7 @@ from .spaces import Point, make_space, load_points, parse_args
 from .kernels import FAMILIES, parse_kernel
 from .transform import (
     SIGN_UNDECIDED, CoefficientReport, certify_coefficients, poisson_kernel, _precision_ladder,
+    _sign_for,
 )
 
 
@@ -378,10 +379,11 @@ _COEFFS_CONFIG = re.compile(r"# config: .* kernel=(.*) nmax=(\d+) space=(.*)")
 def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
     """Re-parse rendered output; returns an error message or None.  Coefficient
     tables, JSON or CSV, are read back by `CoefficientReport.from_json_dict`,
-    their kernel descriptor must parse on their space, and a printed verdict
-    must be the one its signs give.  In JSON the method must be `de` exactly
-    for a log kernel, and `levels.digits` a rung of the precision ladder of
-    the config's digits."""
+    each sign must be the one `_sign_for` gives for the config's kernel, and
+    a printed verdict the one its signs give.  In JSON the space, N and kernel
+    (as the descriptor writer prints it) are the config's, the method is `de`
+    exactly for a log kernel, and `levels.digits` a rung of the precision
+    ladder of the config's digits."""
     if fmt == "json":
         try:
             doc = json.loads(text)
@@ -404,22 +406,29 @@ def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
             return "CSV output is missing the version line"
         if command != "coeffs":
             return None
-        config = next(filter(None, map(_COEFFS_CONFIG.fullmatch, text.splitlines())), None)
-        if config is None:
+        match = next(filter(None, map(_COEFFS_CONFIG.fullmatch, text.splitlines())), None)
+        if match is None:
             return "CSV output is missing the coeffs config line"
-        doc = dict(zip(("kernel", "N", "space"), config.groups()),
+        doc = dict(zip(("kernel", "N", "space"), match.groups()),
                    entries=[dict(zip(header, ln.split(","))) for ln in lines[1:]])
     try:
         if fmt == "csv":
             doc["space"] = make_space(doc["space"]).descriptor()
         report = CoefficientReport.from_json_dict(doc)
-        kernel = parse_kernel(report.kernel, report.space)
+        config = doc.get("config", {"kernel": report.kernel})  # CSV: its config line's
+        kernel = parse_kernel(config["kernel"], report.space)
         if fmt == "json":
+            if (report.space, report.N, report.kernel) != (
+                    make_space(config["space"]), config["nmax"], kernel.descriptor):
+                return f"space, N or kernel {report.kernel!r} is not the one its config gives"
             if (report.method == "de") != kernel.log_flag:
                 return f"method {report.method!r} is not the route of kernel {report.kernel!r}"
-            if report.levels.get("digits") not in _precision_ladder(doc["config"]["digits"]):
+            if report.levels.get("digits") not in _precision_ladder(config["digits"]):
                 return (f"levels.digits {report.levels.get('digits')!r} is not a rung of the "
-                        f"precision ladder of digits {doc['config']['digits']!r}")
+                        f"precision ladder of digits {config['digits']!r}")
+        for e in report.entries:
+            if e.sign != _sign_for(e.value, e.error, e.n, kernel, report.space):
+                return f"entry {e.n}: sign {e.sign!r} is not the one its kernel and interval give"
         if command == "classify":
             from .posdef import classify
 

@@ -1,11 +1,15 @@
-"""Zonal kernels F(t) with singularity metadata.
+"""Zonal kernels F(t) as data.
 
 A kernel is a function of the zonal variable t = cos(2*kappa*theta),
-continuous on [-1, 1) and possibly singular at t = 1 (the diagonal).  The
-metadata drives the quadrature engines:
+continuous on [-1, 1) and possibly singular at t = 1 (the diagonal).  A
+`ZonalKernel` is (family, args, parts): a family of `FAMILIES` with its
+arguments, a `product` of two kernels or a `lincomb` of (coefficient,
+kernel) terms.  The rest is read off that data, each item by one function
+that dispatches on the family and recurses on the parts:
 
+  descriptor          the text `parse_kernel` reads back into the same data
   gj_shift            signed exponent p with (1-t)^p F(t) continuous at t = 1
-  sing_exponent       max(gj_shift, 0), derived; F is in L1 iff < alpha + 1
+  sing_exponent       max(gj_shift, 0); F is in L1 iff < alpha + 1
   log_flag            True when the diagonal singularity is logarithmic
   poly_degree         degree when F is a genuine polynomial in t, else None
   odd_up_to_constant  True when F(t) + F(-t) is constant
@@ -24,6 +28,7 @@ a kernel and `eval_g` run without it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import mpmath as mp
@@ -52,22 +57,67 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ZonalKernel:
-    descriptor: str
+    family: str  # a name of FAMILIES, "product" or "lincomb"
+    args: tuple  # the (key, value) pairs of a family, in FAMILIES order
     # takes the angle node (u, sin u, cos u) in mpf
     eval_g: Callable[[object, object, object], object]
     f_t: Callable[[np.ndarray], np.ndarray]
-    log_flag: bool = False
-    poly_degree: Optional[int] = None
-    # the one stored exponent, absorbed into the quadrature weights: eval_g
-    # returns (1-t)^gj_shift * F.  Negative when a factor (1-t)^(+p) can be
-    # pulled out (Riesz with s < 0), which keeps the Gauss-Jacobi residual
-    # analytic.
-    gj_shift: float = 0.0
-    # F(t) + F(-t) is constant, so on alpha == beta spaces every even-n
-    # coefficient with n >= 2 vanishes identically.  Consulted only when the
-    # computed value sits inside its error bound, so numerics still win
-    # whenever they can decide a sign on their own.
-    odd_up_to_constant: bool = False
+    # the two factors of a product, the (coefficient, kernel) terms of a lincomb
+    parts: tuple = ()
+
+    @property
+    def _kernels(self) -> tuple:
+        return self.parts if self.family == "product" else tuple(k for _, k in self.parts)
+
+    @cached_property
+    def descriptor(self) -> str:
+        """The one writer of the grammar that `parse_kernel` reads."""
+        if self.family == "product":
+            return "product({},{})".format(*(k.descriptor for k in self.parts))
+        if self.family == "lincomb":
+            terms = "+".join(f"{_fmt(c)}*{k.descriptor}" for c, k in self.parts)
+            return f"lincomb({terms})"
+        items = ",".join(f"{key}={_fmt(v)}" for key, v in self.args)
+        return f"{self.family}:{items}" if items else self.family
+
+    @cached_property
+    def log_flag(self) -> bool:
+        return self.family.startswith("log-") or any(k.log_flag for k in self._kernels)
+
+    @cached_property
+    def poly_degree(self) -> Optional[int]:
+        args = dict(self.args)
+        if self.family in ("cospow", "jacobi"):
+            return args["n"]
+        if self.family == "riesz-chordal":
+            # ((1-t)/2)^(-s/2) is a polynomial for negative even s
+            s = args["s"]
+            return int(-s / 2) if s < 0 and (-s / 2) == int(-s / 2) else None
+        degs = [k.poly_degree for k in self._kernels]
+        if not degs or None in degs:
+            return None
+        return sum(degs) if self.family == "product" else max(degs)
+
+    @cached_property
+    def gj_shift(self) -> float:
+        """The exponent absorbed into the quadrature weights: eval_g returns
+        (1-t)^gj_shift * F.  Negative when a factor (1-t)^(+p) can be pulled
+        out (Riesz with s < 0), which keeps the Gauss-Jacobi residual
+        analytic.  Factors add their exponents; terms take the worst."""
+        if self.family == "product":
+            return self.parts[0].gj_shift + self.parts[1].gj_shift
+        if self.family == "lincomb":
+            return max(k.gj_shift for _, k in self.parts)
+        return dict(self.args)["s"] / 2 if self.family.startswith("riesz-") else 0.0
+
+    @cached_property
+    def odd_up_to_constant(self) -> bool:
+        """F(t) + F(-t) is constant, so on alpha == beta spaces every even-n
+        coefficient with n >= 2 vanishes identically.  Consulted only when the
+        computed value sits inside its error bound, so numerics still win
+        whenever they can decide a sign on their own.  theta(-t) =
+        pi/(2 kappa) - theta(t), so -theta is odd up to a constant."""
+        return self.family == "riesz-geodesic" and self.args == (("s", -1.0),)
 
     @property
     def sing_exponent(self) -> float:
@@ -87,18 +137,17 @@ class ZonalKernel:
             )
 
 
-def _sgn(s: float) -> float:
-    return 1.0 if s > 0 else -1.0
-
-
 def _exact_mpf(x: float):
     """The float x as an mpf, exactly at any working precision, so an
     envelope converts its constants once instead of at every node."""
     return mp.make_mpf(libmp.from_float(float(x)))
 
 
-def _fmt(v: float) -> str:
-    """Shortest round-trip repr of a float, without a trailing ".0"."""
+def _fmt(v) -> str:
+    """An int as an int; a float by its shortest round-trip repr, without a
+    trailing ".0"."""
+    if isinstance(v, int):
+        return str(v)
     r = repr(float(v))
     return r[:-2] if r.endswith(".0") else r
 
@@ -119,7 +168,7 @@ def riesz_geodesic(space: Space, s: float) -> ZonalKernel:
     if s >= space.dim_D:
         raise ValueError(f"s={s} >= D={space.dim_D}: Riesz kernel not integrable")
     kappa = space.kappa
-    sign = _sgn(s)
+    sign = 1.0 if s > 0 else -1.0
     kappa_m, sign_m, half_s = _exact_mpf(kappa), _exact_mpf(sign), _exact_mpf(s / 2)
 
     def eval_g(u, sin_u, cos_u):
@@ -134,14 +183,7 @@ def riesz_geodesic(space: Space, s: float) -> ZonalKernel:
         with np.errstate(divide="ignore"):
             return sign * theta ** (-s)
 
-    return ZonalKernel(
-        descriptor=f"riesz-geodesic:s={_fmt(s)}",
-        eval_g=eval_g,
-        f_t=f_t,
-        gj_shift=s / 2,
-        # theta(-t) = pi/(2 kappa) - theta(t), so -theta is odd up to a constant
-        odd_up_to_constant=s == -1.0,
-    )
+    return ZonalKernel("riesz-geodesic", (("s", s),), eval_g, f_t)
 
 
 def riesz_chordal(space: Space, s: float) -> ZonalKernel:
@@ -155,8 +197,7 @@ def riesz_chordal(space: Space, s: float) -> ZonalKernel:
     s = float(s)
     if s >= space.dim_D:
         raise ValueError(f"s={s} >= D={space.dim_D}: Riesz kernel not integrable")
-    sign = _sgn(s)
-
+    sign = 1.0 if s > 0 else -1.0
     consts = {}
 
     def eval_g(u, sin_u, cos_u):
@@ -172,19 +213,11 @@ def riesz_chordal(space: Space, s: float) -> ZonalKernel:
         with np.errstate(divide="ignore"):
             return sign * ((1 - t) / 2) ** (-s / 2)
 
-    deg = int(-s / 2) if s < 0 and (-s / 2) == int(-s / 2) else None
-    return ZonalKernel(
-        descriptor=f"riesz-chordal:s={_fmt(s)}",
-        poly_degree=deg,
-        eval_g=eval_g,
-        f_t=f_t,
-        gj_shift=s / 2,
-    )
+    return ZonalKernel("riesz-chordal", (("s", s),), eval_g, f_t)
 
 
 def log_geodesic(space: Space) -> ZonalKernel:
-    kappa = space.kappa
-    kappa_m = _exact_mpf(kappa)
+    kappa, kappa_m = space.kappa, _exact_mpf(space.kappa)
 
     def eval_g(u, sin_u, cos_u):
         return -mp.log(u / kappa_m)
@@ -195,12 +228,7 @@ def log_geodesic(space: Space) -> ZonalKernel:
         with np.errstate(divide="ignore"):
             return -np.log(theta)
 
-    return ZonalKernel(
-        descriptor="log-geodesic",
-        log_flag=True,
-        eval_g=eval_g,
-        f_t=f_t,
-    )
+    return ZonalKernel("log-geodesic", (), eval_g, f_t)
 
 
 def log_chordal(space: Space) -> ZonalKernel:
@@ -213,12 +241,7 @@ def log_chordal(space: Space) -> ZonalKernel:
         with np.errstate(divide="ignore"):
             return -np.log((1 - t) / 2) / 2
 
-    return ZonalKernel(
-        descriptor="log-chordal",
-        log_flag=True,
-        eval_g=eval_g,
-        f_t=f_t,
-    )
+    return ZonalKernel("log-chordal", (), eval_g, f_t)
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +277,7 @@ def gaussian_kernel(space: Space, metric: str, lam: float) -> ZonalKernel:
             import numpy as np
             return np.exp(-lam * (1 - t) / 2)
 
-    return ZonalKernel(
-        descriptor=f"gauss-{metric}:lambda={_fmt(lam)}",
-        eval_g=eval_g,
-        f_t=f_t,
-    )
+    return ZonalKernel(f"gauss-{metric}", (("lambda", lam),), eval_g, f_t)
 
 
 def cos_power_kernel(n: int) -> ZonalKernel:
@@ -274,12 +293,7 @@ def cos_power_kernel(n: int) -> ZonalKernel:
     def f_t(t: np.ndarray) -> np.ndarray:
         return ((1 + t) / 2) ** n
 
-    return ZonalKernel(
-        descriptor=f"cospow:n={n}",
-        poly_degree=n,
-        eval_g=eval_g,
-        f_t=f_t,
-    )
+    return ZonalKernel("cospow", (("n", n),), eval_g, f_t)
 
 
 def jacobi_unit_kernel(params, n: int) -> ZonalKernel:
@@ -296,12 +310,7 @@ def jacobi_unit_kernel(params, n: int) -> ZonalKernel:
         import numpy as np
         return np.asarray(jacobi_eval((a, b), n, np.asarray(t, dtype=float)))
 
-    return ZonalKernel(
-        descriptor=f"jacobi:n={n}",
-        poly_degree=n,
-        eval_g=eval_g,
-        f_t=f_t,
-    )
+    return ZonalKernel("jacobi", (("n", n),), eval_g, f_t)
 
 
 # ---------------------------------------------------------------------------
@@ -310,42 +319,27 @@ def jacobi_unit_kernel(params, n: int) -> ZonalKernel:
 
 def product_kernel(k1: ZonalKernel, k2: ZonalKernel) -> ZonalKernel:
     """Pointwise product; envelope exponents add, so G = G1 * G2."""
-    log_flag = k1.log_flag or k2.log_flag
-    deg = None
-    if k1.poly_degree is not None and k2.poly_degree is not None:
-        deg = k1.poly_degree + k2.poly_degree
-
     def eval_g(u, sin_u, cos_u):
         return k1.eval_g(u, sin_u, cos_u) * k2.eval_g(u, sin_u, cos_u)
 
     def f_t(t: np.ndarray) -> np.ndarray:
         return k1.f_t(t) * k2.f_t(t)
 
-    return ZonalKernel(
-        descriptor=f"product({k1.descriptor},{k2.descriptor})",
-        log_flag=log_flag,
-        poly_degree=deg,
-        eval_g=eval_g,
-        f_t=f_t,
-        gj_shift=k1.gj_shift + k2.gj_shift,
-    )
+    return ZonalKernel("product", (), eval_g, f_t, (k1, k2))
 
 
 def linear_combination(terms: Sequence[tuple[float, ZonalKernel]]) -> ZonalKernel:
     """sum_i c_i K_i; the envelope exponent is the worst (max) of the terms."""
     if not terms:
         raise ValueError("need at least one term")
-    terms = [(float(c), k) for c, k in terms]
-    shift = max(k.gj_shift for _, k in terms)
-    log_flag = any(k.log_flag for _, k in terms)
-    degs = [k.poly_degree for _, k in terms]
-    deg = max(degs) if all(d is not None for d in degs) else None
+    terms = tuple((float(c), k) for c, k in terms)
 
     def eval_g(u, sin_u, cos_u):
+        # in mpf, so the exponent is not float64-rounded
+        shift = mp.mpf(kernel.gj_shift)
         total = None
         for c, k in terms:
-            # in mpf, so the exponent is not float64-rounded
-            gap = mp.mpf(shift) - k.gj_shift
+            gap = shift - k.gj_shift
             part = c * k.eval_g(u, sin_u, cos_u)
             if gap > 0:
                 part = part * (2 * sin_u * sin_u) ** gap
@@ -358,15 +352,8 @@ def linear_combination(terms: Sequence[tuple[float, ZonalKernel]]) -> ZonalKerne
             out = out + c * k.f_t(t)
         return out
 
-    desc = "+".join(f"{_fmt(c)}*{k.descriptor}" for c, k in terms)
-    return ZonalKernel(
-        descriptor=f"lincomb({desc})",
-        log_flag=log_flag,
-        poly_degree=deg,
-        eval_g=eval_g,
-        f_t=f_t,
-        gj_shift=shift,
-    )
+    kernel = ZonalKernel("lincomb", (), eval_g, f_t, terms)
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +384,13 @@ def parse_kernel(text: str, space: Space) -> ZonalKernel:
     """
     text = text.strip()
     if text.startswith("product(") and text.endswith(")"):
-        inner = text[len("product(") : -1]
-        parts = _split_top(inner, ",")
+        parts = _split_top(text[len("product(") : -1], ",")
         if len(parts) != 2:
             raise ValueError(f"product needs exactly two factors: {text!r}")
         return product_kernel(parse_kernel(parts[0], space), parse_kernel(parts[1], space))
     if text.startswith("lincomb(") and text.endswith(")"):
-        inner = text[len("lincomb(") : -1]
         terms = []
-        for part in _split_top(inner, "+"):
+        for part in _split_top(text[len("lincomb(") : -1], "+"):
             if "*" not in part:
                 raise ValueError(f"lincomb term {part!r} needs <coeff>*<kernel>")
             c, spec = part.split("*", 1)

@@ -260,6 +260,8 @@ def scan_riesz(
             raise ValueError(f"{name}={v} is not finite")
     if step <= 0:
         raise ValueError("step must be positive")
+    if N < 1:  # a cpd verdict reads the degrees n >= 1
+        raise ValueError(f"N must be >= 1 for a cpd verdict, got N = {N}")
     if not 0 < bisect_tol < math.inf:
         raise ValueError(f"bisection tolerance must be positive and finite, got {bisect_tol}")
     if s_max < s_min:
@@ -509,6 +511,8 @@ def table1(N: int = 16, digits: int = 50) -> Table1Result:
     "consistent-with-PD" up to degree N.  Precision escalates inside the
     certification ladder if signs come back undecided.
     """
+    if N < 1:
+        raise ValueError(f"N must be >= 1 for a cpd verdict, got N = {N}")
     rows = []
     reports: Dict[str, CoefficientReport] = {}
     for name in TABLE1_SPACES:

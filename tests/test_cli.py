@@ -518,6 +518,114 @@ def test_verify_reads_back_both_renderings(space, kernel, nmax, digits):
             assert abs(b.value - mp.mpf(e["value"])) <= b.error, e
 
 
+_HP2_CHORDAL = ["coeffs", "--space", "HP2", "--kernel", "riesz-chordal:s=0.7", "--nmax", "3",
+                "--digits", "20"]
+
+
+def _kernel_swapped(doc):
+    doc["kernel"] = "riesz-chordal:s=0.8"
+
+
+def _kernel_rewritten(doc):
+    # the same kernel, but not in the form of the descriptor writer
+    doc["kernel"] = "riesz-chordal:s=0.70"
+
+
+def _truncated(doc):
+    doc["N"] = 2
+    doc["entries"].pop()
+
+
+def _config_space_edited(doc):
+    doc["config"]["space"] = "CP2"
+
+
+@pytest.mark.parametrize("corrupt", (_kernel_swapped, _kernel_rewritten, _truncated,
+                                     _config_space_edited))
+def test_verify_ties_a_json_report_to_its_config(monkeypatch, capsys, corrupt):
+    """In JSON the report's space, N and kernel are those of its config, the
+    kernel as the descriptor writer prints it: each edit exits 1."""
+    code, out, _ = run(capsys, *_HP2_CHORDAL, "--verify")
+    assert code == 0
+    doc = json.loads(out)
+    corrupt(doc)
+    assert cli._verify_output("coeffs", "json", json.dumps(doc)) is not None
+
+    render = cli._render
+
+    def corrupted(args, payload, rows):
+        doc = json.loads(render(args, payload, rows))
+        corrupt(doc)
+        return json.dumps(doc)
+
+    monkeypatch.setattr(cli, "_render", corrupted)
+    code, out, err = run(capsys, *_HP2_CHORDAL, "--verify")
+    assert code == 1 and out == "" and "verification failed" in err
+
+
+def test_verify_reads_a_non_canonical_config_kernel(capsys):
+    """A kernel typed unlike the descriptor writer still verifies: the report
+    prints the writer's form, the config what was typed."""
+    for fmt in ("csv", "json"):
+        code, out, err = run(capsys, "classify", "--space", "HP2", "--kernel",
+                             "riesz-chordal:s=0.70", "--nmax", "3", "--digits", "20",
+                             "--format", fmt, "--verify")
+        assert code == 0 and err == "", (fmt, err)
+    doc = json.loads(out)
+    assert (doc["kernel"], doc["config"]["kernel"]) == ("riesz-chordal:s=0.7",
+                                                        "riesz-chordal:s=0.70")
+
+
+def _zero_below_degree(doc):
+    # cospow:n=2 has degree 2: its n = 1 coefficient is certified positive
+    assert doc["entries"][1]["sign"] == "+"
+    doc["entries"][1]["sign"] = "0"
+
+
+def _plus_above_degree(doc):
+    # a positive interval, but n = 3 is above the degree of cospow:n=2
+    assert doc["entries"][3]["sign"] == "0"
+    doc["entries"][3].update(value="1", error="0.5", sign="+")
+
+
+def _parity_zero_off_alpha_beta(doc):
+    # RP2 has alpha != beta: no parity zeros, so a value inside its error is
+    # undecided, not 0
+    doc["entries"][2].update(value="8.9e-31", error="1e-26", sign="0")
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+@pytest.mark.parametrize("kernel, corrupt", [
+    ("cospow:n=2", _zero_below_degree),
+    ("cospow:n=2", _plus_above_degree),
+    ("riesz-geodesic:s=-1", _parity_zero_off_alpha_beta),
+], ids=["zero-below-degree", "plus-above-degree", "parity-zero-on-RP2"])
+def test_verify_rederives_every_sign(monkeypatch, capsys, fmt, kernel, corrupt):
+    """Every printed sign, 0 included, is the one `_sign_for` gives the printed
+    value and error for the kernel's degree and parity on the space."""
+    space = "RP2" if kernel.startswith("riesz") else "CP2"
+    argv = ["coeffs", "--space", space, "--kernel", kernel, "--nmax", "4", "--digits", "20",
+            "--format", fmt, "--verify"]
+    assert run(capsys, *argv)[0] == 0
+    render = cli.CoefficientReport.to_json_dict
+
+    def corrupted(report):
+        payload = render(report)
+        corrupt(payload)
+        return payload
+
+    monkeypatch.setattr(cli.CoefficientReport, "to_json_dict", corrupted)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "verification failed" in err
+
+
+def test_verify_keeps_parity_zeros_where_alpha_equals_beta(capsys):
+    code, out, err = run(capsys, "coeffs", "--space", "S2", "--kernel", "riesz-geodesic:s=-1",
+                         "--nmax", "4", "--digits", "20", "--verify")
+    assert code == 0 and err == ""
+    assert [e["sign"] for e in json.loads(out)["entries"]] == ["-", "+", "0", "+", "0"]
+
+
 def test_verify_refuses_a_verdict_its_signs_do_not_give(monkeypatch, capsys):
     argv = ["classify", "--space", "RP2", "--kernel", "riesz-geodesic:s=-0.6",
             "--nmax", "6", "--digits", "20"]

@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zonalpd.jacobi import jacobi_eval
 from zonalpd.kernels import (
@@ -254,3 +256,100 @@ def test_known_zero_declaration():
     assert _sign_for(zero, unit, 0, k, S2) == "undecided"
     assert _sign_for(zero, unit, 2, k, RP2) == "undecided"  # alpha != beta: no parity zeros
     assert _sign_for(2 * unit, unit, 2, k, S2) == "+"
+
+
+# ---------------------------------------------------------------------------
+# kernels as data: the descriptor and the metadata are read off
+# (family, args, parts), and the descriptor parses back into the same data
+
+
+def _data(k):
+    """family, args and parts, recursively; repr keeps -0.0 apart from 0.0
+    and an int apart from a float."""
+    parts = [_data(p) if k.family == "product" else (repr(p[0]), _data(p[1]))
+             for p in k.parts]
+    return k.family, repr(k.args), parts
+
+
+def _metadata(k):
+    return (k.descriptor, k.log_flag, k.poly_degree, repr(k.gj_shift), k.odd_up_to_constant)
+
+
+_SPECIAL_FLOATS = st.sampled_from([1e+20, 2.5e-05, -0.0, 1.0, -1.0, -2.0, 0.5, 1e-300])
+_FLOATS = st.one_of(_SPECIAL_FLOATS,
+                    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+_DEGREES = st.one_of(st.integers(0, 6), st.integers(0, 10**18), st.just(10**17))
+
+
+def _leaves(sp):
+    D = sp.dim_D
+    exponents = st.one_of(_FLOATS.filter(lambda s: s < D),
+                          st.just(math.nextafter(D, -math.inf)), st.just(-D))
+    lams = _FLOATS.map(abs).filter(lambda x: x > 0)
+    return st.one_of(
+        st.builds(riesz_geodesic, st.just(sp), exponents),
+        st.builds(riesz_chordal, st.just(sp), exponents),
+        st.just(log_geodesic(sp)),
+        st.just(log_chordal(sp)),
+        st.builds(gaussian_kernel, st.just(sp), st.sampled_from(["geodesic", "chordal"]), lams),
+        st.builds(cos_power_kernel, _DEGREES),
+        st.builds(jacobi_unit_kernel, st.just(sp), _DEGREES),
+    )
+
+
+def _trees(sp, depth):
+    leaves = _leaves(sp)
+    if depth == 0:
+        return leaves
+    sub = _trees(sp, depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds(product_kernel, sub, sub),
+        st.builds(linear_combination, st.lists(st.tuples(_FLOATS, sub), min_size=1, max_size=3)),
+    )
+
+
+_SPACES = [S2, RP2, CP2, HP2, make_space("custom:alpha=2.5,beta=0.5,kappa=0.5")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_SPACES).flatmap(lambda sp: st.tuples(st.just(sp), _trees(sp, 3))))
+def test_descriptor_round_trips_the_data(case):
+    """Every kernel of the grammar, up to depth 3, parses back from its
+    descriptor into the same family, args and parts with the same metadata,
+    and its descriptor is a fixed point of parse-then-write."""
+    sp, k = case
+    back = parse_kernel(k.descriptor, sp)
+    assert _data(back) == _data(k)
+    assert _metadata(back) == _metadata(k)
+    assert back.descriptor == k.descriptor
+    assert parse_kernel(back.descriptor, sp).descriptor == k.descriptor
+
+
+def test_int_arguments_print_as_ints():
+    k = parse_kernel(f"product(cospow:n={10**17},jacobi:n={10**18})", S2)
+    assert k.descriptor == f"product(cospow:n={10**17},jacobi:n={10**18})"
+    assert k.parts[0].args == (("n", 10**17),) and k.poly_degree == 10**17 + 10**18
+
+
+def test_kernels_are_data():
+    k = parse_kernel("lincomb(2*riesz-chordal:s=0.5+-1*product(log-chordal,cospow:n=2))", S2)
+    assert (k.family, k.args, [c for c, _ in k.parts]) == ("lincomb", (), [2.0, -1.0])
+    chordal, prod = (p for _, p in k.parts)
+    assert (chordal.family, chordal.args, chordal.parts) == ("riesz-chordal", (("s", 0.5),), ())
+    assert prod.family == "product" and [p.family for p in prod.parts] == ["log-chordal", "cospow"]
+    assert (k.log_flag, k.poly_degree, k.gj_shift, k.odd_up_to_constant) == (True, None, 0.25,
+                                                                             False)
+
+
+def test_metadata_is_computed_once_per_kernel():
+    """A lincomb envelope reads its terms' gj_shift at every node: the
+    metadata are cached on the kernel object, replaced kernels included."""
+    import dataclasses
+
+    k = parse_kernel("lincomb(1*riesz-chordal:s=0.5+1*cospow:n=1)", S2)
+    for name in ("descriptor", "log_flag", "poly_degree", "gj_shift", "odd_up_to_constant"):
+        first = getattr(k, name)
+        assert name in vars(k) and getattr(k, name) is first
+    twin = dataclasses.replace(k, eval_g=k.eval_g, f_t=k.f_t)
+    assert _metadata(twin) == _metadata(k) and _data(twin) == _data(k)

@@ -313,6 +313,21 @@ def test_table1_rows():
     assert d["rows"][3]["space"] == "CP2"
 
 
+@pytest.mark.parametrize("N", (0, -1))
+@pytest.mark.parametrize("driver", [
+    lambda N: table1(N=N, digits=20),
+    lambda N: scan_riesz(RP2, "geodesic", -0.7, -0.5, step=0.1, N=N, digits=20),
+], ids=["table1", "scan_riesz"])
+def test_cpd_drivers_refuse_N_below_1_before_certifying(monkeypatch, driver, N):
+    """A cpd verdict reads n >= 1 only: the library drivers name N and run
+    no certification."""
+    calls = []
+    monkeypatch.setattr(posdef, "certify_coefficients", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=f"N must be >= 1 .* N = {N}$"):
+        driver(N)
+    assert calls == []
+
+
 def test_package_resolves_posdef_names_on_demand():
     import zonalpd
     from zonalpd import posdef
