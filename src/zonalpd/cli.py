@@ -371,6 +371,47 @@ _JSON_REQUIRED = {
 }
 
 
+def _check_scan(doc) -> Optional[str]:
+    """A printed scan agrees with itself, as `posdef.scan_riesz` builds it."""
+    grid, tr, N = doc["grid"], doc["transition"], doc["N"]
+    ss = [g["s"] for g in grid]
+    if any(a >= b for a, b in zip(ss, ss[1:])):
+        return "the grid s values do not increase"
+    for g in grid:
+        v = g["verdict"]
+        if (v["mode"], v["N_checked"]) != ("cpd", N):
+            return f"s={g['s']}: the verdict is not a cpd verdict up to N = {N}"
+        if g["first_negative_n"] != (v["witness"] if v["classification"] == "not-CPD" else None):
+            return f"s={g['s']}: first_negative_n is not the witness of a not-CPD verdict"
+    neg = [g["s"] for g in grid if g["verdict"]["classification"] == "not-CPD"]
+    ok = [g["s"] for g in grid if neg and g["s"] > max(neg)
+          and g["verdict"]["classification"] not in ("not-CPD", "undecided")]
+    bracket = tr["bracket"]
+    if bracket is not None and not (ok and tr["estimate"] == bracket[0] < bracket[1]
+                                    and max(neg) <= bracket[0] and bracket[1] <= min(ok)):
+        return ("the bracket is not (estimate, hi) from the last not-CPD s to the first "
+                "nonnegative s past it")
+    if (bracket is None or bracket[1] - bracket[0] > tr["bisect_tol"]) and not tr["note"]:
+        return "a bracket wider than bisect_tol, or none, comes without a note"
+    return None
+
+
+def _check_table1(doc) -> Optional[str]:
+    """The rows of a printed table 1 are its spaces, and each first negative
+    index fits the row's verdict."""
+    from .posdef import TABLE1_SPACES
+
+    if [(r["space"], r["alpha"], r["beta"]) for r in doc["rows"]] != [
+            (sp.name, sp.alpha, sp.beta) for sp in map(make_space, TABLE1_SPACES)]:
+        return "the rows are not the spaces of table 1 in order, with their (alpha, beta)"
+    for r in doc["rows"]:
+        fn, verdict = r["first_negative_n"], r["verdict"]
+        if (verdict == "not-CPD" and not (type(fn) is int and 1 <= fn <= doc["N"])
+                or verdict == "consistent-with-PD" and fn is not None):
+            return f"{r['space']}: first_negative_n {fn!r} does not fit the verdict {verdict!r}"
+    return None
+
+
 # a coeffs config line: its keys are sorted, so kernel, nmax and space come
 # last, and a lincomb kernel or a custom space may hold spaces
 _COEFFS_CONFIG = re.compile(r"# config: .* kernel=(.*) nmax=(\d+) space=(.*)")
@@ -383,7 +424,8 @@ def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
     a printed verdict the one its signs give.  In JSON the space, N and kernel
     (as the descriptor writer prints it) are the config's, the method is `de`
     exactly for a log kernel, and `levels.digits` a rung of the precision
-    ladder of the config's digits."""
+    ladder of the config's digits; a scan or a table 1 must agree with
+    itself (`_check_scan`, `_check_table1`), which certifies nothing."""
     if fmt == "json":
         try:
             doc = json.loads(text)
@@ -392,7 +434,7 @@ def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
         for key in _JSON_REQUIRED[command] + ("version", "config"):
             if key not in doc:
                 return f"output JSON is missing {key!r}"
-        if command not in ("coeffs", "classify"):
+        if command in ("energy", "poisson"):
             return None
     else:
         lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
@@ -412,6 +454,8 @@ def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
         doc = dict(zip(("kernel", "N", "space"), match.groups()),
                    entries=[dict(zip(header, ln.split(","))) for ln in lines[1:]])
     try:
+        if command in ("scan", "table1"):
+            return (_check_scan if command == "scan" else _check_table1)(doc)
         if fmt == "csv":
             doc["space"] = make_space(doc["space"]).descriptor()
         report = CoefficientReport.from_json_dict(doc)

@@ -13,9 +13,10 @@ a degree costs integer products and shifts, with the rounding bounded by
 N, precision), and every precision shares the rounding bounds.  Both
 Gauss-Jacobi rules start from one pure-Python Golub-Welsch solve,
 `_golub_welsch` (implicit QL on the tridiagonal Jacobi matrix), so the
-module runs on mpmath and the standard library; numpy is imported only
-where `gauss_jacobi_rule` returns arrays.  Rules carry
-unnormalized weights (they sum to the weight's total mass Z);
+module runs on mpmath and the standard library.  `gauss_jacobi_rule_mp`
+returns mpf lists and the float rule `gauss_jacobi_rule` numpy arrays
+(numpy is imported only there), both as a (nodes, weights) pair.  Rules
+carry unnormalized weights (they sum to the weight's total mass Z);
 probability-normalized variants divide by Z at the call site.  The plan,
 the rule weights, the Poisson series and `dim_m_n` read one normalisation,
 `_prefactors`; float inputs of `dim_m_n` are exact Fractions, rounded once.
@@ -26,19 +27,12 @@ import functools
 import itertools
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 import mpmath as mp
 from mpmath import libmp
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = [
-    "JacobiParams",
-    "QuadratureRule",
     "jacobi_eval_all",
     "jacobi_eval",
     "jacobi_value_at_one",
@@ -50,18 +44,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class JacobiParams:
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.alpha <= -1 or self.beta <= -1:
-            raise ValueError("Jacobi weight needs alpha > -1 and beta > -1")
-
-
 def _ab(obj) -> tuple:
-    """Extract (alpha, beta) from JacobiParams, Space, or a plain pair."""
+    """Extract (alpha, beta) from a Space or a plain pair."""
     if hasattr(obj, "alpha"):
         return obj.alpha, obj.beta
     a, b = obj
@@ -170,37 +154,6 @@ def eigenvalue_lambda_n(space, n: int) -> float:
 # Gauss-Jacobi rules
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes/weights for int f(t)(1-t)^a(1+t)^b dt over [-1,1], unnormalized."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    params: JacobiParams
-    order: int
-
-    def __post_init__(self):
-        import numpy as np
-        n = np.asarray(self.nodes, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", n)
-        object.__setattr__(self, "weights", w)
-        if not (np.all(np.diff(n) > 0) and n[0] > -1 and n[-1] < 1):
-            raise ValueError("nodes must be strictly increasing inside (-1,1)")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
-
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
-
-def weight_total_mass(params) -> float:
-    """Z = int (1-t)^a (1+t)^b dt = 2^(a+b+1) B(a+1, b+1)."""
-    a, b = _ab(params)
-    lg = math.lgamma
-    return math.exp((a + b + 1) * math.log(2) + lg(a + 1) + lg(b + 1) - lg(a + b + 2))
-
-
 def _golub_welsch(a: float, b: float, m: int) -> tuple[list, list]:
     """(nodes, first components squared) of the order-m rule in float64.
 
@@ -262,18 +215,20 @@ def _golub_welsch(a: float, b: float, m: int) -> tuple[list, list]:
     return [d[i] for i in order], [z[i] * z[i] for i in order]
 
 
-def gauss_jacobi_rule(params, m: int) -> QuadratureRule:
-    """Golub-Welsch rule in float64: nodes and weights from the QL solve of
-    `_golub_welsch`, the one that seeds `gauss_jacobi_rule_mp`, as numpy
-    arrays (numpy is imported here, not with the module).
-
-    Exact for polynomials of degree <= 2m-1 against the weight.
+def gauss_jacobi_rule(params, m: int) -> tuple:
+    """(nodes, weights) numpy arrays of the order-m rule in float64, from the
+    QL solve of `_golub_welsch`, the one that seeds `gauss_jacobi_rule_mp`
+    (numpy is imported here, not with the module).  Nodes ascend inside
+    (-1, 1); the weights are positive and sum to the total mass
+    Z = 2^(a+b+1) B(a+1, b+1).  Exact for polynomials of degree <= 2m-1
+    against the weight.
     """
     import numpy as np
     a, b = map(float, _ab(params))
     nodes, first = _golub_welsch(a, b, m)
-    weights = np.array(first) * weight_total_mass((a, b))
-    return QuadratureRule(np.array(nodes), weights, JacobiParams(a, b), m)
+    lg = math.lgamma
+    mass = math.exp((a + b + 1) * math.log(2) + lg(a + 1) + lg(b + 1) - lg(a + b + 2))
+    return np.array(nodes), np.array(first) * mass
 
 
 def _guard_bits(a: float, b: float, m: int) -> int:

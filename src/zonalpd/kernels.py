@@ -90,9 +90,10 @@ class ZonalKernel:
         if self.family in ("cospow", "jacobi"):
             return args["n"]
         if self.family == "riesz-chordal":
-            # ((1-t)/2)^(-s/2) is a polynomial for negative even s
+            # ((1-t)/2)^(-s/2) is a polynomial for negative even s; s is
+            # tested itself, since halving a subnormal s rounds it to 0
             s = args["s"]
-            return int(-s / 2) if s < 0 and (-s / 2) == int(-s / 2) else None
+            return int(-s) // 2 if s < 0 and s % 2 == 0 else None
         degs = [k.poly_degree for k in self._kernels]
         if not degs or None in degs:
             return None

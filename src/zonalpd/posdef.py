@@ -78,12 +78,7 @@ class PDVerdict:
     @property
     def is_nonnegative(self) -> bool:
         """True when every coefficient used by the mode is certified >= 0."""
-        return self.classification in (
-            "strictly-PD",
-            "PD-not-strict",
-            "strictly-CPD-only",
-            "CPD-not-strict",
-        )
+        return self.classification not in ("not-CPD", "undecided")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -463,6 +458,8 @@ def all_spaces_check(
 
 
 TABLE1_SPACES = ("RP2", "RP3", "RP4", "CP2", "CP3", "HP2", "OP2")
+# the fields of a row, in the order of the tuple and of the CSV columns
+TABLE1_COLUMNS = ("space", "alpha", "beta", "first_negative_n", "verdict")
 
 
 @dataclass(frozen=True)
@@ -473,27 +470,15 @@ class Table1Result:
     reports: Dict[str, CoefficientReport] = field(repr=False, default_factory=dict)
 
     def to_csv(self) -> str:
-        lines = ["space,alpha,beta,first_negative_n,verdict"]
+        lines = [",".join(TABLE1_COLUMNS)]
         for name, alpha, beta, first_neg, verdict in self.rows:
             fn = "" if first_neg is None else str(first_neg)
             lines.append(f"{name},{_fmt(alpha)},{_fmt(beta)},{fn},{verdict}")
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "digits": self.digits,
-            "rows": [
-                {
-                    "space": name,
-                    "alpha": alpha,
-                    "beta": beta,
-                    "first_negative_n": first_neg,
-                    "verdict": verdict,
-                }
-                for name, alpha, beta, first_neg, verdict in self.rows
-            ],
-        }
+        return {"N": self.N, "digits": self.digits,
+                "rows": [dict(zip(TABLE1_COLUMNS, row)) for row in self.rows]}
 
     def row(self, space_name: str) -> Tuple[str, float, float, Optional[int], str]:
         for r in self.rows:
@@ -520,12 +505,8 @@ def table1(N: int = 16, digits: int = 50) -> Table1Result:
         report = certify_coefficients(sp, log_geodesic(sp), N=N, target_digits=digits)
         reports[name] = report
         first_neg = _first_negative(report)
-        v = classify(report, mode="cpd")
-        if v.classification == "not-CPD":
-            verdict = "not-CPD"
-        elif v.classification == "undecided":
-            verdict = "undecided"
-        else:
+        verdict = classify(report, mode="cpd").classification
+        if verdict not in ("not-CPD", "undecided"):
             verdict = "consistent-with-PD"
         rows.append((name, sp.alpha, sp.beta, first_neg, verdict))
     return Table1Result(N=N, digits=digits, rows=tuple(rows), reports=reports)

@@ -22,6 +22,10 @@ from typing import TYPE_CHECKING, Iterable, Optional
 if TYPE_CHECKING:
     import numpy as np
 
+__all__ = ["Space", "Point", "make_space", "parse_args", "read_value", "make_rng",
+           "sample_uniform_points", "distance_t_arrays", "distance_t", "save_points",
+           "load_points"]
+
 FAMILY_SPHERE = "Sphere"
 FAMILY_RP = "RP"
 FAMILY_CP = "CP"

@@ -37,11 +37,13 @@ its rounding bounds), per (space, N, precision), the bounds per (space, N).
 Gauss-Jacobi rules are not shared: their weight
 exponent 2a+1-2sigma depends on the kernel.  The mpmath context is
 process-global, so concurrent certifications must share one precision
-setting (the scan drivers do).
+setting (the scan drivers do).  The Poisson kernel's closed form calls the
+private 2F1 helper `_hyp2f1` at a precision sized to its 1 - z.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -68,12 +70,10 @@ from .spaces import Space, make_space
 __all__ = [
     "CoefficientEntry",
     "CoefficientReport",
-    "Hyp2F1Args",
     "coefficients_de",
     "coefficients_gj",
     "certify_coefficients",
     "synthesize",
-    "hyp2f1",
     "poisson_kernel",
     "DEFAULT_DIGITS",
     "DEFAULT_N",
@@ -633,33 +633,18 @@ def synthesize(report: CoefficientReport, t: float, r: float = 1.0) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class Hyp2F1Args:
-    a: float
-    b: float
-    c: float
-    z: float
-
-    def __post_init__(self):
-        if self.c <= 0 and self.c == int(self.c):
-            raise ValueError("c must not be a non-positive integer")
-        if not 0 <= self.z < 1:
-            raise ValueError("z must lie in [0,1)")
-
-
-def hyp2f1(args: Hyp2F1Args, digits: int = 25) -> float:
-    """Gauss hypergeometric 2F1(a,b;c;z) on [0,1).
+def _hyp2f1(a, b, c, z, digits: int) -> float:
+    """Gauss hypergeometric 2F1(a,b;c;z) on [0,1), at digits + 10 digits.
 
     When c-a (or c-b) is a non-positive integer the Euler transformation
     (1-z)^(c-a-b) 2F1(c-a, c-b; c; z) terminates and is summed exactly.
     Otherwise mpmath's hyp2f1, which transforms z -> 1-z near z=1, gives the
-    value at the same elevated working precision.
+    value at the same elevated working precision.  Each path wins on some
+    input: the Euler sum is far faster at high precision, and mpmath's value
+    differs from it in the last bit at the lowest precisions.
     """
-    if not isinstance(args, Hyp2F1Args):
-        args = Hyp2F1Args(*args)
-    a, b, c, z = args.a, args.b, args.c, args.z
-    if z == 0:
-        return 1.0
+    if not 0 <= z < 1:
+        raise ValueError("z must lie in [0,1)")
     with mp.workdps(digits + 10):
         za = mp.mpf(z)
         ca, cb = c - a, c - b
@@ -705,16 +690,18 @@ def poisson_kernel(
         kappa = space_or_params.kappa
     if not 0 <= r < 1:
         raise ValueError("r must lie in [0,1)")
-    if r == 0:
-        return 1.0
     if method == "closed":
-        # z in mpf: near r = 1 and theta = 0, 1 - z is a few float64 ulps
+        # near r = 1 and theta = 0, 1 - z is tiny: w = 1 - z has no
+        # cancellation here, and z carries -log10(w) more digits; rm and u
+        # are exact (a double, times 1/2 or 1), so both precisions share them
         with mp.workdps(digits + 10):
-            rm = mp.mpf(r)
-            z = 4 * rm * mp.cos(mp.mpf(kappa) * mp.mpf(theta)) ** 2 / (1 + rm) ** 2
+            rm, u = mp.mpf(r), mp.mpf(kappa) * mp.mpf(theta)
+            w = ((1 - rm) ** 2 + 4 * rm * mp.sin(u) ** 2) / (1 + rm) ** 2
+        digits += max(0, math.ceil(-math.log10(w)))
+        with mp.workdps(digits + 10):
+            z = 4 * rm * mp.cos(u) ** 2 / (1 + rm) ** 2
         pref = (1 - r) / (1 + r) ** (a + b + 2)
-        val = hyp2f1(Hyp2F1Args((a + b + 2) / 2, (a + b + 3) / 2, b + 1, z), digits=digits)
-        return pref * val
+        return pref * _hyp2f1((a + b + 2) / 2, (a + b + 3) / 2, b + 1, z, digits)
     if method == "series":
         capped = RuntimeError(
             f"Poisson series did not converge in {POISSON_SERIES_MAX_TERMS} terms (r={r!r})"

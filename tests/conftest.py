@@ -5,7 +5,6 @@ import numpy as np
 
 from zonalpd.energy import _mc_mean
 from zonalpd.jacobi import (
-    JacobiParams,
     _ab,
     dim_m_n,
     jacobi_eval_all,
@@ -46,9 +45,17 @@ def jacobi_norm_sq(params, n):
     return math.exp(log_h)
 
 
+def total_mass(params):
+    """Z = int (1-t)^a (1+t)^b dt = 2^(a+b+1) B(a+1, b+1)."""
+    a, b = _ab(params)
+    lg = math.lgamma
+    return math.exp((a + b + 1) * math.log(2) + lg(a + 1) + lg(b + 1) - lg(a + b + 2))
+
+
 def integrate(rule, f):
-    """A QuadratureRule applied to f: sum_k w_k f(x_k)."""
-    return float(np.dot(rule.weights, f(rule.nodes)))
+    """A (nodes, weights) rule applied to f: sum_k w_k f(x_k)."""
+    nodes, weights = rule
+    return float(np.dot(weights, f(nodes)))
 
 
 def synthetic_report(space_name, values, errors=None, signs=None, kernel="synthetic"):
@@ -119,7 +126,7 @@ def funk_hecke_mc(space, n, x, y, samples=10**6, *, seed=0, threads=1):
         raise ValueError("n must be between 0 and 12 for the MC check")
     if x.space != space or y.space != space:
         raise ValueError("x and y must live on the given space")
-    params = JacobiParams(space.alpha, space.beta)
+    params = (space.alpha, space.beta)
     rhs = (
         jacobi_value_at_one(params, n)
         / dim_m_n(params, n)

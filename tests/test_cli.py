@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import functools
+import io
 import json
 import math
 import os
@@ -281,6 +284,20 @@ def test_poisson_near_r_one_prints_closed_form(capsys):
     row = lines[lines.index("value,closed,series,diff") + 1].split(",")
     assert float(row[0]) == float(row[1]) == doc["value"] and row[2:] == ["", ""]
     assert lines[-1] == f"# note={doc['note']}"
+
+
+def test_subnormal_riesz_chordal_exponent_is_no_polynomial(capsys):
+    """-chi^(5e-324) is no polynomial: no n >= 1 coefficient is an exact 0,
+    and the table passes --verify."""
+    for fmt in ("json", "csv"):
+        code, out, err = run(capsys, "coeffs", "--space", "S2", "--kernel",
+                             "riesz-chordal:s=-5e-324", "--nmax", "2", "--digits", "15",
+                             "--format", fmt, "--verify")
+        assert code in (0, 2) and err == "", err
+        if fmt == "json":
+            assert [e["sign"] for e in json.loads(out)["entries"][1:]].count("0") == 0
+        else:
+            assert [ln.rsplit(",", 1)[1] for ln in out.splitlines()[-2:]].count("0") == 0
 
 
 def test_printed_intervals_contain_closed_form(capsys):
@@ -644,6 +661,98 @@ def test_verify_refuses_a_verdict_its_signs_do_not_give(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_render", corrupted)
     code, out, err = run(capsys, *argv, "--verify")
     assert code == 1 and out == "" and "verification failed" in err
+
+
+_SCAN_JOB = ("scan", "--space", "RP2", "--kernel", "riesz-geodesic", "--s-min", "-0.7",
+             "--s-max", "-0.5", "--step", "0.1", "--nmax", "4", "--digits", "20")
+_TABLE1_JOB = ("table1", "--nmax", "4", "--digits", "20")
+
+
+@functools.lru_cache(maxsize=None)
+def _printed(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+def _edit(path, value):
+    """Set the entry of a JSON document at a path of keys and indices."""
+    def corrupt(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return corrupt
+
+
+def _edits(*edits):
+    def corrupt(doc):
+        for edit in edits:
+            edit(doc)
+    return corrupt
+
+
+# the golden scan: not-CPD at s = -0.7 (witness 4), nonnegative at -0.6 and
+# -0.5, bracket (-0.7, -0.6875) within bisect_tol 0.02, empty note
+_SCAN_CORRUPTIONS = {
+    "s-repeated": (_edit(("grid", 1, "s"), -0.7), "do not increase"),
+    "pd-verdict": (_edit(("grid", 0, "verdict", "mode"), "pd"), "not a cpd verdict"),
+    "N-checked": (_edit(("grid", 2, "verdict", "N_checked"), 3), "not a cpd verdict"),
+    "not-the-witness": (_edit(("grid", 0, "first_negative_n"), 3), "first_negative_n"),
+    "negative-n-on-cpd": (_edit(("grid", 1, "first_negative_n"), 2), "first_negative_n"),
+    "estimate-off-bracket": (_edit(("transition", "estimate"), -0.69), "the bracket"),
+    "bracket-below-last-not-cpd": (
+        _edits(_edit(("transition", "bracket"), [-0.75, -0.6875]),
+               _edit(("transition", "estimate"), -0.75)), "the bracket"),
+    "empty-bracket": (_edit(("transition", "bracket"), [-0.7, -0.7]), "the bracket"),
+    "bracket-past-nonnegative-s": (
+        _edits(_edit(("transition", "bracket"), [-0.7, -0.55]),
+               _edit(("transition", "note"), "bisection stopped")), "the bracket"),
+    "wide-bracket-without-note": (_edit(("transition", "bisect_tol"), 0.01), "without a note"),
+    "no-bracket-without-note": (_edit(("transition", "bracket"), None), "without a note"),
+}
+# the golden table 1: every row consistent-with-PD at N = 4
+_TABLE1_CORRUPTIONS = {
+    "rows-swapped": (lambda doc: doc["rows"].reverse(), "not the spaces"),
+    "row-missing": (lambda doc: doc["rows"].pop(), "not the spaces"),
+    "alpha": (_edit(("rows", 3, "alpha"), 2.0), "not the spaces"),
+    "not-cpd-without-n": (_edit(("rows", 0, "verdict"), "not-CPD"), "'not-CPD'"),
+    "not-cpd-past-N": (_edits(_edit(("rows", 0, "verdict"), "not-CPD"),
+                              _edit(("rows", 0, "first_negative_n"), 5)), "'not-CPD'"),
+    "not-cpd-at-0": (_edits(_edit(("rows", 0, "verdict"), "not-CPD"),
+                            _edit(("rows", 0, "first_negative_n"), 0)), "'not-CPD'"),
+    "not-cpd-at-true": (_edits(_edit(("rows", 0, "verdict"), "not-CPD"),
+                               _edit(("rows", 0, "first_negative_n"), True)), "'not-CPD'"),
+    "consistent-with-n": (_edit(("rows", 2, "first_negative_n"), 2), "'consistent-with-PD'"),
+}
+
+
+@pytest.mark.parametrize("job,corrupt,why", [
+    *((_SCAN_JOB, *c) for c in _SCAN_CORRUPTIONS.values()),
+    *((_TABLE1_JOB, *c) for c in _TABLE1_CORRUPTIONS.values()),
+], ids=[*_SCAN_CORRUPTIONS, *_TABLE1_CORRUPTIONS])
+def test_verify_refuses_a_scan_or_table1_that_disagrees_with_itself(
+        monkeypatch, capsys, job, corrupt, why):
+    """Each rule `--verify` applies to scan and table1 JSON refuses its
+    corruption of the golden output, which passes intact, and the job
+    exits 1."""
+    text = _printed(job)
+    assert cli._verify_output(job[0], "json", text) is None
+    doc = json.loads(text)
+    corrupt(doc)
+    problem = cli._verify_output(job[0], "json", json.dumps(doc))
+    assert problem is not None and why in problem, problem
+
+    monkeypatch.setitem(cli._COMMANDS, job[0], lambda args: ({}, [], False))
+    monkeypatch.setattr(cli, "_render", lambda args, payload, rows: json.dumps(doc))
+    code, out, err = run(capsys, *job, "--verify")
+    assert code == 1 and out == "" and "verification failed" in err
+
+
+def test_verify_accepts_a_wide_scan_bracket_with_a_note():
+    doc = json.loads(_printed(_SCAN_JOB))
+    doc["transition"].update(bisect_tol=0.01, note="bisection stopped at undecided midpoint")
+    assert cli._verify_output("scan", "json", json.dumps(doc)) is None
 
 
 @pytest.mark.parametrize("argv", [

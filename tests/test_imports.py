@@ -1,5 +1,10 @@
-"""Every module-level import in the zonalpd package is used by its module."""
+"""Every module-level import in the zonalpd package is used by its module,
+and the package surface is one table that loads nothing until it is read."""
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +53,24 @@ def test_unused_import_is_caught():
         "def f(x: 'int') -> int:\n    return regex.sub('a', 'b', x)\n"
     )
     assert sorted(unused_imports(source)) == ["math (line 1)", "np (line 5)", "path (line 6)"]
+
+
+def test_import_loads_no_submodule():
+    """`import zonalpd` in a fresh interpreter loads no zonalpd submodule,
+    no mpmath and no numpy."""
+    src = str(Path(zonalpd.__file__).resolve().parents[1])
+    probe = ("import sys, zonalpd; print(sorted(m for m in sys.modules "
+             "if m.startswith(('zonalpd.', 'mpmath', 'numpy'))))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+@pytest.mark.parametrize("name", [n for n in zonalpd.__all__ if n != "__version__"])
+def test_package_name_is_its_module_name(name):
+    """Every package name is the object its module defines and lists in
+    that module's `__all__`."""
+    module = importlib.import_module(f"zonalpd.{zonalpd._MODULE_OF[name]}")
+    assert name in module.__all__
+    assert getattr(zonalpd, name) is getattr(module, name)

@@ -116,6 +116,13 @@ def test_riesz_chordal_values():
     assert np.allclose(k2.f_t(t), -(1 - t) / 2, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("s,degree", ((-2, 1), (-4, 2), (-6.0, 3), (-3, None),
+                                      (-5e-324, None), (-2.5, None)))
+def test_riesz_chordal_poly_degree_reads_s_itself(s, degree):
+    # halving the subnormal s = -5e-324 rounds it to 0, a degree it lacks
+    assert parse_kernel(f"riesz-chordal:s={s!r}", S2).poly_degree == degree
+
+
 @pytest.mark.parametrize("s", (0.7, 1.5, -1.3, -2.0))
 def test_riesz_chordal_constant_reused_per_precision(s):
     """eval_g raises sgn(s) 2^(s/2) once per arithmetic and precision, with

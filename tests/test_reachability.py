@@ -22,16 +22,12 @@ from zonalpd.spaces import make_rng, make_space, sample_uniform_points, save_poi
 MODULES = (zonalpd, cli, energy, jacobi, kernels, posdef, spaces, transform)
 
 ALLOWED = {
-    "zonalpd.__getattr__": "loads the posdef and energy names on first use for library callers",
+    "zonalpd.__getattr__": "serves the package names on first use for library callers",
     "zonalpd.cli.run": "the process entry point: it ends the process, so jobs call main",
     "zonalpd.cli._flush_std_files": "the exit path of run",
     "zonalpd.energy.energy_uniform": "library API (demos/energies.py); the CLI prints "
                                      "energy_uniform_detail",
-    "zonalpd.jacobi.gauss_jacobi_rule": "float rule API, wrapped by perfbench/tracer.py",
-    "zonalpd.jacobi.weight_total_mass": "float rule API",
-    "zonalpd.jacobi.JacobiParams.__post_init__": "float rule API",
-    "zonalpd.jacobi.QuadratureRule.__post_init__": "float rule API",
-    "zonalpd.jacobi.QuadratureRule.total_mass": "float rule API",
+    "zonalpd.jacobi.gauss_jacobi_rule": "wrapped by name by perfbench/tracer.py until ROADMAP F",
     "zonalpd.posdef.all_spaces_check": "the all-spaces sweep has no command yet "
                                        "(demos/alpha_sweep.py runs it)",
     "zonalpd.posdef.AllSpacesResult.to_json_dict": "the result of all_spaces_check",

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CATALOG, SAMPLED
-from zonalpd.jacobi import weight_total_mass
+from conftest import CATALOG, SAMPLED, total_mass
 from zonalpd.spaces import (
     _CLAMP_TOL,
     FAMILY_CP,
@@ -213,7 +212,7 @@ def test_round_trip_rp3_hypothesis(theta):
 def measure_density(space: Space, t):
     """Density of mu_{alpha,beta} at t (scalar or array), probability-normalized."""
     a, b = space.alpha, space.beta
-    Z = weight_total_mass((a, b))
+    Z = total_mass((a, b))
     arr = np.asarray(t, dtype=float)
     if np.any(arr < -1) or np.any(arr > 1):
         raise ValueError("t outside [-1,1]")
