@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import atexit
 import json
+import math
 import os
 import re
 import sys
@@ -24,6 +25,7 @@ import threading
 from typing import List, Optional, Tuple
 
 import argparse
+import mpmath as mp
 
 from . import __version__
 from .spaces import Point, make_space, load_points, parse_args
@@ -305,12 +307,20 @@ def _cmd_energy(args):
     else:
         value, err, qv, qe = energy_uniform_detail(space, kernel, args.digits)
         payload = {"energy": float(value), "stderr": 0.0, "method": "quadrature",
-                   "expansion_error": float(err),
-                   "quadrature_value": float(qv), "quadrature_error": float(qe)}
+                   "expansion_error": _float_error(value, err),
+                   "quadrature_value": float(qv), "quadrature_error": _float_error(qv, qe)}
 
     rows = ["energy,stderr,method",
             f"{payload['energy']!r},{payload['stderr']!r},{payload['method']}"]
     return payload, rows, False
+
+
+def _float_error(value, error) -> float:
+    """A float never below error + |float(value) - value|, so the printed
+    float(value) +- it contains the mpf value."""
+    bound = mp.fadd(error, abs(mp.fsub(float(value), value, exact=True)), rounding="u")
+    f = float(bound)
+    return f if f >= bound else math.nextafter(f, math.inf)
 
 
 def _cmd_poisson(args):
@@ -372,7 +382,8 @@ _JSON_REQUIRED = {
 
 
 def _check_scan(doc) -> Optional[str]:
-    """A printed scan agrees with itself, as `posdef.scan_riesz` builds it."""
+    """A printed scan agrees with itself, as `posdef.scan_riesz` builds it,
+    and with its config."""
     grid, tr, N = doc["grid"], doc["transition"], doc["N"]
     ss = [g["s"] for g in grid]
     if any(a >= b for a, b in zip(ss, ss[1:])):
@@ -393,12 +404,17 @@ def _check_scan(doc) -> Optional[str]:
                 "nonnegative s past it")
     if (bracket is None or bracket[1] - bracket[0] > tr["bisect_tol"]) and not tr["note"]:
         return "a bracket wider than bisect_tol, or none, comes without a note"
+    config = doc["config"]
+    if (doc["space"], doc["metric"], N, doc["digits"], tr["bisect_tol"]) != (
+            make_space(config["space"]).name, _SCAN_KERNELS.get(config["kernel"]),
+            config["nmax"], config["digits"], config["bisect"]):
+        return "space, metric, N, digits or bisect_tol is not the one its config gives"
     return None
 
 
 def _check_table1(doc) -> Optional[str]:
-    """The rows of a printed table 1 are its spaces, and each first negative
-    index fits the row's verdict."""
+    """The rows of a printed table 1 are its spaces, each first negative
+    index fits the row's verdict, and N and digits are its config's."""
     from .posdef import TABLE1_SPACES
 
     if [(r["space"], r["alpha"], r["beta"]) for r in doc["rows"]] != [
@@ -409,6 +425,8 @@ def _check_table1(doc) -> Optional[str]:
         if (verdict == "not-CPD" and not (type(fn) is int and 1 <= fn <= doc["N"])
                 or verdict == "consistent-with-PD" and fn is not None):
             return f"{r['space']}: first_negative_n {fn!r} does not fit the verdict {verdict!r}"
+    if (doc["N"], doc["digits"]) != (doc["config"]["nmax"], doc["config"]["digits"]):
+        return "N or digits is not the one its config gives"
     return None
 
 
@@ -425,7 +443,8 @@ def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
     (as the descriptor writer prints it) are the config's, the method is `de`
     exactly for a log kernel, and `levels.digits` a rung of the precision
     ladder of the config's digits; a scan or a table 1 must agree with
-    itself (`_check_scan`, `_check_table1`), which certifies nothing."""
+    itself and with its config (`_check_scan`, `_check_table1`), which
+    certifies nothing."""
     if fmt == "json":
         try:
             doc = json.loads(text)

@@ -15,8 +15,9 @@ Three drivers sit on top of `classify`:
 * `scan_riesz` walks a grid of Riesz exponents, classifies each one, and
   refines the sign-change location by bisection.
 * `all_spaces_check` sweeps the weight parameter alpha at fixed beta and
-  watches the normalized coefficients a_n = F^(n) P_n(1), whose large-alpha
-  limits decide definiteness simultaneously on the whole family of spaces.
+  certifies the kernel's coefficients at each alpha; the large-alpha limits
+  of the normalized a_n = F^(n) P_n(1), which decide definiteness on the
+  whole family at once, wait for exact limit coefficients (ROADMAP A).
 * `table1` runs the -log(theta) kernel over the small projective spaces and
   tabulates the first certified-negative index per space.
 """
@@ -25,11 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .spaces import Space, make_space
-from .jacobi import jacobi_value_at_one
-from .kernels import ZonalKernel, _fmt, riesz_chordal, riesz_geodesic, log_geodesic
+from .kernels import ZonalKernel, _fmt, log_geodesic, parse_kernel, riesz_chordal, riesz_geodesic
 from .transform import (
     SIGN_NEG,
     SIGN_POS,
@@ -78,6 +78,8 @@ class PDVerdict:
     @property
     def is_nonnegative(self) -> bool:
         """True when every coefficient used by the mode is certified >= 0."""
+        if self.mode == "pd":
+            return self.classification in ("strictly-PD", "PD-not-strict")
         return self.classification not in ("not-CPD", "undecided")
 
     def to_json_dict(self) -> dict:
@@ -336,15 +338,13 @@ DEFAULT_ALPHAS = (2.0, 4.0, 8.0, 16.0, 32.0)
 
 @dataclass(frozen=True)
 class AllSpacesResult:
-    """Normalized coefficients a_n = F^(n) P_n(1) across an alpha sweep.
+    """The certified coefficient report of one kernel at each swept alpha.
 
-    The limit estimates use one Richardson step on the last two alphas of a
-    geometric list (error ~ 1/alpha, so the doubled point cancels the
-    leading term: b_n = 2 a_last - a_prev).  A single certified-negative a_n
-    at any swept alpha witnesses failure of simultaneous positive
-    definiteness over the family.  `verdict` is "not-PD-for-large-alpha"
-    when such a witness exists, else "undecided" when some sign is
-    undecided, else "consistent-with-all-spaces-PD".
+    A certified-negative coefficient at any alpha (the normalized a_n =
+    F^(n) P_n(1) has its sign) witnesses failure of simultaneous positive
+    definiteness over the family; `witness` is the first (alpha, n) in sweep
+    order.  `verdict` is "not-PD-for-large-alpha" with a witness, else
+    "undecided" when some sign is, else "consistent-with-all-spaces-PD".
     """
 
     kernel: str
@@ -353,39 +353,19 @@ class AllSpacesResult:
     alphas: Tuple[float, ...]
     N: int
     digits: int
-    # values[alpha][n], errors[alpha][n], signs[alpha][n]
-    values: Dict[float, Tuple[float, ...]]
-    errors: Dict[float, Tuple[float, ...]]
-    signs: Dict[float, Tuple[str, ...]]
-    limits: Tuple[Optional[float], ...]
+    reports: Dict[float, CoefficientReport]
     verdict: str
     witness: Optional[Tuple[float, int]]
 
     def to_json_dict(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "beta": self.beta,
-            "kappa": self.kappa,
-            "alphas": list(self.alphas),
-            "N": self.N,
-            "digits": self.digits,
-            "a_n": {
-                _fmt(al): [
-                    {"n": n, "value": v, "error": e, "sign": s}
-                    for n, (v, e, s) in enumerate(
-                        zip(self.values[al], self.errors[al], self.signs[al])
-                    )
-                ]
-                for al in self.alphas
-            },
-            "limit_estimates": list(self.limits),
-            "verdict": self.verdict,
-            "witness": list(self.witness) if self.witness else None,
-        }
+        """Every field, each report as `CoefficientReport.to_json_dict` prints it."""
+        return dict(vars(self), alphas=list(self.alphas),
+                    witness=list(self.witness) if self.witness else None,
+                    reports=[self.reports[al].to_json_dict() for al in self.alphas])
 
 
 def all_spaces_check(
-    kernel_factory: Callable[[Space], ZonalKernel],
+    kernel: str,
     beta: float,
     alpha_list: Sequence[float] = DEFAULT_ALPHAS,
     N: int = 16,
@@ -393,64 +373,31 @@ def all_spaces_check(
     kappa: float = 1.0,
     digits: int = 30,
 ) -> AllSpacesResult:
-    """Sweep alpha at fixed beta and certify the normalized coefficients.
+    """Sweep alpha at fixed beta and certify the kernel at each alpha.
 
-    `kernel_factory` builds the kernel for each synthetic space in the
-    sweep, so the same kernel definition (same exponent, same metric) is
-    compared across weights.  Raises if the kernel fails integrability at
-    the smallest alpha.
+    The descriptor `kernel` is parsed on each swept space, so one definition
+    is compared across weights.  Integrability is checked at every alpha
+    before any certification.
     """
     alphas = tuple(float(a) for a in alpha_list)
     if not alphas:
         raise ValueError("alpha_list is empty")
 
-    spaces = [
-        make_space(alpha=al, beta=float(beta), kappa=float(kappa)) for al in alphas
-    ]
-    kernels = [kernel_factory(sp) for sp in spaces]
+    spaces = [make_space(alpha=al, beta=float(beta), kappa=float(kappa)) for al in alphas]
+    kernels = [parse_kernel(kernel, sp) for sp in spaces]
     for sp, ker in zip(spaces, kernels):
         ker.require_integrable(sp)
 
-    values: Dict[float, Tuple[float, ...]] = {}
-    errors: Dict[float, Tuple[float, ...]] = {}
-    signs: Dict[float, Tuple[str, ...]] = {}
-    witness = None
-    descriptor = kernels[0].descriptor
-    for al, sp, ker in zip(alphas, spaces, kernels):
-        report = certify_coefficients(sp, ker, N=N, target_digits=digits)
-        vs, es, ss = [], [], []
-        for e in report.entries:
-            p1 = jacobi_value_at_one(sp, e.n)
-            vs.append(float(e.value) * p1)
-            es.append(float(e.error) * p1)
-            ss.append(e.sign)
-            if e.sign == SIGN_NEG and witness is None:
-                witness = (al, e.n)
-        values[al] = tuple(vs)
-        errors[al] = tuple(es)
-        signs[al] = tuple(ss)
-
-    limits = [None] * (N + 1)
-    if len(alphas) >= 2:
-        limits = [2.0 * last - prev for prev, last in zip(*(values[al] for al in alphas[-2:]))]
-
-    undecided = any(SIGN_UNDECIDED in ss for ss in signs.values())
+    reports = {al: certify_coefficients(sp, ker, N=N, target_digits=digits)
+               for al, sp, ker in zip(alphas, spaces, kernels)}
+    signs = [(al, e.n, e.sign) for al in alphas for e in reports[al].entries]
+    witness = next(((al, n) for al, n, sign in signs if sign == SIGN_NEG), None)
+    undecided = any(sign == SIGN_UNDECIDED for *_, sign in signs)
     verdict = ("not-PD-for-large-alpha" if witness
                else "undecided" if undecided else "consistent-with-all-spaces-PD")
-    return AllSpacesResult(
-        kernel=descriptor,
-        beta=float(beta),
-        kappa=float(kappa),
-        alphas=alphas,
-        N=N,
-        digits=digits,
-        values=values,
-        errors=errors,
-        signs=signs,
-        limits=tuple(limits),
-        verdict=verdict,
-        witness=witness,
-    )
+    return AllSpacesResult(kernel=kernels[0].descriptor, beta=float(beta), kappa=float(kappa),
+                           alphas=alphas, N=N, digits=digits, reports=reports,
+                           verdict=verdict, witness=witness)
 
 
 # ---------------------------------------------------------------------------

@@ -713,15 +713,23 @@ def poisson_kernel(
             total = mp.mpf(1)
             eps = mp.mpf(10) ** (-(digits + 5))
             # The stopping test compares m_n r^n with eps * max(1, |total|).
-            # For a >= b >= -1/2, m_n >= 1, and |total| never exceeds
-            # sum_n m_n r^n, the kernel at theta = 0.  So if r^cap is still
-            # at least eps * max(1, that sum), no n up to the cap can stop
-            # the series: refuse before summing.  The factor 2 covers the
-            # float rounding of the closed form.
-            far = rm ** POISSON_SERIES_MAX_TERMS
-            if a >= b >= -0.5 and far >= 2 * eps:
-                peak = poisson_kernel(space_or_params, r, 0.0, "closed", digits)
-                if far >= 2 * eps * peak:
+            # For a >= b >= -1/2, |P_k| <= P_k(1), so after n terms |total|
+            # is at most S_n = sum_{k <= n} m_k r^k, and the loop can stop at
+            # n only if m_n r^n < eps * max(1, S_n).  One float pass refuses
+            # before summing when no n up to the cap passes that test with a
+            # factor 2 of slack for its rounding; it stops at the first n
+            # that passes, and an overflow or underflow refuses nothing.
+            eps2 = 2 * 10.0 ** -(digits + 5)
+            if a >= b >= -0.5 and eps2 > 0:
+                prefs, p1, rn, s_n = _prefactors(float(a), float(b)), 1.0, 1.0, 1.0
+                next(prefs)
+                for n, pref in zip(range(1, POISSON_SERIES_MAX_TERMS + 1), prefs):
+                    p1, rn = p1 * (a + n) / n, rn * r
+                    term = pref * p1 * p1 * rn  # m_n r^n
+                    s_n += term
+                    if not term >= eps2 * max(1.0, s_n) or s_n == math.inf:
+                        break
+                else:
                     raise capped
             # incremental state: p1 = P_n(1), r^n and the last two recurrence
             # values; coef_n = (m_n / P_n(1)^2) P_n(1), regular on the circle

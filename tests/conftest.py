@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -17,6 +18,14 @@ from zonalpd.transform import CoefficientEntry, CoefficientReport
 CATALOG = ("S2", "S4", "RP2", "RP3", "RP4", "CP2", "CP3", "HP2", "OP2")
 # the ones with a concrete point model (OP2 is zonal-only)
 SAMPLED = ("S2", "S4", "RP2", "RP3", "RP4", "CP2", "CP3", "HP2")
+
+
+def exact_fraction(x) -> Fraction:
+    """The exact binary value of a float or an mpf."""
+    if isinstance(x, mp.mpf):
+        sign, man, exp, _ = x._mpf_
+        return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+    return Fraction(x)
 
 
 def jacobi_normalized(params, n_max, t):

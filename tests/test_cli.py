@@ -7,6 +7,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -15,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zonalpd
-from conftest import riesz_chordal_exact
+from conftest import exact_fraction, riesz_chordal_exact
 from zonalpd import __version__, cli
 from zonalpd.cli import _KERNEL_HELP, main
-from zonalpd.kernels import FAMILIES
+from zonalpd.energy import energy_uniform_detail
+from zonalpd.kernels import FAMILIES, parse_kernel
 from zonalpd.spaces import make_rng, make_space, sample_uniform_points, save_points
 from zonalpd.transform import CoefficientReport, poisson_kernel
 
@@ -191,6 +194,25 @@ def test_energy_uniform_cli(capsys):
     assert abs(doc["quadrature_value"] - 2.0) <= 1e-10
 
 
+@pytest.mark.parametrize("space,kernel,digits", [
+    ("CP2", "riesz-chordal:s=1", "20"), ("S2", "riesz-chordal:s=1", "30"),
+    ("RP3", "log-geodesic", "25"),
+])
+def test_energy_uniform_intervals_hold_their_values(capsys, space, kernel, digits):
+    """The printed energy and quadrature value, each +- its printed error,
+    contain the mpf values they round, on exact Fractions: the error covers
+    the float rounding of its value too."""
+    code, out, _ = run(capsys, "energy", "--space", space, "--kernel", kernel,
+                       "--digits", digits)
+    assert code == 0
+    doc = json.loads(out)
+    sp = make_space(space)
+    value, _, qv, _ = energy_uniform_detail(sp, parse_kernel(kernel, sp), int(digits))
+    for key, error, exact in (("energy", "expansion_error", value),
+                              ("quadrature_value", "quadrature_error", qv)):
+        assert abs(Fraction(doc[key]) - exact_fraction(exact)) <= Fraction(doc[error]), key
+
+
 def test_energy_discrete_cli(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     rows = ["# space=RP2 field=R d=3"]
@@ -284,6 +306,18 @@ def test_poisson_near_r_one_prints_closed_form(capsys):
     row = lines[lines.index("value,closed,series,diff") + 1].split(",")
     assert float(row[0]) == float(row[1]) == doc["value"] and row[2:] == ["", ""]
     assert lines[-1] == f"# note={doc['note']}"
+
+
+@pytest.mark.parametrize("r", ["0.9999999", repr(1 - 2.0**-53)])
+def test_poisson_near_r_one_refuses_the_series_at_once(capsys, r):
+    """At 5 digits the series cannot converge within its cap: the pre-scan
+    says so before summing, well under the 19-31 s a full sum takes."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "poisson", "--space", "RP2", "--r", r, "--theta", "0",
+                         "--digits", "5")
+    assert time.perf_counter() - start < 3
+    assert code == 0 and err == ""
+    assert json.loads(out)["note"].startswith("series unavailable: Poisson series did not")
 
 
 def test_subnormal_riesz_chordal_exponent_is_no_polynomial(capsys):
@@ -710,6 +744,14 @@ _SCAN_CORRUPTIONS = {
                _edit(("transition", "note"), "bisection stopped")), "the bracket"),
     "wide-bracket-without-note": (_edit(("transition", "bisect_tol"), 0.01), "without a note"),
     "no-bracket-without-note": (_edit(("transition", "bracket"), None), "without a note"),
+    # each value the config gives, edited alone (N with every N_checked)
+    "config-space": (_edit(("space",), "CP2"), "its config gives"),
+    "config-metric": (_edit(("metric",), "chordal"), "its config gives"),
+    "config-N": (_edits(_edit(("N",), 5),
+                        *(_edit(("grid", i, "verdict", "N_checked"), 5) for i in range(3))),
+                 "its config gives"),
+    "config-digits": (_edit(("digits",), 25), "its config gives"),
+    "config-bisect-tol": (_edit(("transition", "bisect_tol"), 0.05), "its config gives"),
 }
 # the golden table 1: every row consistent-with-PD at N = 4
 _TABLE1_CORRUPTIONS = {
@@ -724,6 +766,8 @@ _TABLE1_CORRUPTIONS = {
     "not-cpd-at-true": (_edits(_edit(("rows", 0, "verdict"), "not-CPD"),
                                _edit(("rows", 0, "first_negative_n"), True)), "'not-CPD'"),
     "consistent-with-n": (_edit(("rows", 2, "first_negative_n"), 2), "'consistent-with-PD'"),
+    "config-table1-N": (_edit(("N",), 5), "its config gives"),
+    "config-table1-digits": (_edit(("digits",), 25), "its config gives"),
 }
 
 
@@ -752,6 +796,7 @@ def test_verify_refuses_a_scan_or_table1_that_disagrees_with_itself(
 def test_verify_accepts_a_wide_scan_bracket_with_a_note():
     doc = json.loads(_printed(_SCAN_JOB))
     doc["transition"].update(bisect_tol=0.01, note="bisection stopped at undecided midpoint")
+    doc["config"]["bisect"] = 0.01
     assert cli._verify_output("scan", "json", json.dumps(doc)) is None
 
 

@@ -61,7 +61,7 @@ GOLDEN = [
      "7c31da0b6fc965f995d954d98ab280e7460c23a4185192cd018ecd850e146123"),
     (["energy", "--space", "CP2", "--kernel", "riesz-chordal:s=1",
       "--digits", "20"], 0,
-     "32eca8032fa2d4135a0464d3efd1d366f34aff78b83294c9d08e765a80682a8e"),
+     "545eed010b8487f79238f96f8938b93a4043a7bb48705ef667c6174f66981aed"),
     (["poisson", "--space", "HP2", "--r", "0.6", "--theta", "0.4"], 0,
      "fd5b9f117f42bd79fd5523e8bda5bdaa1dd45de374bee5cc28db42bbdd55758b"),
     (["coeffs", "--space", "custom:alpha=2.5,beta=0.5,kappa=0.5",

@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -12,7 +11,9 @@ from scipy.special import eval_jacobi
 
 from mpmath import libmp
 
-from conftest import CATALOG, integrate, jacobi_norm_sq, jacobi_normalized, total_mass
+from conftest import (
+    CATALOG, exact_fraction, integrate, jacobi_norm_sq, jacobi_normalized, total_mass,
+)
 from zonalpd import jacobi
 from zonalpd.jacobi import (
     _fixed_recurrence,
@@ -569,14 +570,6 @@ def test_fixed_rounding_bounds_the_recurrence(space, n_max):
                     assert err <= mp.ldexp(growth[n], -wbits), (t, n)
     # the guard bits keep the bound far below the working precision
     assert growth[-1] < 2.0 ** (wbits - prec - 16)
-
-
-def exact_fraction(x) -> Fraction:
-    """The exact binary value of a float or an mpf."""
-    if isinstance(x, mp.mpf):
-        sign, man, exp, _ = x._mpf_
-        return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
-    return Fraction(x)
 
 
 # Gauss-Jacobi weight pairs (2b+1, 2a+1-2 sigma) as the rules receive them,

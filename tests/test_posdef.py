@@ -1,9 +1,10 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
-from conftest import synthetic_report
+from conftest import exact_fraction, synthetic_report
 from zonalpd import posdef
 from zonalpd.kernels import parse_kernel, riesz_chordal
 from zonalpd.posdef import (
@@ -14,7 +15,7 @@ from zonalpd.posdef import (
     table1,
 )
 from zonalpd.spaces import make_space
-from zonalpd.transform import certify_coefficients
+from zonalpd.transform import CoefficientReport, certify_coefficients
 
 S2 = make_space("S2")
 RP2 = make_space("RP2")
@@ -97,6 +98,12 @@ def test_is_nonnegative_property():
     assert classify(rep, "pd").is_nonnegative
     rep = synthetic_report("S2", [1.0, -0.5], signs=["+", "-"])
     assert not classify(rep, "cpd").is_nonnegative
+    # in pd mode a negative constant term is no nonnegative verdict, though
+    # the n >= 1 signs give strictly-CPD-only
+    rep = synthetic_report("S2", [-1.0, 0.5], signs=["-", "+"])
+    v = classify(rep, "pd")
+    assert (v.classification, v.witness) == ("strictly-CPD-only", 0)
+    assert not v.is_nonnegative
 
 
 # ---------------------------------------------------------------------------
@@ -241,32 +248,27 @@ def test_scan_serialization_round_trip():
 
 
 def test_all_spaces_cospow_consistent():
-    res = all_spaces_check(
-        lambda sp: parse_kernel("cospow:n=1", sp), beta=0.0, alpha_list=(2.0, 4.0, 8.0), N=4
-    )
+    res = all_spaces_check("cospow:n=1", beta=0.0, alpha_list=(2.0, 4.0, 8.0), N=4)
     assert res.verdict == "consistent-with-all-spaces-PD"
     assert res.witness is None
     # t has a_1 > 0 and all other a_n = 0 at every alpha
     for al in res.alphas:
-        assert res.signs[al][1] == "+"
+        assert res.reports[al].entry(1).sign == "+"
 
 
 def test_all_spaces_undecided_without_witness():
     """No negative witness but undecided signs: the sweep says so instead of
     reporting consistency.  jacobi:n=2 has exact zeros below its degree that
     the angle-variable routes cannot decide."""
-    res = all_spaces_check(
-        lambda sp: parse_kernel("jacobi:n=2", sp), beta=0.0, alpha_list=(2.0, 4.0), N=3,
-        digits=15,
-    )
+    res = all_spaces_check("jacobi:n=2", beta=0.0, alpha_list=(2.0, 4.0), N=3, digits=15)
     assert res.witness is None
-    assert sum(s == "undecided" for al in res.alphas for s in res.signs[al]) == 4
+    assert sum(e.sign == "undecided" for al in res.alphas for e in res.reports[al].entries) == 4
     assert res.verdict == "undecided"
 
 
 def test_all_spaces_riesz_geodesic_witness():
     res = all_spaces_check(
-        lambda sp: parse_kernel("riesz-geodesic:s=1", sp),
+        "riesz-geodesic:s=1",
         beta=-0.5,
         alpha_list=(2.0, 4.0, 8.0, 16.0),
         N=10,
@@ -277,15 +279,58 @@ def test_all_spaces_riesz_geodesic_witness():
 
 def test_all_spaces_gauss_chordal_nonneg():
     res = all_spaces_check(
-        lambda sp: parse_kernel("gauss-chordal:lambda=1", sp),
+        "gauss-chordal:lambda=1",
         beta=0.0,
         alpha_list=(1.0, 2.0, 4.0, 8.0),
         N=8,
     )
     assert res.verdict == "consistent-with-all-spaces-PD"
     for al in res.alphas:
-        assert all(s in ("+", "0") for s in res.signs[al])
+        assert all(e.sign in ("+", "0") for e in res.reports[al].entries)
     assert json.dumps(res.to_json_dict())
+
+
+@pytest.fixture(scope="module")
+def chordal_sweep():
+    """riesz-chordal s=1 at beta = -1/2: at alpha = 16 the float copies this
+    sweep once printed missed their own certified values."""
+    return all_spaces_check("riesz-chordal:s=1.0", beta=-0.5,
+                            alpha_list=(2.0, 4.0, 8.0, 16.0), N=6, digits=30)
+
+
+def test_all_spaces_reports_read_back(chordal_sweep):
+    doc = json.loads(json.dumps(chordal_sweep.to_json_dict()))
+    assert doc["alphas"] == [2.0, 4.0, 8.0, 16.0]
+    assert len(doc["reports"]) == 4
+    for al, printed in zip(chordal_sweep.alphas, doc["reports"]):
+        back = CoefficientReport.from_json_dict(printed)
+        assert back.space == make_space(alpha=al, beta=-0.5)
+        assert (back.kernel, back.N) == (chordal_sweep.kernel, 6)
+        assert back.signs() == chordal_sweep.reports[al].signs()
+
+
+def test_all_spaces_printed_intervals_hold_their_values(chordal_sweep):
+    doc = chordal_sweep.to_json_dict()
+    for al, printed in zip(chordal_sweep.alphas, doc["reports"]):
+        for e, p in zip(chordal_sweep.reports[al].entries, printed["entries"]):
+            value, error = Fraction(p["value"]), Fraction(p["error"])
+            assert abs(exact_fraction(e.value) - value) <= error, (al, e.n)
+
+
+def test_all_spaces_kernel_is_the_written_descriptor(chordal_sweep):
+    assert chordal_sweep.kernel == "riesz-chordal:s=1"
+    assert chordal_sweep.verdict == "consistent-with-all-spaces-PD"
+    assert chordal_sweep.witness is None
+
+
+def test_all_spaces_refuses_a_non_integrable_alpha_before_certifying(monkeypatch):
+    """s = 3 is integrable at alpha = 4 (D = 10) but not at alpha = 0.5
+    (D = 3): the sweep refuses before it certifies the first alpha."""
+    calls = []
+    monkeypatch.setattr(posdef, "certify_coefficients", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="integrab"):
+        all_spaces_check("riesz-chordal:s=3", beta=-0.5, alpha_list=(4.0, 0.5), N=2)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

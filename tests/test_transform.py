@@ -265,6 +265,28 @@ def test_poisson_series_refuses_before_summing(monkeypatch):
     assert calls
 
 
+class _Summing(Exception):
+    pass
+
+
+@pytest.mark.parametrize("r,digits,sums", [
+    (0.9999999, 5, False), (1 - 2.0**-53, 5, False), (0.9999, 30, False),
+    (0.9999, 5, True),
+])
+def test_poisson_series_prescan(monkeypatch, r, digits, sums):
+    """The pre-scan refuses exactly when no n up to the cap can meet the
+    stopping test: r = 0.9999 converges within the cap at 5 digits, so it
+    reaches the recurrence, but not at 30."""
+    import zonalpd.transform as transform
+
+    def summing(*args):
+        raise _Summing
+
+    monkeypatch.setattr(transform, "_recurrence_coeffs", summing)
+    with pytest.raises(_Summing if sums else RuntimeError):
+        poisson_kernel(RP2, r, 0.0, method="series", digits=digits)
+
+
 def triple_quadrature_energy(kernel, n, m=80, n_phi=256):
     """E pairing of F with P_n(t(x,z)) P_n(t(y,z)) on S^2 by direct 3-fold quadrature."""
     x, w = np.polynomial.legendre.leggauss(m)
