@@ -3,7 +3,7 @@
 Everything is parametrized by a weight pair (alpha, beta), alpha, beta > -1.
 The three-term recurrence is written once and serves floats, numpy arrays,
 and mpmath scalars alike, so high-precision paths never round-trip through
-doubles.  The high-precision paths, the Newton polish of
+doubles.  The high-precision paths, the Halley polish of
 `gauss_jacobi_rule_mp` and the coefficient sums of `transform`, step one
 fixed-point copy of the recurrence, `_fixed_recurrence`: ratios c2/c1,
 c3/c1, c4/c1 scaled by 2^W, W a few dozen bits above the working precision,
@@ -18,8 +18,8 @@ returns mpf lists and the float rule `gauss_jacobi_rule` numpy arrays
 (numpy is imported only there), both as a (nodes, weights) pair.  Rules
 carry unnormalized weights (they sum to the weight's total mass Z);
 probability-normalized variants divide by Z at the call site.  The plan,
-the rule weights, the Poisson series and `dim_m_n` read one normalisation,
-`_prefactors`; float inputs of `dim_m_n` are exact Fractions, rounded once.
+the Poisson series and `dim_m_n` read one normalisation, `_prefactors`;
+float inputs of `dim_m_n` are exact Fractions, rounded once.
 """
 from __future__ import annotations
 
@@ -234,9 +234,10 @@ def gauss_jacobi_rule(params, m: int) -> tuple:
 def _guard_bits(a: float, b: float, m: int) -> int:
     """Bits below the ambient precision that the fixed-point recurrence
     carries: log2 of the largest |P_k|, k <= m, that the recurrence can reach,
-    max(1, (a+1)_m / m!, (b+1)_m / m!), plus 3 log2 m + 24.  The polish stops
-    2 log2 m + 8 bits below the precision, which leaves log2 m + 16 bits
-    between that bound and the rounding error of m recurrence steps."""
+    max(1, (a+1)_m / m!, (b+1)_m / m!), plus 3 log2 m + 24.  The polish
+    stops once its error and the weight's Taylor remainder are below
+    2^-(prec + 2 log2 m + 8), which leaves log2 m + 16 bits between that
+    bound and the rounding error of m recurrence steps."""
     lg_m = math.lgamma(m + 1)
     peak = max(0.0, *(math.lgamma(e + 1 + m) - math.lgamma(e + 1) - lg_m for e in (a, b)))
     return math.ceil(peak / math.log(2)) + 3 * m.bit_length() + 24
@@ -351,19 +352,20 @@ def gauss_jacobi_rule_mp(params, m: int) -> tuple[list, list]:
     """High-precision rule at the ambient mp.mp.prec; weights unnormalized.
 
     Double-precision nodes from `_golub_welsch`, the QL solve that also
-    serves `gauss_jacobi_rule`, seed Newton iterations on P_m that step
+    serves `gauss_jacobi_rule`, seed Halley iterations on P_m that step
     `_fixed_recurrence` in integers scaled by 2^W, W = prec + `_guard_bits`,
     so a pass costs three integer products and shifts per degree; P_m'
-    comes from the same-parameter identity.  Once a step predicts that the
-    next one is below 2^-(prec + 2 log2 m + 8), that next pass also sums
-    sum_k P_k^2 Z/h_k (`_prefactors` at W bits), and a step below that bound
-    ends the node.  The weight is the total mass Z over that sum, divided in
-    mpf at W bits.  Nodes and weights are rounded to the ambient precision
-    once, at the end.
+    comes from the same-parameter identity and P_m'' from the Jacobi ODE.
+    A step below 2^-(tol/2 + 2 log2 m), tol = prec + 2 log2 m + 8, ends
+    the node: Halley's cubic error and the Taylor remainder of the weight
+    are then both below 2^-tol.  The weight is c / ((1-x^2) P_m'(x)^2),
+    c = 2^(a+b+1) G(m+a+1) G(m+b+1) / (G(m+a+b+1) m!), with P_m' moved to
+    the final x by one Taylor term, divided in mpf at W bits.  Nodes and
+    weights are rounded to the ambient precision once, at the end.
 
-    Against an mpf polish at 20 more digits, nodes agree to half an ulp and
-    weights to one ulp relative (dps 30-100, m <= 90; at dps 40, 5.7e-42 and
-    1.1e-41).  The arithmetic is integer, so equal inputs give bit-identical
+    Against an mpf polish at 20 more digits, nodes and weights both agree to
+    half an ulp (dps 30-100, m <= 90; at dps 40, 5.7e-42 absolute and 1.1e-41
+    relative).  The arithmetic is integer, so equal inputs give bit-identical
     rules.
     """
     a, b = _ab(params)
@@ -372,10 +374,7 @@ def gauss_jacobi_rule_mp(params, m: int) -> tuple[list, list]:
     tol_bits = prec + 2 * m.bit_length() + 8
     wbits, table, (p1_const, p1_slope) = _fixed_recurrence(mp.mpf(a), mp.mpf(b), m, prec)
     one = 1 << wbits
-    # a step below tol finishes the node; one below near predicts that the
-    # next Newton step is below tol, so the next pass also forms the weight
-    tol = 1 << (wbits - tol_bits)
-    near = 1 << (wbits - tol_bits // 2 - m.bit_length())
+    tol = 1 << (wbits - tol_bits // 2 - 2 * m.bit_length())
 
     ctx = _context(wbits)
 
@@ -386,34 +385,32 @@ def gauss_jacobi_rule_mp(params, m: int) -> tuple[list, list]:
     # (2m+a+b)(1-x^2) P_m' = m(a-b-(2m+a+b)x) P_m + 2(m+a)(m+b) P_{m-1}
     k_ab, k_x = fix(m * (am - bm)), fix(m * (2 * m + am + bm))
     k_prev, k_lhs = fix(2 * (m + am) * (m + bm)), fix(2 * m + am + bm)
-    inv_h = [fix(p) for p in itertools.islice(_prefactors(am, bm), m)]
-    # Z = int (1-t)^a (1+t)^b dt = 2^(a+b+1) G(a+1) G(b+1) / G(a+b+2)
-    mass = ctx.power(2, am + bm + 1) * ctx.gamma(am + 1) * ctx.gamma(bm + 1)
-    mass /= ctx.gamma(am + bm + 2)
+    # (1-x^2) P_m'' = (a-b+(a+b+2)x) P_m' - m(m+a+b+1) P_m
+    g_ab, g_x, g_p = fix(am - bm), fix(am + bm + 2), fix(m * (m + am + bm + 1))
+    # w = c / ((1-x^2) P_m'^2), c = 2^(a+b+1) G(m+a+1) G(m+b+1) / (G(m+a+b+1) m!)
+    c = ctx.power(2, am + bm + 1) * ctx.gamma(m + am + 1) * ctx.gamma(m + bm + 1)
+    c /= ctx.gamma(m + am + bm + 1) * ctx.factorial(m)
 
     nodes, weights = [], []
     for seed in seeds:
         num, den = float(seed).as_integer_ratio()
         x = (num << wbits) // den
-        step = None
         for _ in range(12):
-            final = step is not None and abs(step) < near
             p_prev, p = one, p1_const + (p1_slope * (x - one) >> wbits)
-            if final:
-                acc = one * one * one
-                for (r2, r3, r4), ih in zip(table, inv_h[1:]):
-                    acc += p * p * ih
-                    p_prev, p = p, ((r2 + (r3 * x >> wbits)) * p - r4 * p_prev) >> wbits
-            else:
-                for r2, r3, r4 in table:
-                    p_prev, p = p, ((r2 + (r3 * x >> wbits)) * p - r4 * p_prev) >> wbits
-            dp = ((k_ab - (k_x * x >> wbits)) * p + k_prev * p_prev) >> wbits
-            step = p * (k_lhs * (one - (x * x >> wbits)) >> wbits) // dp
+            for r2, r3, r4 in table:
+                p_prev, p = p, ((r2 + (r3 * x >> wbits)) * p - r4 * p_prev) >> wbits
+            lhs = one - (x * x >> wbits)
+            dp = ((k_ab - (k_x * x >> wbits)) * p + k_prev * p_prev) // (k_lhs * lhs >> wbits)
+            ddp = ((g_ab + (g_x * x >> wbits)) * dp - g_p * p) // lhs
+            # Halley: P / P' over 1 - P P'' / (2 P'^2)
+            step = (2 * p * dp << wbits) // (2 * dp * dp - p * ddp)
             x -= step
-            if final and abs(step) < tol:
+            if abs(step) < tol:
                 break
         else:  # pragma: no cover
-            raise RuntimeError("Newton polish of quadrature node did not converge")
+            raise RuntimeError("Halley polish of quadrature node did not converge")
+        # P_m' at the final x, by one Taylor term
+        dp -= step * ddp >> wbits
         nodes.append(mp.mpf((x, -wbits)))
-        weights.append(mp.mpf(mass / ctx.mpf((acc, -3 * wbits))))
+        weights.append(mp.mpf(c / ctx.mpf(((one - (x * x >> wbits)) * dp * dp, -3 * wbits))))
     return nodes, weights

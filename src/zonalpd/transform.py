@@ -713,14 +713,15 @@ def poisson_kernel(
             total = mp.mpf(1)
             eps = mp.mpf(10) ** (-(digits + 5))
             # The stopping test compares m_n r^n with eps * max(1, |total|).
-            # For a >= b >= -1/2, |P_k| <= P_k(1), so after n terms |total|
-            # is at most S_n = sum_{k <= n} m_k r^k, and the loop can stop at
-            # n only if m_n r^n < eps * max(1, S_n).  One float pass refuses
+            # For a >= b, a >= -1/2, |P_k| <= P_k(1) (Szego, Thm 7.32.1), so
+            # after n terms |total| is at most S_n = sum_{k <= n} m_k r^k, and
+            # the loop can stop at n only if m_n r^n < eps * max(1, S_n).
+            # On that range one float pass refuses
             # before summing when no n up to the cap passes that test with a
             # factor 2 of slack for its rounding; it stops at the first n
             # that passes, and an overflow or underflow refuses nothing.
             eps2 = 2 * 10.0 ** -(digits + 5)
-            if a >= b >= -0.5 and eps2 > 0:
+            if a >= max(b, -0.5) and eps2 > 0:
                 prefs, p1, rn, s_n = _prefactors(float(a), float(b)), 1.0, 1.0, 1.0
                 next(prefs)
                 for n, pref in zip(range(1, POISSON_SERIES_MAX_TERMS + 1), prefs):
@@ -748,7 +749,7 @@ def poisson_kernel(
                     p_cur = ((c2 + c3 * t) * p_prev - c4 * p_prev2) / c1
                 p_prev2, p_prev = p_prev, p_cur
                 total += coef_n * rn * p_cur
-                # |P_n| <= P_n(1) on the geometric parameter range
+                # |P_n| <= P_n(1) for a >= b, a >= -1/2 (Szego, Thm 7.32.1)
                 if coef_n * rn * p1 < eps * max(1, abs(total)):
                     return float(total)
         raise capped

@@ -308,12 +308,17 @@ def test_poisson_near_r_one_prints_closed_form(capsys):
     assert lines[-1] == f"# note={doc['note']}"
 
 
-@pytest.mark.parametrize("r", ["0.9999999", repr(1 - 2.0**-53)])
-def test_poisson_near_r_one_refuses_the_series_at_once(capsys, r):
+@pytest.mark.parametrize("r, space", [
+    pytest.param("0.9999999", "RP2", id="0.9999999"),
+    pytest.param(repr(1 - 2.0**-53), "RP2", id=repr(1 - 2.0**-53)),
+    # beta < -1/2 <= alpha: |P_n| <= P_n(1) still holds (Szego, Thm 7.32.1)
+    ("0.9999999", "custom:alpha=1,beta=-0.9"),
+])
+def test_poisson_near_r_one_refuses_the_series_at_once(capsys, r, space):
     """At 5 digits the series cannot converge within its cap: the pre-scan
-    says so before summing, well under the 19-31 s a full sum takes."""
+    says so before summing, well under the 18-31 s a full sum takes."""
     start = time.perf_counter()
-    code, out, err = run(capsys, "poisson", "--space", "RP2", "--r", r, "--theta", "0",
+    code, out, err = run(capsys, "poisson", "--space", space, "--r", r, "--theta", "0",
                          "--digits", "5")
     assert time.perf_counter() - start < 3
     assert code == 0 and err == ""

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import sys
 import threading
 
@@ -14,7 +16,7 @@ from mpmath import libmp
 from conftest import (
     CATALOG, exact_fraction, integrate, jacobi_norm_sq, jacobi_normalized, total_mass,
 )
-from zonalpd import jacobi
+from zonalpd import jacobi, transform
 from zonalpd.jacobi import (
     _fixed_recurrence,
     _fixed_rounding,
@@ -28,6 +30,7 @@ from zonalpd.jacobi import (
     jacobi_value_at_one,
     pochhammer,
 )
+from zonalpd.kernels import parse_kernel
 from zonalpd.spaces import make_space
 
 CATALOG_PARAMS = [make_space(name) for name in CATALOG]
@@ -444,7 +447,7 @@ def test_eval_all_under_threads():
 
 
 # ---------------------------------------------------------------------------
-# the fixed-point Newton polish of gauss_jacobi_rule_mp against an mpf one
+# the fixed-point polish of gauss_jacobi_rule_mp against an mpf Newton polish
 
 
 def norm_sq_mp(a, b, n):
@@ -540,6 +543,138 @@ def test_rule_mp_fixed_point_polish(params, m):
                 assert abs(x - y) <= node_tol, dps
             for w, v in zip(weights, want_weights):
                 assert abs(w / v - 1) <= weight_tol, dps
+
+
+# ---------------------------------------------------------------------------
+# the Halley polish against the former Newton polish, bit for bit
+
+
+def rule_mp_sum_of_squares(params, m):
+    """The former builder: Newton steps on the same seeds, recurrence and W;
+    the pass after a step below 2^-(tol/2 + log2 m) also sums
+    sum_k P_k^2 Z/h_k, and a step below 2^-tol ends the node.  The weight
+    is the total mass Z over that sum."""
+    a, b = params
+    seeds = jacobi._golub_welsch(float(a), float(b), m)[0]
+    prec = mp.mp.prec
+    tol_bits = prec + 2 * m.bit_length() + 8
+    wbits, table, (p1_const, p1_slope) = _fixed_recurrence(mp.mpf(a), mp.mpf(b), m, prec)
+    one = 1 << wbits
+    tol = 1 << (wbits - tol_bits)
+    near = 1 << (wbits - tol_bits // 2 - m.bit_length())
+    ctx = jacobi._context(wbits)
+
+    def fix(v):
+        return libmp.to_fixed(ctx.mpf(v)._mpf_, wbits)
+
+    am, bm = ctx.mpf(mp.mpf(a)), ctx.mpf(mp.mpf(b))
+    k_ab, k_x = fix(m * (am - bm)), fix(m * (2 * m + am + bm))
+    k_prev, k_lhs = fix(2 * (m + am) * (m + bm)), fix(2 * m + am + bm)
+    inv_h = [fix(p) for p in itertools.islice(jacobi._prefactors(am, bm), m)]
+    mass = ctx.power(2, am + bm + 1) * ctx.gamma(am + 1) * ctx.gamma(bm + 1)
+    mass /= ctx.gamma(am + bm + 2)
+    nodes, weights = [], []
+    for seed in seeds:
+        num, den = float(seed).as_integer_ratio()
+        x = (num << wbits) // den
+        step = None
+        for _ in range(12):
+            final = step is not None and abs(step) < near
+            p_prev, p = one, p1_const + (p1_slope * (x - one) >> wbits)
+            acc = one * one * one
+            for (r2, r3, r4), ih in zip(table, inv_h[1:]):
+                if final:
+                    acc += p * p * ih
+                p_prev, p = p, ((r2 + (r3 * x >> wbits)) * p - r4 * p_prev) >> wbits
+            dp = ((k_ab - (k_x * x >> wbits)) * p + k_prev * p_prev) >> wbits
+            step = p * (k_lhs * (one - (x * x >> wbits)) >> wbits) // dp
+            x -= step
+            if final and abs(step) < tol:
+                break
+        else:
+            raise RuntimeError("Newton polish of quadrature node did not converge")
+        nodes.append(mp.mpf((x, -wbits)))
+        weights.append(mp.mpf(mass / ctx.mpf((acc, -3 * wbits))))
+    return nodes, weights
+
+
+# the (e_cos, e_sin) weight pairs of the benchmark's Gauss-Jacobi rules, and
+# seeded random pairs, two of them with a negative first exponent
+RULE_PAIRS = [(0.0, 1.5), (0.0, 1.6), (0.0, 1.65), (0.0, 1.7), (3.0, 6.3)] + [
+    (round(rng.uniform(-0.99, top), 3), round(rng.uniform(-0.99, 16), 3))
+    for rng in [random.Random(24)] for top in (0, 0, 16)
+]
+RULE_M = (1, 2, 3, 5, 12, 20, 34, 38, 41, 48, 52, 65, 90)
+
+
+@pytest.mark.parametrize("dps", (20, 30, 40, 50, 70, 100, 200))
+def test_rule_mp_matches_sum_of_squares_builder(dps):
+    # every pair at the benchmark's precisions, one pair per order above them
+    with mp.workdps(dps):
+        for i, m in enumerate(RULE_M):
+            pairs = RULE_PAIRS if dps <= 50 else [RULE_PAIRS[(i + dps) % len(RULE_PAIRS)]]
+            for params in pairs:
+                assert gauss_jacobi_rule_mp(params, m) == rule_mp_sum_of_squares(params, m), (
+                    params, m)
+
+
+# (space, kernel, N, digits) of the benchmark's Gauss-Jacobi certifications
+BENCH_GJ_JOBS = [
+    ("RP2", "riesz-geodesic:s=-0.6", 16, 20),
+    ("RP2", "riesz-geodesic:s=-0.6", 24, 30),
+    ("HP2", "riesz-chordal:s=0.7", 12, 30),
+]
+
+
+@pytest.mark.parametrize("job", BENCH_GJ_JOBS, ids=str)
+def test_rule_mp_two_passes_per_node(job, monkeypatch):
+    """The benchmark's rules, at dps 30 and 40, take at most two passes over
+    the recurrence per node: the table's iterations are counted, and each
+    seed drawn marks where its node starts."""
+    space_name, text, N, digits = job
+    space = make_space(space_name)
+    rules, build = [], transform.gauss_jacobi_rule_mp
+
+    def recorded(params, m):
+        rules.append((params, m, mp.mp.dps))
+        return build(params, m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(transform, "gauss_jacobi_rule_mp", recorded)
+        transform.coefficients_gj(space, parse_kernel(text, space), N, digits)
+    passes, starts = [0], []
+
+    class Counted(tuple):
+        def __iter__(self):
+            passes[0] += 1
+            return super().__iter__()
+
+    fixed_recurrence, golub_welsch = jacobi._fixed_recurrence, jacobi._golub_welsch
+
+    def counted(*args):
+        wbits, table, seed = fixed_recurrence(*args)
+        return wbits, Counted(table), seed
+
+    def marked(a, b, m):
+        seeds, first = golub_welsch(a, b, m)
+
+        def draw():
+            for seed in seeds:
+                starts.append(passes[0])
+                yield seed
+
+        return draw(), first
+
+    monkeypatch.setattr(jacobi, "_fixed_recurrence", counted)
+    monkeypatch.setattr(jacobi, "_golub_welsch", marked)
+    assert len(rules) == 2
+    for params, m, dps in rules:
+        assert dps <= 50
+        passes[0], starts[:] = 0, []
+        with mp.workdps(dps):
+            jacobi.gauss_jacobi_rule_mp(params, m)
+        per_node = [end - start for start, end in zip(starts, starts[1:] + passes)]
+        assert len(per_node) == m and max(per_node) <= 2, (m, dps, per_node)
 
 
 # ---------------------------------------------------------------------------
