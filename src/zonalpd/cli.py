@@ -413,8 +413,9 @@ def _check_scan(doc) -> Optional[str]:
 
 
 def _check_table1(doc) -> Optional[str]:
-    """The rows of a printed table 1 are its spaces, each first negative
-    index fits the row's verdict, and N and digits are its config's."""
+    """The rows of a printed table 1 are its spaces, a first negative index
+    1 <= n <= N sits exactly on the not-CPD rows, and N and digits are its
+    config's."""
     from .posdef import TABLE1_SPACES
 
     if [(r["space"], r["alpha"], r["beta"]) for r in doc["rows"]] != [
@@ -422,8 +423,7 @@ def _check_table1(doc) -> Optional[str]:
         return "the rows are not the spaces of table 1 in order, with their (alpha, beta)"
     for r in doc["rows"]:
         fn, verdict = r["first_negative_n"], r["verdict"]
-        if (verdict == "not-CPD" and not (type(fn) is int and 1 <= fn <= doc["N"])
-                or verdict == "consistent-with-PD" and fn is not None):
+        if not (type(fn) is int and 1 <= fn <= doc["N"] if verdict == "not-CPD" else fn is None):
             return f"{r['space']}: first_negative_n {fn!r} does not fit the verdict {verdict!r}"
     if (doc["N"], doc["digits"]) != (doc["config"]["nmax"], doc["config"]["digits"]):
         return "N or digits is not the one its config gives"

@@ -10,7 +10,10 @@ estimate, not a proven bound, so a negative sign is as sound as that
 estimate; a clean sweep of positive signs up to degree N is evidence
 only, and every verdict produced here carries that finite-degree caveat.
 
-Three drivers sit on top of `classify`:
+One rule maps signs to verdicts, through `_first`: a certified negative at
+n >= 1 gives "not-CPD", even beside an undecided degree, since one negative
+coefficient is enough; else an undecided degree gives "undecided"; only then
+do zero and positive signs decide.  Three drivers sit on top of `classify`:
 
 * `scan_riesz` walks a grid of Riesz exponents, classifies each one, and
   refines the sign-change location by bisection.
@@ -18,6 +21,7 @@ Three drivers sit on top of `classify`:
   certifies the kernel's coefficients at each alpha; the large-alpha limits
   of the normalized a_n = F^(n) P_n(1), which decide definiteness on the
   whole family at once, wait for exact limit coefficients (ROADMAP A).
+  Its witness is the first certified negative at any n >= 0.
 * `table1` runs the -log(theta) kernel over the small projective spaces and
   tabulates the first certified-negative index per space.
 """
@@ -93,34 +97,36 @@ def _caveat(N: int) -> str:
     )
 
 
+def _first(report: CoefficientReport, sign: str, n_lo: int) -> Optional[int]:
+    """The first degree n >= n_lo certified with `sign`, or None."""
+    return next((e.n for e in report.entries[n_lo:] if e.sign == sign), None)
+
+
 def classify(report: CoefficientReport, mode: str = "cpd") -> PDVerdict:
     """Map certified coefficient signs to a definiteness class.
 
     mode "pd" uses all degrees including n = 0; mode "cpd" ignores n = 0.
-    An undecided sign among the degrees the mode looks at yields the
-    verdict "undecided" with the offending index as witness; it is a
-    verdict, not an error.
+    In order: the first certified negative at n >= 1 gives "not-CPD" with
+    that witness, whatever else is undecided; then the first undecided sign
+    the mode looks at gives "undecided" (a verdict, not an error); then the
+    zero and positive cases.
     """
     if mode not in ("pd", "cpd"):
         raise ValueError(f"mode must be 'pd' or 'cpd', got {mode!r}")
-    entries = sorted(report.entries, key=lambda e: e.n)
     n_lo = 1 if mode == "cpd" else 0
-    used = [e for e in entries if e.n >= n_lo]
-    if not used:
+    if len(report.entries) <= n_lo:
         raise ValueError("report has no entries in the range the mode uses")
 
     def verdict(cls, witness):
         return PDVerdict(cls, witness, report.N, mode, _caveat(report.N))
 
-    for e in used:
-        if e.sign == SIGN_UNDECIDED:
-            return verdict("undecided", e.n)
-
-    tail = [e for e in used if e.n >= 1]
-    neg = next((e for e in tail if e.sign == SIGN_NEG), None)
+    neg = _first(report, SIGN_NEG, 1)
     if neg is not None:
-        return verdict("not-CPD", neg.n)
-    first_zero = next((e.n for e in tail if e.sign == SIGN_ZERO), None)
+        return verdict("not-CPD", neg)
+    undecided = _first(report, SIGN_UNDECIDED, n_lo)
+    if undecided is not None:
+        return verdict("undecided", undecided)
+    first_zero = _first(report, SIGN_ZERO, 1)
     tail_strict = first_zero is None
 
     if mode == "cpd":
@@ -128,22 +134,15 @@ def classify(report: CoefficientReport, mode: str = "cpd") -> PDVerdict:
             return verdict("strictly-CPD-only", None)
         return verdict("CPD-not-strict", first_zero)
 
-    e0 = next(e for e in used if e.n == 0)
-    if e0.sign == SIGN_NEG:
+    sign0 = report.entry(0).sign
+    if sign0 == SIGN_NEG:
         # constant term blocks PD but not CPD
         if tail_strict:
             return verdict("strictly-CPD-only", 0)
         return verdict("CPD-not-strict", first_zero)
-    if e0.sign == SIGN_POS and tail_strict:
+    if sign0 == SIGN_POS and tail_strict:
         return verdict("strictly-PD", None)
-    return verdict("PD-not-strict", 0 if e0.sign == SIGN_ZERO else first_zero)
-
-
-def _first_negative(report: CoefficientReport) -> Optional[int]:
-    for e in sorted(report.entries, key=lambda e: e.n):
-        if e.n >= 1 and e.sign == SIGN_NEG:
-            return e.n
-    return None
+    return verdict("PD-not-strict", 0 if sign0 == SIGN_ZERO else first_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +268,9 @@ def scan_riesz(
         )
     count = int(math.floor((s_max - s_min) / step + 1e-9)) + 1
     grid = [round(s_min + i * step, 12) for i in range(count)]
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"step={step} is below the grid resolution: the s values, "
+                         "rounded to 12 decimals, do not strictly increase")
 
     verdicts = [_certify_cpd(space, metric, s, N, digits) for s in grid]
 
@@ -390,9 +392,9 @@ def all_spaces_check(
 
     reports = {al: certify_coefficients(sp, ker, N=N, target_digits=digits)
                for al, sp, ker in zip(alphas, spaces, kernels)}
-    signs = [(al, e.n, e.sign) for al in alphas for e in reports[al].entries]
-    witness = next(((al, n) for al, n, sign in signs if sign == SIGN_NEG), None)
-    undecided = any(sign == SIGN_UNDECIDED for *_, sign in signs)
+    negs = [(al, _first(reports[al], SIGN_NEG, 0)) for al in alphas]
+    witness = next(((al, n) for al, n in negs if n is not None), None)
+    undecided = any(_first(reports[al], SIGN_UNDECIDED, 0) is not None for al in alphas)
     verdict = ("not-PD-for-large-alpha" if witness
                else "undecided" if undecided else "consistent-with-all-spaces-PD")
     return AllSpacesResult(kernel=kernels[0].descriptor, beta=float(beta), kappa=float(kappa),
@@ -427,21 +429,16 @@ class Table1Result:
         return {"N": self.N, "digits": self.digits,
                 "rows": [dict(zip(TABLE1_COLUMNS, row)) for row in self.rows]}
 
-    def row(self, space_name: str) -> Tuple[str, float, float, Optional[int], str]:
-        for r in self.rows:
-            if r[0] == space_name:
-                return r
-        raise KeyError(space_name)
-
 
 def table1(N: int = 16, digits: int = 50) -> Table1Result:
     """Certify -log(theta) on the small projective spaces and tabulate signs.
 
-    Per space the row records the first index n >= 1 with a certified
-    negative coefficient (the constant term is ignored: it only shifts the
-    kernel).  Verdict "not-CPD" when such an index exists, otherwise
-    "consistent-with-PD" up to degree N.  Precision escalates inside the
-    certification ladder if signs come back undecided.
+    Per space the row records the cpd verdict of `classify`: "not-CPD"
+    with its witness, the first index n >= 1 with a certified negative
+    coefficient (the constant term is ignored: it only shifts the kernel),
+    else "undecided" when an n >= 1 sign is, else "consistent-with-PD" up
+    to degree N.  Precision escalates inside the certification ladder if
+    signs come back undecided.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1 for a cpd verdict, got N = {N}")
@@ -451,9 +448,10 @@ def table1(N: int = 16, digits: int = 50) -> Table1Result:
         sp = make_space(name)
         report = certify_coefficients(sp, log_geodesic(sp), N=N, target_digits=digits)
         reports[name] = report
-        first_neg = _first_negative(report)
-        verdict = classify(report, mode="cpd").classification
+        v = classify(report, mode="cpd")
+        verdict = v.classification
         if verdict not in ("not-CPD", "undecided"):
             verdict = "consistent-with-PD"
-        rows.append((name, sp.alpha, sp.beta, first_neg, verdict))
+        rows.append((name, sp.alpha, sp.beta, v.witness if verdict == "not-CPD" else None,
+                     verdict))
     return Table1Result(N=N, digits=digits, rows=tuple(rows), reports=reports)

@@ -48,11 +48,12 @@ def test_log_kernel_sign_table():
     t0 = time.monotonic()
     res = table1(N=16, digits=50)
     elapsed = time.monotonic() - t0
+    verdicts = {r[0]: r[4] for r in res.rows}
 
     for name in ("RP2", "RP3", "CP2"):
         rep = res.reports[name]
         assert all(rep.entry(n).sign == "+" for n in range(1, 17)), name
-        assert res.row(name)[4] == "consistent-with-PD"
+        assert verdicts[name] == "consistent-with-PD"
 
     # one certified negative coefficient disproves positive definiteness
     assert res.reports["RP4"].entry(8).sign == "-"
@@ -60,7 +61,7 @@ def test_log_kernel_sign_table():
     assert res.reports["HP2"].entry(10).sign == "-"
     assert res.reports["OP2"].entry(8).sign == "-"
     for name in ("RP4", "CP3", "HP2", "OP2"):
-        assert res.row(name)[4] == "not-CPD"
+        assert verdicts[name] == "not-CPD"
     # the printed first negative degree of every row; on OP2, n = 8 is
     # negative as well, but n = 6 comes first
     first_negative = {"RP2": None, "RP3": None, "RP4": 8, "CP2": None,

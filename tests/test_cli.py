@@ -138,6 +138,39 @@ def test_classify_cpd_ignores_undecided_constant(capsys):
     assert json.loads(out)["verdict"]["classification"] == "strictly-CPD-only"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_classify_negative_outranks_undecided_degrees(capsys, fmt):
+    """a_5 = -1 is certified negative while the exact zeros below degree 4
+    are undecided: one negative coefficient decides not-CPD, exit 0."""
+    code, out, err = run(
+        capsys, "classify", "--space", "CP2", "--kernel", "lincomb(1*jacobi:n=4+-1*jacobi:n=5)",
+        "--nmax", "6", "--digits", "15", "--format", fmt, "--verify",
+    )
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        verdict = json.loads(out)["verdict"]
+        assert (verdict["classification"], verdict["witness"]) == ("not-CPD", 5)
+    else:
+        assert out.splitlines()[-1] == "not-CPD,5,6,cpd"
+
+
+def test_scan_refuses_a_step_below_the_grid_resolution(monkeypatch, capsys):
+    """Grid points are rounded to 12 decimals; a step that leaves them
+    repeated is refused by name before any certification."""
+    from zonalpd import posdef
+
+    def certify(*args, **kwargs):
+        raise AssertionError("a certification ran")
+
+    monkeypatch.setattr(posdef, "certify_coefficients", certify)
+    code, out, err = run(
+        capsys, "scan", "--space", "S2", "--kernel", "riesz-chordal", "--s-min", "0.5",
+        "--s-max", "0.5000000000002", "--step", "4e-14", "--nmax", "1", "--digits", "5",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("zonalpd: error: step=4e-14 ")
+
+
 def test_scan_csv_shape(capsys):
     code, out, _ = run(
         capsys, "scan", "--space", "S2", "--kernel", "riesz-geodesic",
@@ -771,6 +804,8 @@ _TABLE1_CORRUPTIONS = {
     "not-cpd-at-true": (_edits(_edit(("rows", 0, "verdict"), "not-CPD"),
                                _edit(("rows", 0, "first_negative_n"), True)), "'not-CPD'"),
     "consistent-with-n": (_edit(("rows", 2, "first_negative_n"), 2), "'consistent-with-PD'"),
+    "undecided-with-n": (_edits(_edit(("rows", 1, "verdict"), "undecided"),
+                                _edit(("rows", 1, "first_negative_n"), 3)), "'undecided'"),
     "config-table1-N": (_edit(("N",), 5), "its config gives"),
     "config-table1-digits": (_edit(("digits",), 25), "its config gives"),
 }

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import exact_fraction, synthetic_report
 from zonalpd import posdef
@@ -67,12 +69,47 @@ def test_classify_not_cpd_witness():
         assert v.witness == 2
 
 
-def test_classify_undecided_beats_negative():
-    # an earlier undecided entry must surface before a later negative one
-    rep = synthetic_report("S2", [1.0, 0.0, -0.1], signs=["+", "undecided", "-"])
-    v = classify(rep, mode="cpd")
-    assert v.classification == "undecided"
-    assert v.witness == 1
+def test_classify_negative_beats_undecided():
+    # one certified negative at n >= 1 decides, before or after an undecided degree
+    for signs in (["+", "undecided", "-"], ["undecided", "-", "undecided"]):
+        rep = synthetic_report("S2", [0.0] * 3, signs=signs)
+        for mode in ("pd", "cpd"):
+            v = classify(rep, mode=mode)
+            assert (v.classification, v.witness) == ("not-CPD", signs.index("-"))
+
+
+def _reference_verdict(signs, mode):
+    """The sign rule, read off the paper's characterisation case by case."""
+    tail = signs[1:]
+    if "-" in tail:  # one negative coefficient of degree n >= 1 disproves CPD
+        return "not-CPD", 1 + tail.index("-")
+    used = signs if mode == "pd" else tail
+    if "undecided" in used:
+        return "undecided", signs.index("undecided", len(signs) - len(used))
+    zero = 1 + tail.index("0") if "0" in tail else None
+    if mode == "cpd":
+        return ("strictly-CPD-only", None) if zero is None else ("CPD-not-strict", zero)
+    if signs[0] == "-":
+        return ("strictly-CPD-only", 0) if zero is None else ("CPD-not-strict", zero)
+    if signs[0] == "0":
+        return "PD-not-strict", 0
+    return ("strictly-PD", None) if zero is None else ("PD-not-strict", zero)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signs=st.lists(st.sampled_from(["+", "-", "0", "undecided"]), min_size=1, max_size=6),
+       mode=st.sampled_from(["pd", "cpd"]))
+def test_classify_matches_the_reference_rule(signs, mode):
+    """Over sign vectors of length 1-6, `classify` gives the reference
+    rule's (classification, witness) in both modes."""
+    rep = synthetic_report("S2", [0.0] * len(signs), signs=signs)
+    if mode == "cpd" and len(signs) == 1:
+        with pytest.raises(ValueError, match="no entries"):
+            classify(rep, mode=mode)
+        return
+    v = classify(rep, mode=mode)
+    assert (v.classification, v.witness) == _reference_verdict(signs, mode)
+    assert (v.N_checked, v.mode) == (len(signs) - 1, mode)
 
 
 def test_classify_cpd_not_strict():
@@ -340,16 +377,15 @@ def test_all_spaces_refuses_a_non_integrable_alpha_before_certifying(monkeypatch
 def test_table1_rows():
     res = table1(N=10, digits=40)
     assert [r[0] for r in res.rows] == ["RP2", "RP3", "RP4", "CP2", "CP3", "HP2", "OP2"]
+    rows = {r[0]: r for r in res.rows}
     for name in ("RP2", "RP3", "CP2"):
-        assert res.row(name)[3] is None
-        assert res.row(name)[4] == "consistent-with-PD"
-    assert res.row("RP4")[3] == 8
-    assert res.row("RP4")[4] == "not-CPD"
-    assert res.row("CP3")[3] == 6
-    assert res.row("HP2")[3] == 10
-    assert res.row("OP2")[3] == 6
-    with pytest.raises(KeyError):
-        res.row("S7")
+        assert rows[name][3] is None
+        assert rows[name][4] == "consistent-with-PD"
+    assert rows["RP4"][3] == 8
+    assert rows["RP4"][4] == "not-CPD"
+    assert rows["CP3"][3] == 6
+    assert rows["HP2"][3] == 10
+    assert rows["OP2"][3] == 6
     csv = res.to_csv()
     assert csv.splitlines()[0] == "space,alpha,beta,first_negative_n,verdict"
     assert "RP4,1,-0.5,8,not-CPD" in csv

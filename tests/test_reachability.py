@@ -32,7 +32,6 @@ ALLOWED = {
                                        "(demos/alpha_sweep.py runs it)",
     "zonalpd.posdef.AllSpacesResult.to_json_dict": "the result of all_spaces_check",
     "zonalpd.posdef.ScanResult.cpd_onset": "library API (demos/phase_transition.py)",
-    "zonalpd.posdef.Table1Result.row": "library API: one row of a table1 result",
     "zonalpd.spaces.distance_t": "the scalar distance, wrapped by perfbench/tracer.py; the "
                                  "CLI uses distance_t_arrays",
     "zonalpd.spaces.save_points": "writes the point files that energy --points reads",
