@@ -31,8 +31,8 @@ from . import __version__
 from .spaces import Point, make_space, load_points, parse_args
 from .kernels import FAMILIES, parse_kernel
 from .transform import (
-    SIGN_UNDECIDED, CoefficientReport, certify_coefficients, poisson_kernel, _precision_ladder,
-    _sign_for,
+    SIGN_UNDECIDED, CoefficientReport, certify_coefficients, poisson_kernel, _power_terms,
+    _precision_ladder, _sign_for,
 )
 
 
@@ -430,9 +430,25 @@ def _check_table1(doc) -> Optional[str]:
     return None
 
 
-# a coeffs config line: its keys are sorted, so kernel, nmax and space come
-# last, and a lincomb kernel or a custom space may hold spaces
+# a coeffs or classify config line: its keys are sorted, so kernel, mode,
+# nmax and space come last; a lincomb kernel or a custom space may hold spaces
 _COEFFS_CONFIG = re.compile(r"# config: .* kernel=(.*) nmax=(\d+) space=(.*)")
+_CLASSIFY_CONFIG = re.compile(r"# config: .* mode=(\w+) nmax=(\d+) space=.*")
+
+
+def _check_classify_csv(text: str, lines: List[str]) -> Optional[str]:
+    """The one row of a classify CSV, which prints no signs, against its config:
+    its mode and N_checked, a witness in 0..N if any, in 1..N on not-CPD."""
+    from .posdef import CLASSIFICATIONS
+
+    match = next(filter(None, map(_CLASSIFY_CONFIG.fullmatch, text.splitlines())), None)
+    verdict, witness, n_checked, mode = lines[-1].split(",")
+    low = 1 if verdict == "not-CPD" else 0
+    in_range = witness.isdecimal() and low <= int(witness) <= int(n_checked)
+    if (match is None or len(lines) != 2 or (mode, n_checked) != match.groups()
+            or verdict not in CLASSIFICATIONS or not (in_range if witness else low == 0)):
+        return f"the classify row {lines[-1]!r} does not follow from its config"
+    return None
 
 
 def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
@@ -440,11 +456,12 @@ def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
     tables, JSON or CSV, are read back by `CoefficientReport.from_json_dict`,
     each sign must be the one `_sign_for` gives for the config's kernel, and
     a printed verdict the one its signs give.  In JSON the space, N and kernel
-    (as the descriptor writer prints it) are the config's, the method is `de`
-    exactly for a log kernel, and `levels.digits` a rung of the precision
-    ladder of the config's digits; a scan or a table 1 must agree with
-    itself and with its config (`_check_scan`, `_check_table1`), which
-    certifies nothing."""
+    (as the descriptor writer prints it) are the config's, the method `exact`
+    for a kernel `coefficients_exact` covers, else `de` for a log kernel and
+    `both`, and `levels.digits` a rung of the precision ladder of the config's
+    digits; a scan, a table 1 or a classify CSV must agree with itself and its
+    config (`_check_scan`, `_check_table1`, `_check_classify_csv`: they certify
+    nothing)."""
     if fmt == "json":
         try:
             doc = json.loads(text)
@@ -465,6 +482,8 @@ def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
                 return f"CSV row has wrong arity: {ln!r}"
         if not any(ln.startswith("# version=") for ln in text.splitlines()):
             return "CSV output is missing the version line"
+        if command == "classify":
+            return _check_classify_csv(text, lines)
         if command != "coeffs":
             return None
         match = next(filter(None, map(_COEFFS_CONFIG.fullmatch, text.splitlines())), None)
@@ -484,7 +503,8 @@ def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
             if (report.space, report.N, report.kernel) != (
                     make_space(config["space"]), config["nmax"], kernel.descriptor):
                 return f"space, N or kernel {report.kernel!r} is not the one its config gives"
-            if (report.method == "de") != kernel.log_flag:
+            route = "exact" if _power_terms(kernel) else "de" if kernel.log_flag else "both"
+            if report.method != route:
                 return f"method {report.method!r} is not the route of kernel {report.kernel!r}"
             if report.levels.get("digits") not in _precision_ladder(config["digits"]):
                 return (f"levels.digits {report.levels.get('digits')!r} is not a rung of the "
@@ -496,7 +516,7 @@ def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
             from .posdef import classify
 
             verdict = doc["verdict"]
-            if classify(report, mode=verdict["mode"]).to_json_dict() != verdict:
+            if classify(report, mode=config["mode"]).to_json_dict() != verdict:
                 return "the printed verdict is not the one its signs give"
     except Exception as e:
         return f"report schema check failed: {e}"

@@ -3,9 +3,10 @@
 A kernel is a function of the zonal variable t = cos(2*kappa*theta),
 continuous on [-1, 1) and possibly singular at t = 1 (the diagonal).  A
 `ZonalKernel` is (family, args, parts): a family of `FAMILIES` with its
-arguments, a `product` of two kernels or a `lincomb` of (coefficient,
-kernel) terms.  The rest is read off that data, each item by one function
-that dispatches on the family and recurses on the parts:
+arguments (and, for `jacobi`, the alpha, beta of its P_n), a `product` of
+two kernels or a `lincomb` of (coefficient, kernel) terms.  The rest is read
+off that data, each item by one function that dispatches on the family and
+recurses on the parts:
 
   descriptor          the text `parse_kernel` reads back into the same data
   gj_shift            signed exponent p with (1-t)^p F(t) continuous at t = 1
@@ -64,6 +65,7 @@ class ZonalKernel:
     f_t: Callable[[np.ndarray], np.ndarray]
     # the two factors of a product, the (coefficient, kernel) terms of a lincomb
     parts: tuple = ()
+    ab: tuple = ()  # the (alpha, beta) of a jacobi leaf's P_n
 
     @property
     def _kernels(self) -> tuple:
@@ -311,7 +313,7 @@ def jacobi_unit_kernel(params, n: int) -> ZonalKernel:
         import numpy as np
         return np.asarray(jacobi_eval((a, b), n, np.asarray(t, dtype=float)))
 
-    return ZonalKernel("jacobi", (("n", n),), eval_g, f_t)
+    return ZonalKernel("jacobi", (("n", n),), eval_g, f_t, ab=(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,8 @@ def classify(report: CoefficientReport, mode: str = "cpd") -> PDVerdict:
 # ---------------------------------------------------------------------------
 # Riesz exponent scan
 
+SCAN_MAX_POINTS = 10_000  # a larger grid is refused before it is built
+
 
 @dataclass(frozen=True)
 class ScanResult:
@@ -266,8 +268,10 @@ def scan_riesz(
         raise ValueError(
             f"s_max={s_max} is not integrable on {space.name} (needs s < D={space.dim_D})"
         )
-    count = int(math.floor((s_max - s_min) / step + 1e-9)) + 1
-    grid = [round(s_min + i * step, 12) for i in range(count)]
+    span = (s_max - s_min) / step + 1e-9
+    if span >= SCAN_MAX_POINTS:
+        raise ValueError(f"the grid has {span + 1:.4g} points, over the cap of {SCAN_MAX_POINTS}")
+    grid = [round(s_min + i * step, 12) for i in range(int(span) + 1)]
     if any(a >= b for a, b in zip(grid, grid[1:])):
         raise ValueError(f"step={step} is below the grid resolution: the s values, "
                          "rounded to 12 decimals, do not strictly increase")

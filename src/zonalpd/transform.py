@@ -20,9 +20,10 @@ Each node is the mpf triple (u, sin u, cos u), with cos u formed as
 sin(pi/2 - u) so it keeps its relative accuracy near u = pi/2; the kernel
 envelope `eval_g` reads that triple directly.  Weight exponents are
 formed in mpf from the binary inputs, never in float64.
-Certification runs both, folds the cross-method discrepancy into the error
-bound, and escalates precision until every requested sign is decided or a
-cap is reached.  Nodes, weights and the integrand run in mpmath.  The
+Certification takes a sum of c x^mu, x = (1-t)/2, exactly in `mpmath.iv`;
+other kernels run both, fold the cross-method gap into the error bound,
+and escalate precision until every sign is decided or a cap is reached.
+Nodes, weights and the integrand run in mpmath.  The
 per-node and per-level steps (DE node geometry and its sines, the
 Gauss-Jacobi angle nodes and their sines, the integrand, and the DE level
 sums, errors and stop test) call `mpmath.libmp` on raw mpf values, without
@@ -63,6 +64,7 @@ from .jacobi import (
     gauss_jacobi_rule_mp,
     jacobi_eval_all,
     jacobi_value_at_one,
+    pochhammer,
 )
 from .kernels import ZonalKernel
 from .spaces import Space, make_space
@@ -72,6 +74,7 @@ __all__ = [
     "CoefficientReport",
     "coefficients_de",
     "coefficients_gj",
+    "coefficients_exact",
     "certify_coefficients",
     "synthesize",
     "poisson_kernel",
@@ -93,7 +96,7 @@ SIGN_UNDECIDED = "undecided"
 
 # what a report's `method` and `levels` may hold: the route, or both, and the
 # working digits, the DE level and the two Gauss-Jacobi orders it used
-_METHODS = ("de", "gj", "both")
+_METHODS = ("de", "gj", "both", "exact")
 _LEVEL_KEYS = ("digits", "de_level", "gj_nodes", "gj_nodes_check")
 
 
@@ -155,7 +158,7 @@ class CoefficientReport:
         (space, n); an error < 0 or a sign outside `+ - 0 undecided`; on the
         exact printed decimals, a `+` without value > error, a `-` without
         value < -error, an `undecided` without |value| <= error; a `method`
-        other than `de`, `gj` or `both`, and a `levels` key outside
+        other than `de`, `gj`, `both` or `exact`, and a `levels` key outside
         `digits`, `de_level`, `gj_nodes` and `gj_nodes_check` or a value that
         is not an integer.  Decimals are read 20 digits past their printed
         length, errors rounded up."""
@@ -221,8 +224,8 @@ def _sign_for(value: mp.mpf, error: mp.mpf, n: int, kernel: ZonalKernel, space: 
         return SIGN_NEG
     # an even n >= 2 of a kernel odd up to a constant is an exact zero by
     # t -> -t parity when alpha == beta.  Below its degree a polynomial
-    # kernel gets no such rule: both routes integrate in the angle, where
-    # its integrand is not a polynomial, so its computed values are not exact
+    # kernel gets no such rule: its exact interval is a sum of rounded
+    # terms, so a true zero there straddles 0 and stays undecided
     if kernel.odd_up_to_constant and space.alpha == space.beta and n >= 2 and n % 2 == 0:
         return SIGN_ZERO
     return SIGN_UNDECIDED
@@ -554,7 +557,81 @@ def coefficients_gj(
 
 
 # ---------------------------------------------------------------------------
-# certification
+# certification: the exact route, then both quadrature routes
+
+
+# `coefficients_exact` expands F into at most this many terms c x^mu, and only
+# while rounding them loses at most the 10 guard digits of a rung: log10 of
+# sum |c| / F(t = 1) for a cospow or jacobi leaf (at least n log10 2), added
+# over a product's factors, the largest over a lincomb's terms
+_EXACT_MAX_TERMS, _EXACT_MAX_LOSS = 64, 10
+
+
+def _power_terms(kernel: ZonalKernel) -> tuple | None:
+    """F = sum c x^mu, x = (1-t)/2, as ({mu: c} in exact Fractions, loss), or
+    None.  A jacobi leaf is P_n of the (a, b) it was built with, None if
+    unknown: (a+1)_n/n! 2F1(-n, n+a+b+1; a+1; x)."""
+    args = dict(kernel.args)
+    if kernel.family == "riesz-chordal":
+        pairs, loss = [(-Fraction(args["s"]) / 2, Fraction(1 if args["s"] > 0 else -1))], 0
+    elif kernel.family in ("cospow", "jacobi"):
+        n, jacobi, pairs = args["n"], kernel.family == "jacobi", []
+        if n * math.log10(2) > _EXACT_MAX_LOSS or (jacobi and not kernel.ab):
+            return None
+        a, b = map(Fraction, kernel.ab or (0, 0))
+        c = pochhammer(a + 1, n) / math.factorial(n) if jacobi else Fraction(1)
+        for k in range(n + 1):
+            pairs.append((Fraction(k), c))
+            c = c * (k - n) / (k + 1) * ((n + a + b + 1 + k) / (a + 1 + k) if jacobi else 1)
+        loss = math.log10(sum(abs(c) for _, c in pairs) / pairs[0][1])
+    elif kernel.family in ("product", "lincomb"):
+        parts = [_power_terms(k) for k in kernel._kernels]
+        if None in parts:
+            return None
+        if kernel.family == "product":
+            (t1, l1), (t2, l2) = parts
+            pairs = [(m1 + m2, c1 * c2) for m1, c1 in t1.items() for m2, c2 in t2.items()]
+            loss = l1 + l2
+        else:
+            pairs = [(m, Fraction(w) * c) for (w, _), (t, _) in zip(kernel.parts, parts)
+                     for m, c in t.items()]
+            loss = max(l for _, l in parts)
+    else:
+        return None
+    terms = {}
+    for m, c in pairs:
+        terms[m] = terms.get(m, 0) + c
+    return (terms, loss) if len(terms) <= _EXACT_MAX_TERMS and loss <= _EXACT_MAX_LOSS else None
+
+
+def coefficients_exact(space: Space, kernel: ZonalKernel, N: int = DEFAULT_N) -> list | None:
+    """Coefficients n = 0..N as `mpmath.iv` intervals at its ambient precision
+    when F is a finite sum of c x^mu, x = (1-t)/2, within `_EXACT_MAX_TERMS`
+    and `_EXACT_MAX_LOSS` (riesz-chordal, cospow and jacobi leaves and their
+    products and lincombs), else None.  By Askey,
+        int x^mu P_n dw  = G(a+mu+1) G(a+b+2) / (G(a+1) G(a+b+mu+2))
+                           * (b+1)_n (-mu)_n / (n! (a+b+mu+2)_n),
+    w the probability measure, Pochhammer symbols as running products in n
+    (`iv.rf` fails in mpmath 1.3.0), times m_n / P_n(1)^2 from `_prefactors`,
+    which is regular on the circle."""
+    expansion = _power_terms(kernel)
+    if expansion is None:
+        return None
+    kernel.require_integrable(space)
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    iv = mp.iv
+    a, b = iv.mpf(space.alpha), iv.mpf(space.beta)
+    base = iv.gamma(a + b + 2) / iv.gamma(a + 1)
+    sums = [iv.mpf(0)] * (N + 1)
+    for mu, c in expansion[0].items():
+        m = iv.mpf(mu.numerator) / mu.denominator
+        term = (iv.mpf(c.numerator) / c.denominator * base
+                * iv.gamma(a + m + 1) / iv.gamma(a + b + m + 2))
+        for n in range(N + 1):
+            sums[n] += term
+            term *= (b + 1 + n) * (n - m) / ((n + 1) * (a + b + m + 2 + n))
+    return [p * total for p, total in zip(_prefactors(a, b), sums)]
 
 
 def _precision_ladder(target_digits: int) -> tuple:
@@ -568,7 +645,8 @@ def certify_coefficients(
     N: int = DEFAULT_N,
     target_digits: int = DEFAULT_DIGITS,
 ) -> CoefficientReport:
-    """Run both engines, fold their discrepancy into the error bound, and
+    """Report a kernel that `coefficients_exact` covers from its intervals,
+    else run both engines and fold their discrepancy into the error bound;
     escalate precision until every sign is decided or the cap is reached.
 
     Deterministic for fixed inputs.  Undecided entries in the returned
@@ -578,23 +656,33 @@ def certify_coefficients(
     # an integrable power singularity leaves the split weight exponent
     # 2a+1-2sigma above -1, so Gauss-Jacobi applies to every non-log kernel
     use_gj = not kernel.log_flag
-    report = None
     for digits in _precision_ladder(target_digits):
-        de = coefficients_de(space, kernel, N, digits=digits)
-        levels = {"digits": digits, "de_level": de.levels["de_level"]}
-        values = [e.value for e in de.entries]
-        errors = [e.error for e in de.entries]
-        if use_gj:
-            gj = coefficients_gj(space, kernel, N, digits=digits)
-            levels.update(
-                gj_nodes=gj.levels["gj_nodes"], gj_nodes_check=gj.levels["gj_nodes_check"]
-            )
+        prec, mp.iv.dps = mp.iv.prec, digits + 10
+        try:
+            intervals = coefficients_exact(space, kernel, N)
+        finally:
+            mp.iv.prec = prec
+        if intervals is not None:  # as midpoints and radii, rounded up
             with mp.workdps(digits + 10):
-                errors = [
-                    e + g.error + abs(v - g.value)
-                    for v, e, g in zip(values, errors, gj.entries)
-                ]
-        report = _report(space, kernel, values, errors, "both" if use_gj else "de", levels)
+                ends = [tuple(map(mp.make_mpf, x._mpi_)) for x in intervals]
+                values = [(lo + hi) / 2 for lo, hi in ends]
+                errors = [max(mp.fsub(hi, v, rounding="u"), mp.fsub(v, lo, rounding="u"))
+                          for (lo, hi), v in zip(ends, values)]
+            method, levels = "exact", {"digits": digits}
+        else:
+            de = coefficients_de(space, kernel, N, digits=digits)
+            levels = {"digits": digits, "de_level": de.levels["de_level"]}
+            values = [e.value for e in de.entries]
+            errors = [e.error for e in de.entries]
+            if use_gj:
+                gj = coefficients_gj(space, kernel, N, digits=digits)
+                levels.update(gj_nodes=gj.levels["gj_nodes"],
+                              gj_nodes_check=gj.levels["gj_nodes_check"])
+                with mp.workdps(digits + 10):
+                    errors = [e + g.error + abs(v - g.value)
+                              for v, e, g in zip(values, errors, gj.entries)]
+            method = "both" if use_gj else "de"
+        report = _report(space, kernel, values, errors, method, levels)
         if all(e.sign != SIGN_UNDECIDED for e in report.entries):
             break
     return report

@@ -110,17 +110,21 @@ def riesz_chordal_exact(space, s, n):
     (Askey, Orthogonal Polynomials and Special Functions, 1975), and the
     coefficient of P_n is that integral over the unnormalized norm
         H_n = 2^(a+b+1) G(n+a+1) G(n+b+1) / ((2n+a+b+1) n! G(n+a+b+1)).
-    The exponent s is taken as the exact binary double.
+    alpha - rho is taken as s/2, exact for any s, where a - rho would round
+    a tiny s away.  At n = 0, (2n+a+b+1) G(n+a+b+1) is G(a+b+2), which stays
+    finite on the circle, a+b+1 = 0.  The exponent s is taken as the exact
+    binary double.
     """
     a, b, s = mp.mpf(space.alpha), mp.mpf(space.beta), mp.mpf(s)
     rho = a - s / 2
     integral = (
         mp.power(2, rho + b + 1) * mp.gamma(rho + 1) * mp.gamma(b + n + 1)
-        * mp.rf(a - rho, n) / (mp.factorial(n) * mp.gamma(rho + b + n + 2))
+        * mp.rf(s / 2, n) / (mp.factorial(n) * mp.gamma(rho + b + n + 2))
     )
+    grow = mp.gamma(a + b + 2) if n == 0 else (2 * n + a + b + 1) * mp.gamma(n + a + b + 1)
     norm = (
         mp.power(2, a + b + 1) * mp.gamma(n + a + 1) * mp.gamma(n + b + 1)
-        / ((2 * n + a + b + 1) * mp.factorial(n) * mp.gamma(n + a + b + 1))
+        / (mp.factorial(n) * grow)
     )
     return mp.sign(s) * mp.power(2, s / 2) * integral / norm
 

@@ -76,6 +76,16 @@ def test_polynomial_kernel_below_degree_is_certified(capsys):
         assert abs(mp.mpf(e["value"]) - exact) <= mp.mpf(e["error"])
 
 
+def test_huge_power_takes_the_quadrature_route(capsys):
+    """cospow of degree 10^17 is certified by quadrature, as ever: the exact
+    route refuses it by its degree, without expanding ((1+t)/2)^n."""
+    code, out, _ = run(
+        capsys, "coeffs", "--space", "S2", "--kernel", "cospow:n=100000000000000000",
+        "--nmax", "2", "--digits", "15", "--verify",
+    )
+    assert code == 2 and json.loads(out)["method"] == "both"
+
+
 def test_coeffs_rejects_non_integrable(capsys):
     code, out, err = run(
         capsys, "coeffs", "--space", "S2", "--kernel", "riesz-geodesic:s=2.5",
@@ -169,6 +179,22 @@ def test_scan_refuses_a_step_below_the_grid_resolution(monkeypatch, capsys):
     )
     assert (code, out) == (1, "")
     assert err.startswith("zonalpd: error: step=4e-14 ")
+
+
+def test_scan_refuses_a_grid_above_the_cap(monkeypatch, capsys):
+    """`--step 1e-9` on [0, 1] asks for about 1e9 grid points: the count is
+    refused against `posdef.SCAN_MAX_POINTS` before the grid is built and
+    before any point is certified."""
+    from zonalpd import posdef
+
+    def certify(*args, **kwargs):
+        raise AssertionError("a certification ran")
+
+    monkeypatch.setattr(posdef, "_certify_cpd", certify)
+    code, out, err = run(capsys, "scan", "--space", "RP2", "--kernel", "riesz-geodesic",
+                         "--s-min", "0", "--s-max", "1", "--step", "1e-9")
+    assert (code, out) == (1, "")
+    assert err.startswith("zonalpd: error: the grid has 1e+09 points") and err.count("\n") == 1
 
 
 def test_scan_csv_shape(capsys):
@@ -520,6 +546,62 @@ def test_verify_refuses_a_log_kernel_off_the_de_route(monkeypatch, capsys, metho
     monkeypatch.setattr(cli.CoefficientReport, "to_json_dict", corrupted)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and "verification failed" in err
+
+
+@pytest.mark.parametrize("argv,method", [
+    (["coeffs", "--space", "HP2", "--kernel", "riesz-chordal:s=0.7"], "both"),
+    (["coeffs", "--space", "RP2", "--kernel", "riesz-geodesic:s=-0.6"], "exact"),
+    (["coeffs", "--space", "S2", "--kernel", "cospow:n=40"], "exact"),
+], ids=["chordal-as-both", "geodesic-as-exact", "cancelling-power-as-exact"])
+def test_verify_refuses_a_method_off_the_kernels_route(monkeypatch, capsys, argv, method):
+    """A kernel that `coefficients_exact` covers is reported `exact`, and no
+    other kernel is: not a geodesic one, nor a power whose expansion in
+    x = (1-t)/2 would cancel more than a rung's guard digits."""
+    argv = argv + ["--nmax", "4", "--digits", "15", "--verify"]
+    assert run(capsys, *argv)[0] == 0
+    render = cli.CoefficientReport.to_json_dict
+
+    def relabelled(report):
+        return {**render(report), "method": method}
+
+    monkeypatch.setattr(cli.CoefficientReport, "to_json_dict", relabelled)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "is not the route of kernel" in err
+
+
+@pytest.mark.parametrize("row", ["strictly-PD,,6,pd", "not-CPD,5,7,cpd", "not-CPD,,6,cpd",
+                                 "not-CPD,0,6,cpd", "not-CPD,7,6,cpd", "undecided,x,6,cpd",
+                                 "maybe,,6,cpd"])
+def test_verify_reads_a_classify_csv_row_against_its_config(monkeypatch, capsys, row):
+    """The classify CSV prints no signs, so `--verify` checks its row
+    against the config: the mode, N_checked = --nmax, a witness that is an
+    index 0..N, and one in 1..N on a not-CPD verdict."""
+    argv = ["classify", "--space", "CP2", "--kernel", "lincomb(1*jacobi:n=4+-1*jacobi:n=5)",
+            "--nmax", "6", "--digits", "20", "--format", "csv", "--verify"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines()[-1] == "not-CPD,5,6,cpd"
+    render = cli._render
+
+    def edited(*args):
+        return render(*args).replace("not-CPD,5,6,cpd", row)
+
+    monkeypatch.setattr(cli, "_render", edited)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and "verification failed" in err, row
+
+
+def test_verify_reads_a_classify_json_verdict_in_the_configs_mode(capsys):
+    """The printed verdict is recomputed in the mode of `--mode`: a cpd run
+    whose verdict is replaced by the pd verdict of the same signs exits 1."""
+    from zonalpd.posdef import classify
+
+    code, out, _ = run(capsys, "classify", "--space", "CP2", "--kernel", "riesz-chordal:s=0.5",
+                       "--nmax", "4", "--digits", "15", "--mode", "cpd")
+    assert code == 0 and cli._verify_output("classify", "json", out) is None
+    doc = json.loads(out)
+    doc["verdict"] = classify(cli.CoefficientReport.from_json_dict(doc), mode="pd").to_json_dict()
+    assert doc["verdict"]["classification"] == "strictly-PD"
+    assert cli._verify_output("classify", "json", json.dumps(doc)) is not None
 
 
 def _append_entry(doc):
@@ -1166,10 +1248,11 @@ def test_cli_reader_closing_early(argv, unbuffered):
 def test_traced_job_matches_plain_run(tmp_path):
     """perfbench/traced_job.py patches the functions that perfbench/tracer.py
     names and rebuilds each kernel with `dataclasses.replace`; the traced
-    job prints what the plain CLI prints and writes its spans."""
+    job prints what the plain CLI prints and writes its spans.  The kernel
+    takes the quadrature route, which evaluates its envelope."""
     import numpy as np
 
-    argv = ["coeffs", "--space", "S2", "--kernel", "riesz-chordal:s=1",
+    argv = ["coeffs", "--space", "S2", "--kernel", "riesz-geodesic:s=1",
             "--nmax", "2", "--digits", "15"]
     plain = _run_proc(argv)
     spans = tmp_path / "spans.npz"

@@ -30,7 +30,7 @@ GOLDEN = [
      "86f547f39dde34306c16b57e9653c0722428a4e757ad46753d1bea3a8dfa4e26"),
     (["coeffs", "--space", "HP2", "--kernel", "riesz-chordal:s=0.7",
       "--nmax", "6", "--digits", "20"], 0,
-     "e4b66141aa18d6c5531062c0dde697a81bd3e1893b2289ca24b82377c8029f55"),
+     "aa9019bdb5732e1f4f22155313d6cbed60ee5e2a4bfa7e2ecfbb731709f5fd75"),
     (["coeffs", "--space", "CP2", "--kernel", "log-geodesic",
       "--nmax", "6", "--digits", "20"], 0,
      "d2a6f0bb90543cdb850eedfaed06b6eaed284eddde7c38e0508851627829f41e"),
@@ -45,7 +45,7 @@ GOLDEN = [
      "e980aa37a1066aab5d70faa024374461173d3e26ac1951f25afff8af53d57193"),
     (["coeffs", "--space", "CP2", "--kernel", "cospow:n=2",
       "--nmax", "4", "--digits", "20", "--format", "csv"], 0,
-     "f84c86900bf3270283204544b0ad54b8a01d9e3050dbab4f647a39e49db8fd56"),
+     "393278549e2cabee663020dd97a5d1b33f4fd29af1dc4505988a189932f7922d"),
     (["coeffs", "--space", "S2",
       "--kernel", "lincomb(2*riesz-chordal:s=0.5+-1*gauss-chordal:lambda=1)",
       "--nmax", "6", "--digits", "20"], 0,
@@ -90,7 +90,7 @@ GOLDEN = [
     # exit 2: the exact zeros of jacobi:n=4 below its degree are undecided
     (["classify", "--space", "CP2", "--kernel", "jacobi:n=4", "--nmax", "5",
       "--digits", "15", "--mode", "pd"], 2,
-     "184fe8e352efa46fac582b4374af93da6b2b53d1edb0288649b817ed758c7b6f"),
+     "c3aa502c26b2b82285ff463c9a867eddd817feaa9b8fe5bd2709d26175e7e889"),
     (["classify", "--space", "CP2", "--kernel", "jacobi:n=4", "--nmax", "5",
       "--digits", "15", "--mode", "pd", "--format", "csv"], 2,
      "9a16159ca212962aacf07806be5e6663b857da83a3987cd5984037e6a68c3ce2"),
@@ -100,7 +100,7 @@ GOLDEN = [
      "d0220c42f63e0a6e9c313cb607c3e6f1235cd58b5fbefba3f496ddba0f370eac"),
     (["coeffs", "--space", "S1", "--kernel", "riesz-chordal:s=0.5", "--nmax", "4",
       "--digits", "15"], 0,
-     "f12c7e26bc2ab567ff3bd8a1ef3acd29692c7334f61ac8fe5bbe303589c37f06"),
+     "8b3035e9579c4a89ed2f565618dbb73ffe0d87bc9e4581df633938b131f0d605"),
 ]
 
 
@@ -110,7 +110,7 @@ _MC = ["--samples", "131077", "--digits", "20"]
 GOLDEN_MC = [
     (["energy", "--space", "S2", "--kernel", "jacobi:n=1", "--perturb", "n=1,eps=0.1",
       *_MC], 0,
-     "9592cb4f14d0d86331b7fa78742a47e6f13b54efe251207892f397d30f5ee84a"),
+     "6a968be36bacf70a6444b7a08407be50ec7b65ad327a6bc38cb842c034b44af4"),
     (["energy", "--space", "S2", "--kernel", "jacobi:n=1", "--perturb", "n=1,eps=0.1",
       *_MC, "--format", "csv"], 0,
      "67a3a17eef24e1fa3738c6c1d5aceddc169462d3e67cfeeca78445405d62ef99"),

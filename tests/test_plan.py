@@ -199,9 +199,12 @@ def test_only_the_plan_and_de_nodes_are_cached():
 
 def test_escalation_builds_the_rounding_bounds_once():
     """The three rungs of an escalating certification read three plans, one
-    per precision, and one set of rounding bounds."""
+    per precision, and one set of rounding bounds.  The gauss term with
+    weight 0 sends the kernel of P_4 down the quadrature route, where its
+    zero coefficients below degree 4 stay undecided on every rung."""
     make_cold()
-    argv = ["classify", "--space", "CP2", "--kernel", "jacobi:n=4", "--nmax", "5",
+    argv = ["classify", "--space", "CP2",
+            "--kernel", "lincomb(1*jacobi:n=4+0*gauss-chordal:lambda=1)", "--nmax", "5",
             "--digits", "15", "--mode", "pd"]
     assert cli.main(argv) == 2
     assert jacobi._plan.cache_info().misses == 3

@@ -204,6 +204,26 @@ def test_scan_argument_validation():
         scan_riesz(RP2, "euclidean", -0.5, 0.0, step=0.25, N=8)
 
 
+def test_scan_grid_cap_admits_exactly_its_count(monkeypatch):
+    """A grid of SCAN_MAX_POINTS points is certified point by point; one
+    more point is refused before any certification."""
+    calls = []
+
+    def certify(space, metric, s, N, digits):
+        calls.append(s)
+        return PDVerdict("strictly-CPD-only", None, N, "cpd", "")
+
+    monkeypatch.setattr(posdef, "_certify_cpd", certify)
+    step, s_min = 2.0 ** -10, -20.0
+    s_max = s_min + (posdef.SCAN_MAX_POINTS - 1) * step
+    result = scan_riesz(RP2, "geodesic", s_min, s_max, step=step, N=1)
+    assert len(result.s_values) == len(calls) == posdef.SCAN_MAX_POINTS
+    calls.clear()
+    with pytest.raises(ValueError, match="over the cap of"):
+        scan_riesz(RP2, "geodesic", s_min, s_max + step, step=step, N=1)
+    assert calls == []
+
+
 @pytest.mark.parametrize("tol", [0.0, -0.1, float("nan")])
 def test_scan_rejects_nonpositive_bisect_tol(tol, monkeypatch):
     # rejected before the grid is certified

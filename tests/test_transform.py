@@ -1,18 +1,24 @@
+import dataclasses
 import json
 import math
 import sys
 import time
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import riesz_chordal_exact, synthetic_report
+from conftest import CATALOG, exact_fraction, riesz_chordal_exact, synthetic_report
+from zonalpd import transform
 from zonalpd.jacobi import dim_m_n, jacobi_eval, jacobi_eval_all, jacobi_value_at_one
 from zonalpd.kernels import (
     cos_power_kernel,
     gaussian_kernel,
     jacobi_unit_kernel,
+    linear_combination,
     parse_kernel,
     riesz_chordal,
     riesz_geodesic,
@@ -23,6 +29,7 @@ from zonalpd.transform import (
     _hyp2f1,
     certify_coefficients,
     coefficients_de,
+    coefficients_exact,
     coefficients_gj,
     poisson_kernel,
     synthesize,
@@ -428,11 +435,166 @@ def test_certified_intervals_contain_closed_form():
                 assert abs(e.value - exact) <= e.error, (name, s, e.n)
 
 
+# the catalog, the circle (alpha + beta + 1 = 0) and a space off the catalog
+_EXACT_SPACES = CATALOG + ("S1", "custom:alpha=2.5,beta=0.5,kappa=0.5")
+
+
+def _non_dyadic(lo, hi):
+    return st.floats(lo, hi).filter(lambda s: (s * 1024) % 1 != 0)
+
+
+def _ends(x):
+    """The endpoints of an `mpmath.iv` interval as mpf."""
+    return tuple(map(mp.make_mpf, x._mpi_))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(_EXACT_SPACES), s=_non_dyadic(-4.0, 5.9), N=st.integers(0, 64),
+       dps=st.integers(15, 40))
+def test_exact_intervals_contain_the_askey_oracle(name, s, N, dps):
+    """Every interval of `coefficients_exact` holds the mpf Askey value of
+    the test oracle, computed at 60 digits."""
+    sp = make_space(name)
+    assume(s < sp.dim_D)
+    prec = mp.iv.prec
+    mp.iv.dps = dps
+    try:
+        intervals = coefficients_exact(sp, riesz_chordal(sp, s), N)
+    finally:
+        mp.iv.prec = prec
+    assert len(intervals) == N + 1
+    with mp.workdps(60):
+        for n, x in enumerate(intervals):
+            lo, hi = _ends(x)
+            assert lo <= riesz_chordal_exact(sp, s, n) <= hi, (name, s, n)
+
+
+@settings(max_examples=15, deadline=None)
+@given(name=st.sampled_from(_EXACT_SPACES), s=_non_dyadic(-4.0, 5.9), N=st.integers(0, 40),
+       digits=st.integers(15, 25))
+def test_each_quadrature_route_contains_the_exact_chordal_value(name, s, N, digits):
+    """On riesz-chordal, which certification now takes exactly, each
+    quadrature route on its own still holds the exact value within its own
+    error estimate."""
+    sp = make_space(name)
+    assume(s < sp.dim_D)
+    kernel = riesz_chordal(sp, s)
+    for route in (coefficients_de, coefficients_gj):
+        rep = route(sp, kernel, N, digits=digits)
+        with mp.workdps(60):
+            for e in rep.entries:
+                assert abs(e.value - riesz_chordal_exact(sp, s, e.n)) <= e.error, (
+                    route.__name__, name, s, e.n)
+
+
+def test_exact_route_covers_the_chordal_algebra_only():
+    """Finite sums of c x^mu get intervals; a log, gauss-* or geodesic kernel,
+    or a product or lincomb holding one, gets None, and so does a sum whose
+    rounding would cost more than the guard digits (cospow:n=34 on, a
+    product of two cospow:n=20) or that has more than 64 terms."""
+    # eight powers x^mu: a product of two has 36 distinct exponents, of three 99
+    eight = "lincomb(" + "+".join(f"1*riesz-chordal:s={-0.1 * 2**k:g}" for k in range(8)) + ")"
+    covered = ("riesz-chordal:s=-1.5", "cospow:n=3", "jacobi:n=2", "cospow:n=33",
+               "product(riesz-chordal:s=0.5,cospow:n=2)",
+               "lincomb(2*jacobi:n=1+-0.5*riesz-chordal:s=1.25)", f"product({eight},{eight})")
+    other = ("log-chordal", "log-geodesic", "riesz-geodesic:s=0.5", "gauss-chordal:lambda=1",
+             "gauss-geodesic:lambda=1", "product(cospow:n=1,gauss-chordal:lambda=1)",
+             "lincomb(1*riesz-chordal:s=0.5+1*log-chordal)", "cospow:n=34", "jacobi:n=40",
+             "product(cospow:n=20,cospow:n=20)", f"product({eight},product({eight},{eight}))")
+    for text in covered:
+        assert len(coefficients_exact(CP2, parse_kernel(text, CP2), 3)) == 4, text
+    for text in other:
+        assert coefficients_exact(CP2, parse_kernel(text, CP2), 3) is None, text
+
+
+def test_exact_polynomial_kernels_are_their_own_expansions():
+    """P_3 of CP2 has the coefficients (0, 0, 0, 1); cos^4(kappa theta) =
+    ((1+t)/2)^2 on S2 is 1/3 P_0 + 1/2 P_1 + 1/6 P_2.  Each interval holds
+    the exact value, and above the degree every interval is [0, 0]."""
+    for sp, text, exact in ((CP2, "jacobi:n=3", (0, 0, 0, 1)),
+                            (S2, "cospow:n=2", (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)))):
+        intervals = coefficients_exact(sp, parse_kernel(text, sp), 5)
+        for x, value in zip(intervals, exact):
+            lo, hi = map(exact_fraction, _ends(x))
+            assert lo <= value <= hi, (text, lo, hi)
+        assert all(_ends(x) == (0, 0) for x in intervals[len(exact):])
+
+
+@pytest.mark.parametrize("name,text,calls", [
+    ("HP2", "riesz-chordal:s=0.7", ()),
+    ("CP2", "product(riesz-chordal:s=0.5,cospow:n=2)", ()),
+    ("RP2", "riesz-geodesic:s=-0.6", ("_de_sums", "gauss_jacobi_rule_mp")),
+    ("S2", "log-chordal", ("_de_sums",)),
+    ("S4", "gauss-chordal:lambda=0.5", ("_de_sums", "gauss_jacobi_rule_mp")),
+    ("S2", "cospow:n=40", ("_de_sums", "gauss_jacobi_rule_mp")),
+], ids=["riesz-chordal", "product", "riesz-geodesic", "log-chordal", "gauss-chordal",
+        "cospow-over-the-guard-digits"])
+def test_quadrature_runs_only_off_the_exact_route(monkeypatch, name, text, calls):
+    """A covered kernel is certified without DE sums or a Gauss-Jacobi rule;
+    every other kernel still runs the routes it ran before."""
+    sp = make_space(name)
+    kernel = parse_kernel(text, sp)
+    for fn in ("_de_sums", "gauss_jacobi_rule_mp"):
+        def refuse(*args, **kwargs):
+            raise LookupError(fn)
+
+        with monkeypatch.context() as m:
+            m.setattr(transform, fn, refuse)
+            if fn in calls:
+                with pytest.raises(LookupError):
+                    certify_coefficients(sp, kernel, N=4, target_digits=15)
+            else:
+                report = certify_coefficients(sp, kernel, N=4, target_digits=15)
+                assert (report.method == "exact") == (not calls)
+
+
+def test_jacobi_leaf_is_expanded_with_its_own_parameters():
+    """A jacobi leaf built on S2 is the Legendre P_3 wherever it is certified:
+    on CP2 the exact route reports the coefficients of that P_3 (with 0.1
+    added at n = 0, and a_2 = -3/7), as the DE route does, not those of
+    CP2's own P_3, (0, 0, 0, 1)."""
+    kernel = linear_combination([(1, jacobi_unit_kernel(S2, 3)), (0.1, cos_power_kernel(0))])
+    exact = certify_coefficients(CP2, kernel, N=4, target_digits=15)
+    de = coefficients_de(CP2, kernel, N=4, digits=15)
+    assert exact.method == "exact"
+    assert exact.signs() == ["+", "undecided", "-", "+", "0"]
+    for e, d in zip(exact.entries, de.entries):
+        assert abs(e.value - d.value) <= e.error + d.error, e.n
+    a2 = exact.entries[2]
+    assert abs(exact_fraction(a2.value) + Fraction(3, 7)) <= exact_fraction(a2.error)
+    # a jacobi leaf whose (alpha, beta) is unknown is not expanded at all
+    assert transform._power_terms(dataclasses.replace(jacobi_unit_kernel(S2, 3), ab=())) is None
+
+
+def test_exact_route_never_expands_a_huge_power():
+    """cospow and jacobi of degree 10^17 are refused by their degree alone,
+    before a term is built: n log10 2 is a floor on the digits they lose."""
+    for kernel in (cos_power_kernel(10**17), jacobi_unit_kernel(S2, 10**17)):
+        assert transform._power_terms(kernel) is None
+        assert coefficients_exact(S2, kernel, 2) is None
+
+
+def test_cancelling_power_takes_the_quadrature_route():
+    """cospow:n=250 on S2 at 15 digits would lose 75 digits to the binomial
+    expansion of ((1+t)/2)^250 in x, more than a rung's guard digits, so it
+    is certified by quadrature, whose intervals hold the exact
+    a_n = (2n+1) 250!^2 / ((250-n)! (251+n)!)."""
+    rep = certify_coefficients(S2, cos_power_kernel(250), N=2, target_digits=15)
+    assert rep.method == "both"
+    f = math.factorial
+    for e in rep.entries:
+        exact = Fraction((2 * e.n + 1) * f(250) ** 2, f(250 - e.n) * f(251 + e.n))
+        assert abs(exact_fraction(e.value) - exact) <= exact_fraction(e.error), e.n
+
+
 def test_certify_without_scipy(monkeypatch):
     """scipy is a test extra only: certification must not import it."""
     # an already imported submodule would be found without its parent
     for mod in ["scipy"] + [m for m in sys.modules if m.startswith("scipy.")]:
         monkeypatch.setitem(sys.modules, mod, None)
     rep = certify_coefficients(CP2, riesz_chordal(CP2, 1.0), N=4, target_digits=20)
-    assert rep.method == "both"
+    assert rep.method == "exact"
     assert all(e.sign == "+" for e in rep.entries)
+    # and the quadrature route, which the chordal Riesz kernel no longer takes
+    rep = certify_coefficients(CP2, riesz_geodesic(CP2, 1.0), N=4, target_digits=20)
+    assert rep.method == "both"
