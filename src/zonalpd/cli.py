@@ -31,8 +31,8 @@ from . import __version__
 from .spaces import Point, make_space, load_points, parse_args
 from .kernels import FAMILIES, parse_kernel
 from .transform import (
-    SIGN_UNDECIDED, CoefficientReport, certify_coefficients, poisson_kernel, _power_terms,
-    _precision_ladder, _sign_for,
+    SIGN_UNDECIDED, CoefficientReport, certify_coefficients, poisson_kernel, _precision_ladder,
+    _route,
 )
 
 
@@ -454,13 +454,12 @@ def _check_classify_csv(text: str, lines: List[str]) -> Optional[str]:
 def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
     """Re-parse rendered output; returns an error message or None.  Coefficient
     tables, JSON or CSV, are read back by `CoefficientReport.from_json_dict`,
-    each sign must be the one `_sign_for` gives for the config's kernel, and
-    a printed verdict the one its signs give.  In JSON the space, N and kernel
-    (as the descriptor writer prints it) are the config's, the method `exact`
-    for a kernel `coefficients_exact` covers, else `de` for a log kernel and
-    `both`, and `levels.digits` a rung of the precision ladder of the config's
-    digits; a scan, a table 1 or a classify CSV must agree with itself and its
-    config (`_check_scan`, `_check_table1`, `_check_classify_csv`: they certify
+    which re-derives every sign, and a printed verdict must be the one its
+    signs give.  In JSON the space, N and kernel (as the descriptor writer
+    prints it) are the config's, the method is the kernel's `_route`, and
+    `levels.digits` a rung of the precision ladder of the config's digits; a
+    scan, a table 1 or a classify CSV must agree with itself and its config
+    (`_check_scan`, `_check_table1`, `_check_classify_csv`: they certify
     nothing)."""
     if fmt == "json":
         try:
@@ -497,21 +496,17 @@ def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
         if fmt == "csv":
             doc["space"] = make_space(doc["space"]).descriptor()
         report = CoefficientReport.from_json_dict(doc)
-        config = doc.get("config", {"kernel": report.kernel})  # CSV: its config line's
-        kernel = parse_kernel(config["kernel"], report.space)
         if fmt == "json":
+            config = doc["config"]
+            kernel = parse_kernel(config["kernel"], report.space)
             if (report.space, report.N, report.kernel) != (
                     make_space(config["space"]), config["nmax"], kernel.descriptor):
                 return f"space, N or kernel {report.kernel!r} is not the one its config gives"
-            route = "exact" if _power_terms(kernel) else "de" if kernel.log_flag else "both"
-            if report.method != route:
+            if report.method != _route(kernel):
                 return f"method {report.method!r} is not the route of kernel {report.kernel!r}"
             if report.levels.get("digits") not in _precision_ladder(config["digits"]):
                 return (f"levels.digits {report.levels.get('digits')!r} is not a rung of the "
                         f"precision ladder of digits {config['digits']!r}")
-        for e in report.entries:
-            if e.sign != _sign_for(e.value, e.error, e.n, kernel, report.space):
-                return f"entry {e.n}: sign {e.sign!r} is not the one its kernel and interval give"
         if command == "classify":
             from .posdef import classify
 

@@ -1,9 +1,9 @@
 """Jacobi polynomials, spectral multiplicities, and Gauss-Jacobi rules.
 
 Everything is parametrized by a weight pair (alpha, beta), alpha, beta > -1.
-The three-term recurrence is written once and serves floats, numpy arrays,
-and mpmath scalars alike, so high-precision paths never round-trip through
-doubles.  The high-precision paths, the Halley polish of
+The three-term recurrence is written once, `_jacobi_steps`, for floats,
+numpy arrays and mpmath scalars alike (the Poisson series reads it too), so
+high-precision paths never round-trip through doubles.  The high-precision paths, the Halley polish of
 `gauss_jacobi_rule_mp` and the coefficient sums of `transform`, step one
 fixed-point copy of the recurrence, `_fixed_recurrence`: ratios c2/c1,
 c3/c1, c4/c1 scaled by 2^W, W a few dozen bits above the working precision,
@@ -72,25 +72,28 @@ def _recurrence_coeffs(n: int, a, b, unit=1) -> tuple:
     return c1, c2, c3, c4
 
 
+def _jacobi_steps(a, b, t):
+    """P_0, P_1, ... at t by the standard three-term recurrence, without end,
+    in the arithmetic of a, b and t.  n=1 is seeded directly because the
+    generic recurrence coefficients degenerate there."""
+    p_prev, p = t * 0 + 1, (a + 1) + (a + b + 2) * (t - 1) / 2
+    yield p_prev
+    for n in itertools.count(2):
+        yield p
+        c1, c2, c3, c4 = _recurrence_coeffs(n, a, b)
+        p_prev, p = p, ((c2 + c3 * t) * p - c4 * p_prev) / c1
+
+
 def jacobi_eval_all(params, n_max: int, t):
-    """P_0..P_{n_max} at t by the standard three-term recurrence.
+    """P_0..P_{n_max} at t, the first n_max + 1 values of `_jacobi_steps`.
 
     t may be a float, an mpf, or a numpy array; the returned list holds values
-    of the same kind.  n=1 is seeded directly because the generic recurrence
-    coefficients degenerate there.
+    of the same kind.
     """
     a, b = _ab(params)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    one = t * 0 + 1
-    values = [one]
-    if n_max == 0:
-        return values
-    values.append((a + 1) + (a + b + 2) * (t - 1) / 2)
-    for n in range(2, n_max + 1):
-        c1, c2, c3, c4 = _recurrence_coeffs(n, a, b)
-        values.append(((c2 + c3 * t) * values[n - 1] - c4 * values[n - 2]) / c1)
-    return values
+    return list(itertools.islice(_jacobi_steps(a, b, t), n_max + 1))
 
 
 def jacobi_eval(params, n: int, t):

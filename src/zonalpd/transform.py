@@ -20,9 +20,10 @@ Each node is the mpf triple (u, sin u, cos u), with cos u formed as
 sin(pi/2 - u) so it keeps its relative accuracy near u = pi/2; the kernel
 envelope `eval_g` reads that triple directly.  Weight exponents are
 formed in mpf from the binary inputs, never in float64.
-Certification takes a sum of c x^mu, x = (1-t)/2, exactly in `mpmath.iv`;
-other kernels run both, fold the cross-method gap into the error bound,
-and escalate precision until every sign is decided or a cap is reached.
+Certification takes the route `_route` picks: a sum of c x^mu, x = (1-t)/2,
+exactly in `mpmath.iv`; DE alone for a log kernel; both for the rest, with
+the cross-method gap folded into the error bound.  Each escalates precision
+until every sign is decided or a cap is reached.
 Nodes, weights and the integrand run in mpmath.  The
 per-node and per-level steps (DE node geometry and its sines, the
 Gauss-Jacobi angle nodes and their sines, the integrand, and the DE level
@@ -56,17 +57,17 @@ from mpmath.libmp import (
 )
 
 from .jacobi import (
+    _jacobi_steps,
     _multiplicities,
     _plan,
     _prefactors,
-    _recurrence_coeffs,
     eigenvalue_lambda_n,
     gauss_jacobi_rule_mp,
     jacobi_eval_all,
     jacobi_value_at_one,
     pochhammer,
 )
-from .kernels import ZonalKernel
+from .kernels import ZonalKernel, parse_kernel
 from .spaces import Space, make_space
 
 __all__ = [
@@ -94,10 +95,11 @@ SIGN_NEG = "-"
 SIGN_ZERO = "0"
 SIGN_UNDECIDED = "undecided"
 
-# what a report's `method` and `levels` may hold: the route, or both, and the
-# working digits, the DE level and the two Gauss-Jacobi orders it used
-_METHODS = ("de", "gj", "both", "exact")
-_LEVEL_KEYS = ("digits", "de_level", "gj_nodes", "gj_nodes_check")
+# the `levels` keys each report `method` writes: the working digits, the DE
+# level and the two Gauss-Jacobi orders of the routes it ran
+_LEVELS = {"exact": ("digits",), "de": ("digits", "de_level"),
+           "gj": ("digits", "gj_nodes", "gj_nodes_check"),
+           "both": ("digits", "de_level", "gj_nodes", "gj_nodes_check")}
 
 
 @dataclass(frozen=True)
@@ -153,26 +155,26 @@ class CoefficientReport:
     @staticmethod
     def from_json_dict(data: dict) -> "CoefficientReport":
         """Read a printed table back: a JSON report, or `coeffs` CSV as the same
-        document with text cells.  Refused: a descriptor unlike its name, an N
-        or rows other than n = 0..N, and n, m_n or lambda_n printed unlike
-        (space, n); an error < 0 or a sign outside `+ - 0 undecided`; on the
-        exact printed decimals, a `+` without value > error, a `-` without
-        value < -error, an `undecided` without |value| <= error; a `method`
-        other than `de`, `gj`, `both` or `exact`, and a `levels` key outside
-        `digits`, `de_level`, `gj_nodes` and `gj_nodes_check` or a value that
-        is not an integer.  Decimals are read 20 digits past their printed
-        length, errors rounded up."""
-        if "method" in data and data["method"] not in _METHODS:
-            raise ValueError(f"method {data['method']!r} is not one of {_METHODS}")
-        levels = data.get("levels", {})
+        document with text cells.  Refused: a descriptor unlike its name, a
+        kernel that does not parse on the space, an N or rows other than
+        n = 0..N, and n, m_n or lambda_n printed unlike (space, n); a value or
+        error that is not finite, an error < 0, and a sign other than the one
+        `_sign_for` gives the printed value and error; a `method` outside
+        `_LEVELS`, and a `levels` key its method does not write or a value
+        that is not an integer.  Value and error are read 20 digits past the
+        longer of the two, the error rounded up."""
+        method, levels = data.get("method", ""), data.get("levels", {})
+        if "method" in data and method not in _LEVELS:
+            raise ValueError(f"method {method!r} is not one of {tuple(_LEVELS)}")
         for key, v in levels.items():
-            if key not in _LEVEL_KEYS or type(v) is not int:
-                raise ValueError(f"levels entry {key!r}: {v!r} is not a known key with an "
-                                 f"integer value")
+            if key not in _LEVELS.get(method, ()) or type(v) is not int:
+                raise ValueError(f"levels entry {key!r}: {v!r} is not a key that method "
+                                 f"{method!r} writes with an integer value")
         sp = data["space"]
         space = make_space(sp["name"])
         if not all(abs(getattr(space, k) - sp[k]) < 1e-12 for k in ("alpha", "beta", "kappa")):
             raise ValueError("space descriptor inconsistent with its name")
+        kernel = parse_kernel(str(data["kernel"]), space)
         N, rows = int(data["N"]), data["entries"]
         if str(data["N"]) != str(N) or len(rows) != N + 1:
             raise ValueError(f"N = {data['N']} needs the entries n = 0..N, got {len(rows)}")
@@ -184,21 +186,18 @@ class CoefficientReport:
                 raise ValueError(f"entry {n}: n, m_n or lambda_n is not the value for "
                                  f"{space.name} at n = {n}")
             value, error, sign = str(e["value"]), str(e["error"]), e["sign"]
-            v, r = Fraction(value), Fraction(error)
-            rules = {SIGN_POS: v > r, SIGN_NEG: v < -r, SIGN_ZERO: True,
-                     SIGN_UNDECIDED: abs(v) <= r}
-            if r < 0 or not rules.get(sign, False):
+            dps = max(len(value), len(error)) + 20  # one precision: equal decimals compare equal
+            v, r = mp.mpf(value, dps=dps), mp.mpf(error, dps=dps, rounding="u")
+            if not (r >= 0 and mp.isfinite(v + r)) or sign != _sign_for(v, r, n, kernel, space):
                 raise ValueError(f"entry {n}: sign {sign!r} with error {error} does not "
                                  f"follow from value {value}")
-            entries.append(CoefficientEntry(n, mp.mpf(value, dps=len(value) + 20),
-                                            mp.mpf(error, dps=len(error) + 20, rounding="u"),
-                                            sign))
+            entries.append(CoefficientEntry(n, v, r, sign))
         return CoefficientReport(
             space=space,
             kernel=str(data["kernel"]),
             N=N,
             entries=entries,
-            method=data.get("method", ""),
+            method=method,
             levels=dict(levels),
         )
 
@@ -220,7 +219,7 @@ def _sign_for(value: mp.mpf, error: mp.mpf, n: int, kernel: ZonalKernel, space: 
         return SIGN_ZERO
     if value > error:
         return SIGN_POS
-    if value < -error:
+    if value < mp.fneg(error, exact=True):  # -error would round to the ambient precision
         return SIGN_NEG
     # an even n >= 2 of a kernel odd up to a constant is an exact zero by
     # t -> -t parity when alpha == beta.  Below its degree a polynomial
@@ -588,14 +587,15 @@ def _power_terms(kernel: ZonalKernel) -> tuple | None:
         parts = [_power_terms(k) for k in kernel._kernels]
         if None in parts:
             return None
+        loss = (sum if kernel.family == "product" else max)(l for _, l in parts)
+        if loss > _EXACT_MAX_LOSS:
+            return None
         if kernel.family == "product":
-            (t1, l1), (t2, l2) = parts
+            (t1, _), (t2, _) = parts
             pairs = [(m1 + m2, c1 * c2) for m1, c1 in t1.items() for m2, c2 in t2.items()]
-            loss = l1 + l2
         else:
             pairs = [(m, Fraction(w) * c) for (w, _), (t, _) in zip(kernel.parts, parts)
                      for m, c in t.items()]
-            loss = max(l for _, l in parts)
     else:
         return None
     terms = {}
@@ -639,50 +639,57 @@ def _precision_ladder(target_digits: int) -> tuple:
     return (target_digits, target_digits + 20, target_digits + 40)
 
 
+def _route(kernel: ZonalKernel) -> str:
+    """The route of a kernel, its report's `method`: `exact` when `_power_terms`
+    expands it, else `de` for a log kernel, which Gauss-Jacobi refuses, else `both`."""
+    if _power_terms(kernel) is not None:
+        return "exact"
+    # an integrable power singularity leaves the split weight exponent
+    # 2a+1-2sigma above -1, so Gauss-Jacobi applies to every non-log kernel
+    return "de" if kernel.log_flag else "both"
+
+
 def certify_coefficients(
     space: Space,
     kernel: ZonalKernel,
     N: int = DEFAULT_N,
     target_digits: int = DEFAULT_DIGITS,
 ) -> CoefficientReport:
-    """Report a kernel that `coefficients_exact` covers from its intervals,
-    else run both engines and fold their discrepancy into the error bound;
-    escalate precision until every sign is decided or the cap is reached.
+    """Certify by the kernel's `_route`: the intervals of `coefficients_exact`,
+    or DE, and on route `both` Gauss-Jacobi with the discrepancy folded into
+    the error bound; climb the precision ladder until every sign is decided.
 
     Deterministic for fixed inputs.  Undecided entries in the returned
     report mean the precision ladder was exhausted, never that a stage was
     skipped.
     """
-    # an integrable power singularity leaves the split weight exponent
-    # 2a+1-2sigma above -1, so Gauss-Jacobi applies to every non-log kernel
-    use_gj = not kernel.log_flag
+    route = _route(kernel)
     for digits in _precision_ladder(target_digits):
-        prec, mp.iv.dps = mp.iv.prec, digits + 10
-        try:
-            intervals = coefficients_exact(space, kernel, N)
-        finally:
-            mp.iv.prec = prec
-        if intervals is not None:  # as midpoints and radii, rounded up
+        if route == "exact":  # as midpoints and radii, rounded up
+            prec, mp.iv.dps = mp.iv.prec, digits + 10
+            try:
+                intervals = coefficients_exact(space, kernel, N)
+            finally:
+                mp.iv.prec = prec
             with mp.workdps(digits + 10):
                 ends = [tuple(map(mp.make_mpf, x._mpi_)) for x in intervals]
                 values = [(lo + hi) / 2 for lo, hi in ends]
                 errors = [max(mp.fsub(hi, v, rounding="u"), mp.fsub(v, lo, rounding="u"))
                           for (lo, hi), v in zip(ends, values)]
-            method, levels = "exact", {"digits": digits}
+            levels = {"digits": digits}
         else:
             de = coefficients_de(space, kernel, N, digits=digits)
             levels = {"digits": digits, "de_level": de.levels["de_level"]}
             values = [e.value for e in de.entries]
             errors = [e.error for e in de.entries]
-            if use_gj:
+            if route == "both":
                 gj = coefficients_gj(space, kernel, N, digits=digits)
                 levels.update(gj_nodes=gj.levels["gj_nodes"],
                               gj_nodes_check=gj.levels["gj_nodes_check"])
                 with mp.workdps(digits + 10):
                     errors = [e + g.error + abs(v - g.value)
                               for v, e, g in zip(values, errors, gj.entries)]
-            method = "both" if use_gj else "de"
-        report = _report(space, kernel, values, errors, method, levels)
+        report = _report(space, kernel, values, errors, route, levels)
         if all(e.sign != SIGN_UNDECIDED for e in report.entries):
             break
     return report
@@ -820,22 +827,16 @@ def poisson_kernel(
                         break
                 else:
                     raise capped
-            # incremental state: p1 = P_n(1), r^n and the last two recurrence
-            # values; coef_n = (m_n / P_n(1)^2) P_n(1), regular on the circle
-            p1 = rn = p_prev = mp.mpf(1)
-            p_prev2 = None
-            prefs = _prefactors(am, bm)
+            # incremental state: p1 = P_n(1), r^n and the recurrence at t;
+            # coef_n = (m_n / P_n(1)^2) P_n(1), regular on the circle
+            p1 = rn = mp.mpf(1)
+            prefs, steps = _prefactors(am, bm), _jacobi_steps(am, bm, t)
             next(prefs)
-            for n, pref in zip(range(1, POISSON_SERIES_MAX_TERMS + 1), prefs):
+            next(steps)
+            for n, pref, p_cur in zip(range(1, POISSON_SERIES_MAX_TERMS + 1), prefs, steps):
                 p1 *= (am + n) / n
                 rn *= rm
                 coef_n = pref * p1
-                if n == 1:
-                    p_cur = (am + 1) + (am + bm + 2) * (t - 1) / 2
-                else:
-                    c1, c2, c3, c4 = _recurrence_coeffs(n, am, bm)
-                    p_cur = ((c2 + c3 * t) * p_prev - c4 * p_prev2) / c1
-                p_prev2, p_prev = p_prev, p_cur
                 total += coef_n * rn * p_cur
                 # |P_n| <= P_n(1) for a >= b, a >= -1/2 (Szego, Thm 7.32.1)
                 if coef_n * rn * p1 < eps * max(1, abs(total)):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import zonalpd
 from conftest import exact_fraction, riesz_chordal_exact
-from zonalpd import __version__, cli
+from zonalpd import __version__, cli, transform
 from zonalpd.cli import _KERNEL_HELP, main
 from zonalpd.energy import energy_uniform_detail
 from zonalpd.kernels import FAMILIES, parse_kernel
@@ -556,13 +556,17 @@ def test_verify_refuses_a_log_kernel_off_the_de_route(monkeypatch, capsys, metho
 def test_verify_refuses_a_method_off_the_kernels_route(monkeypatch, capsys, argv, method):
     """A kernel that `coefficients_exact` covers is reported `exact`, and no
     other kernel is: not a geodesic one, nor a power whose expansion in
-    x = (1-t)/2 would cancel more than a rung's guard digits."""
+    x = (1-t)/2 would cancel more than a rung's guard digits.  The relabelled
+    report keeps only the `levels` keys its new method writes, so the reader
+    takes it and the route check refuses it."""
     argv = argv + ["--nmax", "4", "--digits", "15", "--verify"]
     assert run(capsys, *argv)[0] == 0
     render = cli.CoefficientReport.to_json_dict
 
     def relabelled(report):
-        return {**render(report), "method": method}
+        doc = render(report)
+        levels = {k: v for k, v in doc["levels"].items() if k in transform._LEVELS[method]}
+        return {**doc, "method": method, "levels": levels}
 
     monkeypatch.setattr(cli.CoefficientReport, "to_json_dict", relabelled)
     code, out, err = run(capsys, *argv)

@@ -13,12 +13,14 @@ A deliberate change of output replaces the digest of the job it moves,
 after a field diff against the previous output shows what moved.
 """
 import hashlib
+import json
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from zonalpd.cli import _verify_output, main
+from zonalpd.transform import CoefficientReport
 
 RECORDED_MPMATH = "1.3.0"
 RECORDED_NUMPY = "2.4.6"
@@ -147,3 +149,30 @@ def test_stdout_digest(argv, code, digest, capsys):
                          ids=[f"{a[2]}-{i}" for i, (a, _, _) in enumerate(GOLDEN_MC)])
 def test_mc_stdout_digest(argv, code, digest, capsys):
     _check_digest(argv, code, digest, capsys)
+
+
+def _as_json(argv):
+    if "--format" in argv:
+        i = argv.index("--format")
+        argv = argv[:i] + argv[i + 2:]
+    return tuple(argv)
+
+
+# the coefficient tables of the golden jobs, each once and in JSON
+_REPORT_ARGV = sorted({_as_json(a) for a, _, _ in GOLDEN if a[0] in ("coeffs", "classify")})
+
+
+@pytest.mark.parametrize("argv", _REPORT_ARGV, ids=lambda a: f"{a[0]}-{a[2]}-{a[4]}")
+def test_reader_refuses_every_other_sign(argv, capsys):
+    """In every golden coefficient table, replacing any one entry's sign by
+    any other sign makes the reader refuse the table."""
+    main(list(argv))
+    doc = json.loads(capsys.readouterr().out)
+    CoefficientReport.from_json_dict(doc)
+    for entry in doc["entries"]:
+        printed = entry["sign"]
+        for sign in {"+", "-", "0", "undecided"} - {printed}:
+            entry["sign"] = sign
+            with pytest.raises(ValueError, match=f"entry {entry['n']}: sign"):
+                CoefficientReport.from_json_dict(doc)
+        entry["sign"] = printed

@@ -74,3 +74,17 @@ def test_package_name_is_its_module_name(name):
     module = importlib.import_module(f"zonalpd.{zonalpd._MODULE_OF[name]}")
     assert name in module.__all__
     assert getattr(zonalpd, name) is getattr(module, name)
+
+
+def test_cli_reaches_the_certificate_rules_only_through_the_reader_and_route():
+    """`zonalpd.cli` names neither the sign rule `_sign_for` nor the exact
+    expansion `_power_terms`: `--verify` reads signs through
+    `CoefficientReport.from_json_dict` and the route through `_route`."""
+    import zonalpd.cli as cli
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    named |= {a.asname or a.name for n in ast.walk(tree)
+              if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    assert not {"_sign_for", "_power_terms"} & (named | set(vars(cli)))

@@ -257,13 +257,13 @@ def test_poisson_series_refuses_before_summing(monkeypatch):
     import zonalpd.transform as transform
 
     calls = []
-    coeffs = transform._recurrence_coeffs
+    steps = transform._jacobi_steps
 
     def counted(*args):
         calls.append(args)
-        return coeffs(*args)
+        return steps(*args)
 
-    monkeypatch.setattr(transform, "_recurrence_coeffs", counted)
+    monkeypatch.setattr(transform, "_jacobi_steps", counted)
     with pytest.raises(RuntimeError, match="did not converge in 200000 terms"):
         poisson_kernel(RP2, 0.9999999, 0.0, method="series")
     assert calls == []
@@ -289,7 +289,7 @@ def test_poisson_series_prescan(monkeypatch, r, digits, sums):
     def summing(*args):
         raise _Summing
 
-    monkeypatch.setattr(transform, "_recurrence_coeffs", summing)
+    monkeypatch.setattr(transform, "_jacobi_steps", summing)
     with pytest.raises(_Summing if sums else RuntimeError):
         poisson_kernel(RP2, r, 0.0, method="series", digits=digits)
 
@@ -370,7 +370,8 @@ def test_report_reader_refuses_an_unknown_sign():
 
 
 @pytest.mark.parametrize("n, key, text, ok", [
-    (2, "sign", "0", True),  # a `0` is not checked against its interval
+    (2, "sign", "0", False),  # a `0` is checked like any other sign
+    (2, "error", "1e-21", True),  # a wider error that still decides keeps the sign
     (2, "sign", "undecided", False),
     (2, "sign", "-", False),
     (2, "error", "-1e-40", False),
@@ -387,6 +388,93 @@ def test_report_reader_checks_signs_on_printed_decimals(n, key, text, ok):
     else:
         with pytest.raises(ValueError):
             CoefficientReport.from_json_dict(doc)
+
+
+def test_sign_rule_negates_the_error_exactly():
+    """`-` needs value < -error exactly.  An error with more bits than the
+    ambient 53 is negated without rounding, so minus the error itself stays
+    undecided.  The reader reads value and error at one precision, so an
+    interval whose printed value is plus or minus its printed error, written
+    to different lengths, is undecided too."""
+    kernel = riesz_geodesic(RP2, -0.6)
+    with mp.workprec(200):
+        error = 1 + mp.mpf(2) ** -80
+        value = -error
+    assert transform._sign_for(value, error, 1, kernel, RP2) == "undecided"
+    doc = certify_coefficients(RP2, kernel, N=3, target_digits=20).to_json_dict()
+    for text, sign in (("-7e-199", "-"), ("7e-199", "+")):
+        doc["entries"][1].update(value=text, error="7." + "0" * 20 + "e-199", sign=sign)
+        with pytest.raises(ValueError, match="entry 1"):
+            CoefficientReport.from_json_dict(doc)
+        doc["entries"][1]["sign"] = "undecided"
+        CoefficientReport.from_json_dict(doc)
+
+
+def test_report_reader_refuses_a_forged_zero():
+    """A `0` on an interval that decides `+` is refused: read back, it would
+    turn this kernel's strictly-CPD-only verdict into CPD-not-strict."""
+    from zonalpd.posdef import classify
+
+    doc = certify_coefficients(RP2, riesz_geodesic(RP2, -0.6), N=6, target_digits=20).to_json_dict()
+    back = CoefficientReport.from_json_dict(doc)
+    assert classify(back, mode="cpd").classification == "strictly-CPD-only"
+    assert doc["entries"][3]["sign"] == "+"
+    doc["entries"][3]["sign"] = "0"
+    with pytest.raises(ValueError, match="entry 3: sign '0'"):
+        CoefficientReport.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("space, text", [
+    ("RP2", "no-such-kernel"), ("S2", "riesz-geodesic:s=9"),
+], ids=["unparsable", "not-integrable-on-S2"])
+def test_report_reader_refuses_a_kernel_its_space_cannot_build(space, text):
+    """The reader parses the report's own kernel on its space, as the signs
+    it checks depend on the kernel's degree and parity."""
+    sp = make_space(space)
+    doc = certify_coefficients(sp, riesz_geodesic(sp, -0.6), N=2, target_digits=15).to_json_dict()
+    CoefficientReport.from_json_dict(doc)
+    doc["kernel"] = text
+    with pytest.raises(ValueError):
+        CoefficientReport.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("make", [
+    lambda sp=make_space("HP2"): certify_coefficients(sp, riesz_chordal(sp, 0.7), N=2,
+                                                      target_digits=15),
+    lambda: certify_coefficients(RP2, parse_kernel("log-geodesic", RP2), N=2, target_digits=15),
+    lambda: coefficients_de(RP2, riesz_geodesic(RP2, -0.6), N=2, digits=15),
+    lambda: coefficients_gj(RP2, riesz_geodesic(RP2, -0.6), N=2, digits=15),
+    lambda: certify_coefficients(RP2, riesz_geodesic(RP2, -0.6), N=2, target_digits=15),
+], ids=["exact", "certified-de", "de", "gj", "both"])
+def test_report_reader_takes_only_the_levels_its_method_writes(make):
+    """Each producer writes exactly the `levels` keys of its method in
+    `_LEVELS`, and the reader refuses every other key."""
+    doc = make().to_json_dict()
+    written = transform._LEVELS[doc["method"]]
+    assert sorted(doc["levels"]) == sorted(written)
+    CoefficientReport.from_json_dict(doc)
+    for key in {k for keys in transform._LEVELS.values() for k in keys} - set(written):
+        with pytest.raises(ValueError, match=key):
+            CoefficientReport.from_json_dict({**doc, "levels": {**doc["levels"], key: 1}})
+
+
+def test_refused_product_forms_no_pair_products(monkeypatch):
+    """product(cospow:n=20,cospow:n=20) loses about 12 digits, over the
+    exact route's 10: it is refused on the factors' bounds, before any pair
+    of their terms is multiplied (their term tables cannot be read here)."""
+    class Unread(dict):
+        def items(self):
+            raise AssertionError("a pair product was formed")
+
+    power_terms = transform._power_terms
+
+    def sealed(kernel):
+        out = power_terms(kernel)
+        return out if out is None or kernel.family == "product" else (Unread(out[0]), out[1])
+
+    monkeypatch.setattr(transform, "_power_terms", sealed)
+    assert transform._power_terms(parse_kernel("product(cospow:n=20,cospow:n=20)", S2)) is None
+    assert transform._route(parse_kernel("product(cospow:n=20,cospow:n=20)", S2)) == "both"
 
 
 def test_reports_deterministic():
