@@ -502,7 +502,7 @@ def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
             if (report.space, report.N, report.kernel) != (
                     make_space(config["space"]), config["nmax"], kernel.descriptor):
                 return f"space, N or kernel {report.kernel!r} is not the one its config gives"
-            if report.method != _route(kernel):
+            if report.method != _route(kernel)[0]:
                 return f"method {report.method!r} is not the route of kernel {report.kernel!r}"
             if report.levels.get("digits") not in _precision_ladder(config["digits"]):
                 return (f"levels.digits {report.levels.get('digits')!r} is not a rung of the "

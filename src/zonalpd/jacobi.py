@@ -342,8 +342,9 @@ def _plan(alpha: float, beta: float, N: int, prec: int) -> tuple:
     `_fixed_rounding`): the kernel-independent part of the coefficient sums,
     in mpf at prec, the caller's ambient precision.  C sin(u)^(2a+1)
     cos(u)^(2b+1) du is a probability measure; the third entry scales the DE
-    tail test.  A certification ladder reads three precisions, a scan one;
-    all of them share one `_fixed_rounding`."""
+    tail test.  A certification ladder reads up to three precisions, four on
+    the sign-first ladder, as many as the store holds; a scan mostly one.
+    All of them share one `_fixed_rounding`."""
     a, b = mp.mpf(alpha), mp.mpf(beta)
     C = 2 * mp.gamma(a + b + 2) / (mp.gamma(a + 1) * mp.gamma(b + 1))
     pref = tuple(itertools.islice(_prefactors(a, b), N + 1))

@@ -13,7 +13,9 @@ only, and every verdict produced here carries that finite-degree caveat.
 One rule maps signs to verdicts, through `_first`: a certified negative at
 n >= 1 gives "not-CPD", even beside an undecided degree, since one negative
 coefficient is enough; else an undecided degree gives "undecided"; only then
-do zero and positive signs decide.  Three drivers sit on top of `classify`:
+do zero and positive signs decide.  Three drivers sit on top of `classify`;
+`scan_riesz` and `table1` print verdicts only, so they certify on the
+sign-first ladder, which runs a 12-digit rung before the rungs of `digits`:
 
 * `scan_riesz` walks a grid of Riesz exponents, classifies each one, and
   refines the sign-change location by bisection.
@@ -226,7 +228,7 @@ def _riesz_kernel(space: Space, metric: str, s: float) -> ZonalKernel:
 
 def _certify_cpd(space: Space, metric: str, s: float, N: int, digits: int) -> PDVerdict:
     kernel = _riesz_kernel(space, metric, s)
-    report = certify_coefficients(space, kernel, N=N, target_digits=digits)
+    report = certify_coefficients(space, kernel, N=N, target_digits=digits, signs_only=True)
     return classify(report, mode="cpd")
 
 
@@ -417,6 +419,10 @@ TABLE1_COLUMNS = ("space", "alpha", "beta", "first_negative_n", "verdict")
 
 @dataclass(frozen=True)
 class Table1Result:
+    """The rows of `table1` and, per space, the report that decided its row.
+    Each report carries its own `levels["digits"]`, the rung of the
+    sign-first ladder that decided it, which may lie below `digits`."""
+
     N: int
     digits: int
     rows: Tuple[Tuple[str, float, float, Optional[int], str], ...]
@@ -441,8 +447,8 @@ def table1(N: int = 16, digits: int = 50) -> Table1Result:
     with its witness, the first index n >= 1 with a certified negative
     coefficient (the constant term is ignored: it only shifts the kernel),
     else "undecided" when an n >= 1 sign is, else "consistent-with-PD" up
-    to degree N.  Precision escalates inside the certification ladder if
-    signs come back undecided.
+    to degree N.  Each certification starts on the sign-first ladder's
+    12-digit rung and climbs toward `digits` only while a sign is undecided.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1 for a cpd verdict, got N = {N}")
@@ -450,7 +456,8 @@ def table1(N: int = 16, digits: int = 50) -> Table1Result:
     reports: Dict[str, CoefficientReport] = {}
     for name in TABLE1_SPACES:
         sp = make_space(name)
-        report = certify_coefficients(sp, log_geodesic(sp), N=N, target_digits=digits)
+        report = certify_coefficients(sp, log_geodesic(sp), N=N, target_digits=digits,
+                                      signs_only=True)
         reports[name] = report
         v = classify(report, mode="cpd")
         verdict = v.classification

@@ -23,7 +23,8 @@ formed in mpf from the binary inputs, never in float64.
 Certification takes the route `_route` picks: a sum of c x^mu, x = (1-t)/2,
 exactly in `mpmath.iv`; DE alone for a log kernel; both for the rest, with
 the cross-method gap folded into the error bound.  Each escalates precision
-until every sign is decided or a cap is reached.
+until every sign is decided or a cap is reached; for a caller that reads
+only signs (`scan_riesz`, `table1`) the ladder starts at 12 digits.
 Nodes, weights and the integrand run in mpmath.  The
 per-node and per-level steps (DE node geometry and its sines, the
 Gauss-Jacobi angle nodes and their sines, the integrand, and the DE level
@@ -378,7 +379,7 @@ def _de_node(tau: tuple) -> tuple:
 
 # DE node geometry depends only on the working precision, so every route at
 # one precision shares it: one dict {(level, |i|): node at tau = |i| 2^-level}
-# per precision, for the four most recent; a certification ladder uses three.
+# per precision, for the four most recent; a ladder uses three, a sign-first one four.
 _DE_NODE_PRECISIONS = 4
 
 
@@ -615,8 +616,11 @@ def coefficients_exact(space: Space, kernel: ZonalKernel, N: int = DEFAULT_N) ->
     (`iv.rf` fails in mpmath 1.3.0), times m_n / P_n(1)^2 from `_prefactors`,
     which is regular on the circle."""
     expansion = _power_terms(kernel)
-    if expansion is None:
-        return None
+    return None if expansion is None else _exact_intervals(space, kernel, N, expansion[0])
+
+
+def _exact_intervals(space: Space, kernel: ZonalKernel, N: int, terms: dict) -> list:
+    """The body of `coefficients_exact`, given the terms {mu: c} of F."""
     kernel.require_integrable(space)
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -624,7 +628,7 @@ def coefficients_exact(space: Space, kernel: ZonalKernel, N: int = DEFAULT_N) ->
     a, b = iv.mpf(space.alpha), iv.mpf(space.beta)
     base = iv.gamma(a + b + 2) / iv.gamma(a + 1)
     sums = [iv.mpf(0)] * (N + 1)
-    for mu, c in expansion[0].items():
+    for mu, c in terms.items():
         m = iv.mpf(mu.numerator) / mu.denominator
         term = (iv.mpf(c.numerator) / c.denominator * base
                 * iv.gamma(a + m + 1) / iv.gamma(a + b + m + 2))
@@ -634,19 +638,28 @@ def coefficients_exact(space: Space, kernel: ZonalKernel, N: int = DEFAULT_N) ->
     return [p * total for p, total in zip(_prefactors(a, b), sums)]
 
 
-def _precision_ladder(target_digits: int) -> tuple:
-    """The working digits of the certification rungs, in the order they run."""
-    return (target_digits, target_digits + 20, target_digits + 40)
+# the first rung of a ladder whose caller reads only signs: the coefficients
+# that decide a verdict sit far above a 12-digit rung's error
+_SIGN_DIGITS = 12
 
 
-def _route(kernel: ZonalKernel) -> str:
-    """The route of a kernel, its report's `method`: `exact` when `_power_terms`
-    expands it, else `de` for a log kernel, which Gauss-Jacobi refuses, else `both`."""
-    if _power_terms(kernel) is not None:
-        return "exact"
+def _precision_ladder(target_digits: int, signs_only: bool = False) -> tuple:
+    """The working digits of the certification rungs, in the order they run;
+    with `signs_only`, `_SIGN_DIGITS` first when it is below the target."""
+    first = (_SIGN_DIGITS,) if signs_only and target_digits > _SIGN_DIGITS else ()
+    return first + (target_digits, target_digits + 20, target_digits + 40)
+
+
+def _route(kernel: ZonalKernel) -> tuple:
+    """(route, terms): the route of a kernel, its report's `method`, and the
+    {mu: c} it sums.  `exact` when `_power_terms` expands it, else `de` for a
+    log kernel, which Gauss-Jacobi refuses, else `both`, with terms None."""
+    expansion = _power_terms(kernel)
+    if expansion is not None:
+        return "exact", expansion[0]
     # an integrable power singularity leaves the split weight exponent
     # 2a+1-2sigma above -1, so Gauss-Jacobi applies to every non-log kernel
-    return "de" if kernel.log_flag else "both"
+    return ("de" if kernel.log_flag else "both"), None
 
 
 def certify_coefficients(
@@ -654,21 +667,25 @@ def certify_coefficients(
     kernel: ZonalKernel,
     N: int = DEFAULT_N,
     target_digits: int = DEFAULT_DIGITS,
+    *,
+    signs_only: bool = False,
 ) -> CoefficientReport:
     """Certify by the kernel's `_route`: the intervals of `coefficients_exact`,
     or DE, and on route `both` Gauss-Jacobi with the discrepancy folded into
     the error bound; climb the precision ladder until every sign is decided.
+    A caller that reads only signs passes `signs_only`, whose ladder starts
+    at `_SIGN_DIGITS`; the report's `levels["digits"]` names the rung.
 
     Deterministic for fixed inputs.  Undecided entries in the returned
     report mean the precision ladder was exhausted, never that a stage was
     skipped.
     """
-    route = _route(kernel)
-    for digits in _precision_ladder(target_digits):
+    route, terms = _route(kernel)
+    for digits in _precision_ladder(target_digits, signs_only):
         if route == "exact":  # as midpoints and radii, rounded up
             prec, mp.iv.dps = mp.iv.prec, digits + 10
             try:
-                intervals = coefficients_exact(space, kernel, N)
+                intervals = _exact_intervals(space, kernel, N, terms)
             finally:
                 mp.iv.prec = prec
             with mp.workdps(digits + 10):

@@ -103,6 +103,20 @@ GOLDEN = [
     (["coeffs", "--space", "S1", "--kernel", "riesz-chordal:s=0.5", "--nmax", "4",
       "--digits", "15"], 0,
      "8b3035e9579c4a89ed2f565618dbb73ffe0d87bc9e4581df633938b131f0d605"),
+    # the verdict drivers at digits well above their 12-digit first rung (the
+    # README's table1 and the benchmark's scan): the bytes of certifying at --digits
+    (["table1", "--nmax", "16", "--digits", "50"], 0,
+     "b8b9394d63be0f75b3d01592c71cfd79baed57b3852ad22c4bd6ad162159dc08"),
+    (["table1", "--nmax", "16", "--digits", "50", "--format", "csv"], 0,
+     "95001be54c5ece99843811efce96c89bb380086b5167bd3365f8007b723ee570"),
+    (["scan", "--space", "RP2", "--kernel", "riesz-geodesic", "--s-min", "-0.7",
+      "--s-max", "-0.5", "--step", "0.1", "--bisect", "0.05", "--nmax", "16",
+      "--digits", "20"], 0,
+     "3de1cc6727d2e8dd25f98884f3542886f187b6d8e5547d42975488bfde044103"),
+    (["scan", "--space", "RP2", "--kernel", "riesz-geodesic", "--s-min", "-0.7",
+      "--s-max", "-0.5", "--step", "0.1", "--bisect", "0.05", "--nmax", "16",
+      "--digits", "20", "--format", "csv"], 0,
+     "7580a45508e7b90c84af1cd01b1e0f02333104b74c6adb61b9834a30fae31f62"),
 ]
 
 

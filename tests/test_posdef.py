@@ -2,12 +2,13 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_fraction, synthetic_report
-from zonalpd import posdef
+from conftest import CATALOG, exact_fraction, synthetic_report
+from zonalpd import cli, posdef, transform
 from zonalpd.kernels import parse_kernel, riesz_chordal
 from zonalpd.posdef import (
     PDVerdict,
@@ -427,6 +428,101 @@ def test_cpd_drivers_refuse_N_below_1_before_certifying(monkeypatch, driver, N):
     with pytest.raises(ValueError, match=f"N must be >= 1 .* N = {N}$"):
         driver(N)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the sign-first ladder of scan_riesz and table1
+
+# the argvs of the benchmark's scan and table1 jobs
+BENCH_SCAN = ["scan", "--space", "RP2", "--kernel", "riesz-geodesic", "--s-min", "-0.7",
+              "--s-max", "-0.5", "--step", "0.1", "--bisect", "0.05", "--nmax", "16",
+              "--digits", "20"]
+BENCH_TABLE1 = ["table1", "--nmax", "10", "--digits", "30"]
+
+
+def _recorded_reports(monkeypatch) -> list:
+    """Every report the posdef drivers certify from here on, in order."""
+    reports = []
+    certify = posdef.certify_coefficients
+
+    def recording(*args, **kwargs):
+        reports.append(certify(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(posdef, "certify_coefficients", recording)
+    return reports
+
+
+@pytest.mark.parametrize("argv", [BENCH_SCAN, BENCH_TABLE1], ids=["scan", "table1"])
+def test_bench_verdicts_decide_on_the_sign_rung(monkeypatch, capsys, argv):
+    """Every certification of the benchmark's scan and table1 jobs decides
+    every sign on the 12-digit rung."""
+    reports = _recorded_reports(monkeypatch)
+    assert cli.main(argv) == 0
+    assert len(reports) >= 4
+    assert [r.digits() for r in reports] == [12] * len(reports)
+
+
+@pytest.mark.parametrize("digits", (5, 11, 12, 13))
+def test_sign_rung_runs_only_below_the_target(monkeypatch, digits):
+    """At --digits <= 12 the sign-first ladder is the ladder; above, it adds
+    one 12-digit rung in front.  Every DE rung table1 runs is on it."""
+    ladder = (digits, digits + 20, digits + 40)
+    assert transform._precision_ladder(digits) == ladder
+    assert transform._precision_ladder(digits, signs_only=True) == (
+        ladder if digits <= 12 else (12,) + ladder)
+    rungs = []
+    de = transform.coefficients_de
+
+    def recording(space, kernel, N, digits):
+        rungs.append(digits)
+        return de(space, kernel, N, digits=digits)
+
+    monkeypatch.setattr(transform, "coefficients_de", recording)
+    table1(N=4, digits=digits)
+    assert len(rungs) >= 7
+    assert set(rungs) <= set(transform._precision_ladder(digits, signs_only=True))
+    assert min(rungs) == min(digits, 12)
+
+
+def test_an_undecided_sign_rung_climbs_to_digits(monkeypatch):
+    """With a 5-digit first rung every table1 sign at N = 10 stays undecided
+    there, so each certification climbs to --digits, and the rows are those
+    of the 12-digit rung."""
+    rows = table1(N=10, digits=30).rows
+    monkeypatch.setattr(transform, "_SIGN_DIGITS", 5)
+    climbed = table1(N=10, digits=30)
+    assert climbed.rows == rows
+    assert [r.digits() for r in climbed.reports.values()] == [30] * len(rows)
+
+
+_SIGN_KERNELS = st.one_of(
+    st.integers(-170, 130).map(lambda k: f"riesz-geodesic:s={k / 100}"),
+    st.just("log-geodesic"),
+    st.floats(0.25, 4.0).map(lambda lam: f"gauss-geodesic:lambda={round(lam, 2)}"),
+    st.just("product(riesz-geodesic:s=-0.6,gauss-geodesic:lambda=1)"),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(CATALOG), text=_SIGN_KERNELS, N=st.integers(1, 24),
+       digits=st.integers(13, 30))
+def test_sign_first_ladder_keeps_the_verdict(name, text, N, digits):
+    """Whenever both ladders decide, the sign-first ladder gives the full
+    ladder's verdict in both modes; every sign decided on a lower rung comes
+    from an interval that holds the value of the full ladder's rung."""
+    sp = make_space(name)
+    kernel = parse_kernel(text, sp)
+    low = certify_coefficients(sp, kernel, N=N, target_digits=digits, signs_only=True)
+    full = certify_coefficients(sp, kernel, N=N, target_digits=digits)
+    for mode in ("pd", "cpd"):
+        verdicts = {classify(low, mode).classification, classify(full, mode).classification}
+        assert len(verdicts) == 1 or "undecided" in verdicts, (mode, verdicts)
+    if low.digits() < full.digits():
+        with mp.workdps(2 * full.digits()):
+            for e, f in zip(low.entries, full.entries):
+                if e.sign in ("+", "-"):
+                    assert abs(e.value - f.value) <= e.error, e.n
 
 
 def test_package_resolves_posdef_names_on_demand():

@@ -36,6 +36,8 @@ ALLOWED = {
                                  "CLI uses distance_t_arrays",
     "zonalpd.spaces.save_points": "writes the point files that energy --points reads",
     "zonalpd.transform.CoefficientReport.signs": "library API (README library sketch)",
+    "zonalpd.transform.coefficients_exact": "library API (README); a certification sums the "
+                                            "expansion `_route` made, through its private body",
     "zonalpd.transform.synthesize": "library API (README, demos/poisson_smoothing.py)",
 }
 

@@ -474,7 +474,7 @@ def test_refused_product_forms_no_pair_products(monkeypatch):
 
     monkeypatch.setattr(transform, "_power_terms", sealed)
     assert transform._power_terms(parse_kernel("product(cospow:n=20,cospow:n=20)", S2)) is None
-    assert transform._route(parse_kernel("product(cospow:n=20,cospow:n=20)", S2)) == "both"
+    assert transform._route(parse_kernel("product(cospow:n=20,cospow:n=20)", S2))[0] == "both"
 
 
 def test_reports_deterministic():
@@ -634,6 +634,31 @@ def test_quadrature_runs_only_off_the_exact_route(monkeypatch, name, text, calls
             else:
                 report = certify_coefficients(sp, kernel, N=4, target_digits=15)
                 assert (report.method == "exact") == (not calls)
+
+
+@pytest.mark.parametrize("name,text,rungs", [
+    ("HP2", "riesz-chordal:s=0.7", 1),
+    ("S2", "product(cospow:n=16,cospow:n=16)", 1),
+    ("CP2", "jacobi:n=4", 3),
+], ids=["riesz-chordal", "product", "undecided-on-every-rung"])
+def test_certification_expands_its_kernel_once(monkeypatch, name, text, rungs):
+    """`_route` expands an exact-route kernel, and every rung sums that one
+    expansion: `_power_terms` sees the kernel once however many rungs run
+    (the zeros of jacobi:n=4 below its degree stay undecided on all three)."""
+    sp = make_space(name)
+    kernel = parse_kernel(text, sp)
+    seen = []
+    power_terms = transform._power_terms
+
+    def counted(k):
+        seen.append(k)
+        return power_terms(k)
+
+    monkeypatch.setattr(transform, "_power_terms", counted)
+    report = certify_coefficients(sp, kernel, N=5, target_digits=15)
+    assert report.method == "exact"
+    assert report.digits() == transform._precision_ladder(15)[rungs - 1]
+    assert [k for k in seen if k is kernel] == [kernel]
 
 
 def test_jacobi_leaf_is_expanded_with_its_own_parameters():
