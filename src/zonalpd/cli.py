@@ -10,7 +10,9 @@ can be diffed, and `energy --perturb` gives the same bytes for every
 is inconclusive at the requested precision (so pipelines can tell
 "inconclusive" from "wrong"): an undecided sign (coeffs), verdict
 (classify), grid verdict or transition (scan) or table row (table1);
-energy and poisson never exit 2.
+energy and poisson never exit 2.  Each command imports the arithmetic it
+runs, so `--version`, `--help` and `energy --points` load neither mpmath
+nor the certification modules.
 """
 
 from __future__ import annotations
@@ -22,18 +24,14 @@ import os
 import re
 import sys
 import threading
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import argparse
-import mpmath as mp
 
 from . import __version__
 from .spaces import Point, make_space, load_points, parse_args
 from .kernels import FAMILIES, parse_kernel
-from .transform import (
-    SIGN_UNDECIDED, CoefficientReport, certify_coefficients, poisson_kernel, _precision_ladder,
-    _route,
-)
 
 
 class _UsageError(Exception):
@@ -193,7 +191,8 @@ def _render(args, payload: dict, rows: List[str]) -> str:
 # preamble, header first, and `undecided` asks for exit code 2.
 
 
-def _compute_report(args) -> CoefficientReport:
+def _compute_report(args):
+    from .transform import certify_coefficients
     space = make_space(args.space)
     kernel = parse_kernel(args.kernel, space)
     return certify_coefficients(space, kernel, N=args.nmax, target_digits=args.digits)
@@ -206,6 +205,7 @@ def _require_cpd_degree(args) -> None:
 
 
 def _cmd_coeffs(args):
+    from .transform import SIGN_UNDECIDED
     payload = _compute_report(args).to_json_dict()
     entries = payload["entries"]
     rows = ["n,value,error,m_n,lambda_n,sign"] + [
@@ -270,6 +270,10 @@ def _load_weights(path: str, count: int) -> Optional[List[float]]:
 
 
 def _cmd_energy(args):
+    if args.points is None:
+        # the uniform and perturbed energies certify; their modules compile
+        # before numpy loads, which keeps the job's peak RSS lower
+        from . import transform  # noqa: F401
     # the energy module brings numpy; the certifying commands run without it
     from .energy import (
         DiscreteMeasure,
@@ -318,12 +322,14 @@ def _cmd_energy(args):
 def _float_error(value, error) -> float:
     """A float never below error + |float(value) - value|, so the printed
     float(value) +- it contains the mpf value."""
+    import mpmath as mp
     bound = mp.fadd(error, abs(mp.fsub(float(value), value, exact=True)), rounding="u")
     f = float(bound)
     return f if f >= bound else math.nextafter(f, math.inf)
 
 
 def _cmd_poisson(args):
+    from .transform import poisson_kernel
     space = make_space(args.space)
     if not (0 <= args.r < 1):
         raise ValueError(f"r must lie in [0, 1), got {args.r}")
@@ -430,10 +436,40 @@ def _check_table1(doc) -> Optional[str]:
     return None
 
 
-# a coeffs or classify config line: its keys are sorted, so kernel, mode,
-# nmax and space come last; a lincomb kernel or a custom space may hold spaces
+def _check_energy(doc) -> Optional[str]:
+    """A printed energy against its config: the method its options pick, a
+    stderr of 0 off `mc`, the `mc` n, epsilon and samples, and a uniform
+    energy within the sum of its printed errors of its quadrature value."""
+    config, method = doc["config"], doc["method"]
+    if method != ("mc" if config["perturb"] else "closed-form" if config["points"]
+                  else "quadrature"):
+        return f"method {method!r} is not the one its config gives"
+    if method == "mc":
+        if [doc["n"], doc["epsilon"], doc["samples"]] != [*config["perturb"], config["samples"]]:
+            return "n, epsilon or samples is not the one its config gives"
+    elif doc["stderr"] != 0:
+        return f"stderr {doc['stderr']!r} is not 0 under {method}"
+    if method == "quadrature":
+        errors = Fraction(doc["expansion_error"]) + Fraction(doc["quadrature_error"])
+        if abs(Fraction(doc["energy"]) - Fraction(doc["quadrature_value"])) > errors:
+            return "energy and quadrature_value differ by more than their printed errors"
+    return None
+
+
+def _check_poisson(doc) -> Optional[str]:
+    """A printed Poisson value is its closed form, at its config's r and theta."""
+    config = doc["config"]
+    if (doc["r"], doc["theta"], doc["value"]) != (config["r"], config["theta"], doc["closed"]):
+        return "r or theta is not the one its config gives, or value is not closed"
+    return None
+
+
+# a coeffs, classify or energy config line: its keys are sorted, so kernel,
+# mode, nmax and space come last, and points comes after perturb; a lincomb
+# kernel, a custom space or a point file name may hold spaces
 _COEFFS_CONFIG = re.compile(r"# config: .* kernel=(.*) nmax=(\d+) space=(.*)")
 _CLASSIFY_CONFIG = re.compile(r"# config: .* mode=(\w+) nmax=(\d+) space=.*")
+_ENERGY_CONFIG = re.compile(r"# config: .* perturb=(None|\[.*\]) points=(.*) samples=.*")
 
 
 def _check_classify_csv(text: str, lines: List[str]) -> Optional[str]:
@@ -451,6 +487,23 @@ def _check_classify_csv(text: str, lines: List[str]) -> Optional[str]:
     return None
 
 
+def _check_energy_csv(text: str, lines: List[str]) -> Optional[str]:
+    """The method of the one energy row against the config line."""
+    match = next(filter(None, map(_ENERGY_CONFIG.fullmatch, text.splitlines())), None)
+    # a point file named None prints `points=None`, as no point file does
+    methods = (set() if match is None else {"mc"} if match[1] != "None"
+               else {"closed-form"} if match[2] != "None" else {"closed-form", "quadrature"})
+    if len(lines) != 2 or lines[1].split(",")[-1] not in methods:
+        return f"the energy row {lines[-1]!r} does not follow from its config"
+    return None
+
+
+# what `--verify` checks beyond the schema: a JSON document, a CSV text and rows
+_CHECKS = {"scan": _check_scan, "table1": _check_table1, "energy": _check_energy,
+           "poisson": _check_poisson}
+_CSV_CHECKS = {"classify": _check_classify_csv, "energy": _check_energy_csv}
+
+
 def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
     """Re-parse rendered output; returns an error message or None.  Coefficient
     tables, JSON or CSV, are read back by `CoefficientReport.from_json_dict`,
@@ -458,9 +511,9 @@ def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
     signs give.  In JSON the space, N and kernel (as the descriptor writer
     prints it) are the config's, the method is the kernel's `_route`, and
     `levels.digits` a rung of the precision ladder of the config's digits; a
-    scan, a table 1 or a classify CSV must agree with itself and its config
-    (`_check_scan`, `_check_table1`, `_check_classify_csv`: they certify
-    nothing)."""
+    scan, a table 1, an energy, a Poisson value or a classify or energy CSV
+    must agree with itself and its config (`_CHECKS`, `_CSV_CHECKS`: they
+    certify nothing and load no mpmath)."""
     if fmt == "json":
         try:
             doc = json.loads(text)
@@ -469,8 +522,6 @@ def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
         for key in _JSON_REQUIRED[command] + ("version", "config"):
             if key not in doc:
                 return f"output JSON is missing {key!r}"
-        if command in ("energy", "poisson"):
-            return None
     else:
         lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
         if not lines or lines[0] != _CSV_HEADERS[command]:
@@ -481,8 +532,8 @@ def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
                 return f"CSV row has wrong arity: {ln!r}"
         if not any(ln.startswith("# version=") for ln in text.splitlines()):
             return "CSV output is missing the version line"
-        if command == "classify":
-            return _check_classify_csv(text, lines)
+        if command in _CSV_CHECKS:
+            return _CSV_CHECKS[command](text, lines)
         if command != "coeffs":
             return None
         match = next(filter(None, map(_COEFFS_CONFIG.fullmatch, text.splitlines())), None)
@@ -491,8 +542,9 @@ def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
         doc = dict(zip(("kernel", "N", "space"), match.groups()),
                    entries=[dict(zip(header, ln.split(","))) for ln in lines[1:]])
     try:
-        if command in ("scan", "table1"):
-            return (_check_scan if command == "scan" else _check_table1)(doc)
+        if command in _CHECKS:
+            return _CHECKS[command](doc)
+        from .transform import CoefficientReport, _precision_ladder, _route
         if fmt == "csv":
             doc["space"] = make_space(doc["space"]).descriptor()
         report = CoefficientReport.from_json_dict(doc)

@@ -25,6 +25,10 @@ and sums go through blocks of at most BLOCK, with the same values and sums
 as one whole-array pass.  A batch holds its X sample plus a few MiB; Y is
 drawn block by block from the same stream, which gives the same rows as one
 whole draw.  A discrete energy holds a few MiB whatever its point count.
+
+numpy is the one third-party module imported with this module; mpmath,
+`jacobi` and `transform` are imported by the uniform and perturbed
+energies, so a discrete energy runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -34,10 +38,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Optional, Sequence, Tuple
 
-import mpmath as mp
 import numpy as np
 
-from .jacobi import dim_m_n, jacobi_eval_all, jacobi_value_at_one
 from .kernels import ZonalKernel
 from .spaces import (
     BLOCK,
@@ -48,7 +50,6 @@ from .spaces import (
     make_rng,
     sample_uniform_points,
 )
-from .transform import certify_coefficients, coefficients_de
 
 __all__ = [
     "DiscreteMeasure",
@@ -123,6 +124,7 @@ class PerturbedMeasureSpec:
             raise ValueError("epsilon must be positive")
 
     def validate(self, space: Space) -> None:
+        from .jacobi import jacobi_eval_all
         grid = np.linspace(-1.0, 1.0, 4001)
         pn = jacobi_eval_all(space, self.n, grid)[self.n]
         peak = float(np.max(np.abs(pn)))
@@ -154,6 +156,7 @@ def _quad_theta_integral(space: Space, kernel: ZonalKernel, dps: int):
     singular power in the measure and sums in fixed point.  Returns
     (value, error_estimate) as mpf.
     """
+    import mpmath as mp
     with mp.workdps(dps):
         a = mp.mpf(space.alpha)
         b = mp.mpf(space.beta)
@@ -180,6 +183,8 @@ def energy_uniform_detail(space: Space, kernel: ZonalKernel, digits: int = 30):
     adopted result, the expansion's.  Raises ArithmeticError when the two
     routes disagree beyond combined error.
     """
+    import mpmath as mp
+    from .transform import coefficients_de
     rep = coefficients_de(space, kernel, N=0, digits=digits)
     e0 = rep.entry(0)
     qv, qe = _quad_theta_integral(space, kernel, digits)
@@ -320,6 +325,10 @@ def energy_perturbed(
     m rows of X, m values and one block: on HP2 one full batch peaks near
     17 MiB (tracemalloc), 12 of them X.
     """
+    # bound before the batches start, so no worker thread imports
+    import mpmath as mp
+    from .jacobi import dim_m_n, jacobi_eval_all, jacobi_value_at_one
+    from .transform import certify_coefficients
     if run_mc and samples < 2:
         raise ValueError("need at least 2 samples")
     # a space without points is refused before its coefficients are certified

@@ -23,8 +23,9 @@ mpmath precision, which is what the integrators consume.  Both distances
 are functions of u: the chordal one is sin u, the geodesic one u/kappa.
 The half-angle forms 1-t = 2 sin(u)^2 and 1+t = 2 cos(u)^2 stay accurate
 at both endpoints, because the certifying routes form cos u as
-sin(pi/2 - u).  numpy is imported by the array evaluators only, so building
-a kernel and `eval_g` run without it.
+sin(pi/2 - u).  mpmath is imported by the envelopes only and numpy by the
+array evaluators only, so building a kernel needs neither: an envelope
+loads mpmath and converts its builder's float constants on its first call.
 """
 from __future__ import annotations
 
@@ -32,10 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-import mpmath as mp
-from mpmath import libmp
-
-from .jacobi import jacobi_eval
 from .spaces import Space, parse_args, read_value
 
 if TYPE_CHECKING:
@@ -140,10 +137,15 @@ class ZonalKernel:
             )
 
 
-def _exact_mpf(x: float):
-    """The float x as an mpf, exactly at any working precision, so an
-    envelope converts its constants once instead of at every node."""
-    return mp.make_mpf(libmp.from_float(float(x)))
+def _mpf_consts(cell: list, *xs: float) -> list:
+    """Fill an envelope's closure cell with mpmath and the floats xs as mpf,
+    exact at any working precision, and return it.  An envelope reads
+    `cell or _mpf_consts(cell, ...)`, so building a kernel loads no mpmath and
+    no node converts a constant; threads that race fill equal values."""
+    import mpmath
+    from mpmath import libmp
+    cell[:] = [mpmath, *(mpmath.make_mpf(libmp.from_float(float(x))) for x in xs)]
+    return cell
 
 
 def _fmt(v) -> str:
@@ -172,11 +174,12 @@ def riesz_geodesic(space: Space, s: float) -> ZonalKernel:
         raise ValueError(f"s={s} >= D={space.dim_D}: Riesz kernel not integrable")
     kappa = space.kappa
     sign = 1.0 if s > 0 else -1.0
-    kappa_m, sign_m, half_s = _exact_mpf(kappa), _exact_mpf(sign), _exact_mpf(s / 2)
+    cell = []
 
     def eval_g(u, sin_u, cos_u):
         # (1-t)^{s/2} theta^{-s} = (2 r^2)^{s/2} with r = sin(k theta)/theta;
         # valid for either sign of s
+        _, kappa_m, sign_m, half_s = cell or _mpf_consts(cell, kappa, sign, s / 2)
         r = sin_u / (u / kappa_m)
         return sign_m * (2 * r * r) ** half_s
 
@@ -206,6 +209,7 @@ def riesz_chordal(space: Space, s: float) -> ZonalKernel:
     def eval_g(u, sin_u, cos_u):
         # constant sgn(s) 2^{s/2}, raised in mpf so it is not stuck with a
         # float64-rounded value; it depends only on the working precision
+        import mpmath as mp
         prec = mp.mp.prec
         if prec not in consts:
             consts[prec] = sign * mp.mpf(2) ** (s / 2)
@@ -220,9 +224,10 @@ def riesz_chordal(space: Space, s: float) -> ZonalKernel:
 
 
 def log_geodesic(space: Space) -> ZonalKernel:
-    kappa, kappa_m = space.kappa, _exact_mpf(space.kappa)
+    kappa, cell = space.kappa, []
 
     def eval_g(u, sin_u, cos_u):
+        mp, kappa_m = cell or _mpf_consts(cell, kappa)
         return -mp.log(u / kappa_m)
 
     def f_t(t: np.ndarray) -> np.ndarray:
@@ -235,7 +240,10 @@ def log_geodesic(space: Space) -> ZonalKernel:
 
 
 def log_chordal(space: Space) -> ZonalKernel:
+    cell = []
+
     def eval_g(u, sin_u, cos_u):
+        (mp,) = cell or _mpf_consts(cell)
         # (1-t)/2 = sin(u)^2
         return -mp.log(sin_u * sin_u) / 2
 
@@ -259,11 +267,12 @@ def gaussian_kernel(space: Space, metric: str, lam: float) -> ZonalKernel:
     if metric not in ("geodesic", "chordal"):
         raise ValueError(f"unknown metric {metric!r}")
     kappa = space.kappa
-    kappa_m, neg_lam = _exact_mpf(kappa), _exact_mpf(-lam)
+    cell = []
 
     if metric == "geodesic":
 
         def eval_g(u, sin_u, cos_u):
+            mp, kappa_m, neg_lam = cell or _mpf_consts(cell, kappa, -lam)
             return mp.exp(neg_lam * (u / kappa_m) ** 2)
 
         def f_t(t: np.ndarray) -> np.ndarray:
@@ -274,6 +283,7 @@ def gaussian_kernel(space: Space, metric: str, lam: float) -> ZonalKernel:
     else:
 
         def eval_g(u, sin_u, cos_u):
+            mp, neg_lam = cell or _mpf_consts(cell, -lam)
             return mp.exp(neg_lam * (sin_u * sin_u))
 
         def f_t(t: np.ndarray) -> np.ndarray:
@@ -307,10 +317,12 @@ def jacobi_unit_kernel(params, n: int) -> ZonalKernel:
     a, b = params.alpha, params.beta
 
     def eval_g(u, sin_u, cos_u):
+        from .jacobi import jacobi_eval
         return jacobi_eval((a, b), n, 1 - 2 * sin_u * sin_u)
 
     def f_t(t: np.ndarray) -> np.ndarray:
         import numpy as np
+        from .jacobi import jacobi_eval
         return np.asarray(jacobi_eval((a, b), n, np.asarray(t, dtype=float)))
 
     return ZonalKernel("jacobi", (("n", n),), eval_g, f_t, ab=(a, b))
@@ -338,6 +350,7 @@ def linear_combination(terms: Sequence[tuple[float, ZonalKernel]]) -> ZonalKerne
     terms = tuple((float(c), k) for c, k in terms)
 
     def eval_g(u, sin_u, cos_u):
+        import mpmath as mp
         # in mpf, so the exponent is not float64-rounded
         shift = mp.mpf(kernel.gj_shift)
         total = None

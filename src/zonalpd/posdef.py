@@ -15,7 +15,7 @@ n >= 1 gives "not-CPD", even beside an undecided degree, since one negative
 coefficient is enough; else an undecided degree gives "undecided"; only then
 do zero and positive signs decide.  Three drivers sit on top of `classify`;
 `scan_riesz` and `table1` print verdicts only, so they certify on the
-sign-first ladder, which runs a 12-digit rung before the rungs of `digits`:
+sign-first ladder, a 12-digit rung and then the rungs of `digits` above it:
 
 * `scan_riesz` walks a grid of Riesz exponents, classifies each one, and
   refines the sign-change location by bisection.
@@ -421,7 +421,7 @@ TABLE1_COLUMNS = ("space", "alpha", "beta", "first_negative_n", "verdict")
 class Table1Result:
     """The rows of `table1` and, per space, the report that decided its row.
     Each report carries its own `levels["digits"]`, the rung of the
-    sign-first ladder that decided it, which may lie below `digits`."""
+    sign-first ladder that decided it, which may differ from `digits`."""
 
     N: int
     digits: int

@@ -639,15 +639,18 @@ def _exact_intervals(space: Space, kernel: ZonalKernel, N: int, terms: dict) -> 
 
 
 # the first rung of a ladder whose caller reads only signs: the coefficients
-# that decide a verdict sit far above a 12-digit rung's error
+# that decide a verdict sit far above a 12-digit rung's error, and a DE rung
+# at 7 digits or fewer stops with errors as large as the coefficients
 _SIGN_DIGITS = 12
 
 
 def _precision_ladder(target_digits: int, signs_only: bool = False) -> tuple:
     """The working digits of the certification rungs, in the order they run;
-    with `signs_only`, `_SIGN_DIGITS` first when it is below the target."""
-    first = (_SIGN_DIGITS,) if signs_only and target_digits > _SIGN_DIGITS else ()
-    return first + (target_digits, target_digits + 20, target_digits + 40)
+    with `signs_only`, `_SIGN_DIGITS` first and then the rungs above it."""
+    ladder = (target_digits, target_digits + 20, target_digits + 40)
+    if signs_only:
+        return (_SIGN_DIGITS,) + tuple(d for d in ladder if d > _SIGN_DIGITS)
+    return ladder
 
 
 def _route(kernel: ZonalKernel) -> tuple:

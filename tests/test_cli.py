@@ -340,7 +340,7 @@ def test_runtime_error_exits_1(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("hypergeometric series did not converge")
 
-    monkeypatch.setattr("zonalpd.cli.poisson_kernel", fail)
+    monkeypatch.setattr("zonalpd.transform.poisson_kernel", fail)
     code, out, err = run(capsys, "poisson", "--space", "RP2", "--r", "0.5", "--theta", "0")
     assert code == 1 and out == ""
     assert "zonalpd: error" in err
@@ -520,14 +520,14 @@ def test_verify_refuses_wrong_m_n_lambda_n_or_order(monkeypatch, capsys, command
     corrupt(doc)
     assert cli._verify_output(command, "json", json.dumps(doc)) is not None
 
-    render = cli.CoefficientReport.to_json_dict
+    render = transform.CoefficientReport.to_json_dict
 
     def corrupted(report):
         payload = render(report)
         corrupt(payload)
         return payload
 
-    monkeypatch.setattr(cli.CoefficientReport, "to_json_dict", corrupted)
+    monkeypatch.setattr(transform.CoefficientReport, "to_json_dict", corrupted)
     code, out, err = run(capsys, *argv, "--verify")
     assert code == 1 and out == "" and "verification failed" in err
 
@@ -538,12 +538,12 @@ def test_verify_refuses_a_log_kernel_off_the_de_route(monkeypatch, capsys, metho
     argv = ["coeffs", "--space", "RP2", "--kernel", "log-geodesic", "--nmax", "4",
             "--digits", "15", "--verify"]
     assert run(capsys, *argv)[0] == 0
-    render = cli.CoefficientReport.to_json_dict
+    render = transform.CoefficientReport.to_json_dict
 
     def corrupted(report):
         return {**render(report), "method": method}
 
-    monkeypatch.setattr(cli.CoefficientReport, "to_json_dict", corrupted)
+    monkeypatch.setattr(transform.CoefficientReport, "to_json_dict", corrupted)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and "verification failed" in err
 
@@ -561,14 +561,14 @@ def test_verify_refuses_a_method_off_the_kernels_route(monkeypatch, capsys, argv
     takes it and the route check refuses it."""
     argv = argv + ["--nmax", "4", "--digits", "15", "--verify"]
     assert run(capsys, *argv)[0] == 0
-    render = cli.CoefficientReport.to_json_dict
+    render = transform.CoefficientReport.to_json_dict
 
     def relabelled(report):
         doc = render(report)
         levels = {k: v for k, v in doc["levels"].items() if k in transform._LEVELS[method]}
         return {**doc, "method": method, "levels": levels}
 
-    monkeypatch.setattr(cli.CoefficientReport, "to_json_dict", relabelled)
+    monkeypatch.setattr(transform.CoefficientReport, "to_json_dict", relabelled)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and "is not the route of kernel" in err
 
@@ -603,7 +603,7 @@ def test_verify_reads_a_classify_json_verdict_in_the_configs_mode(capsys):
                        "--nmax", "4", "--digits", "15", "--mode", "cpd")
     assert code == 0 and cli._verify_output("classify", "json", out) is None
     doc = json.loads(out)
-    doc["verdict"] = classify(cli.CoefficientReport.from_json_dict(doc), mode="pd").to_json_dict()
+    doc["verdict"] = classify(CoefficientReport.from_json_dict(doc), mode="pd").to_json_dict()
     assert doc["verdict"]["classification"] == "strictly-PD"
     assert cli._verify_output("classify", "json", json.dumps(doc)) is not None
 
@@ -625,14 +625,14 @@ def test_verify_refuses_wrong_coeffs_csv_rows(monkeypatch, capsys, corrupt):
             "--nmax", "6", "--digits", "20", "--format", "csv", "--verify"]
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
-    render = cli.CoefficientReport.to_json_dict
+    render = transform.CoefficientReport.to_json_dict
 
     def corrupted(report):
         payload = render(report)
         corrupt(payload)
         return payload
 
-    monkeypatch.setattr(cli.CoefficientReport, "to_json_dict", corrupted)
+    monkeypatch.setattr(transform.CoefficientReport, "to_json_dict", corrupted)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and "verification failed" in err
 
@@ -782,14 +782,14 @@ def test_verify_rederives_every_sign(monkeypatch, capsys, fmt, kernel, corrupt):
     argv = ["coeffs", "--space", space, "--kernel", kernel, "--nmax", "4", "--digits", "20",
             "--format", fmt, "--verify"]
     assert run(capsys, *argv)[0] == 0
-    render = cli.CoefficientReport.to_json_dict
+    render = transform.CoefficientReport.to_json_dict
 
     def corrupted(report):
         payload = render(report)
         corrupt(payload)
         return payload
 
-    monkeypatch.setattr(cli.CoefficientReport, "to_json_dict", corrupted)
+    monkeypatch.setattr(transform.CoefficientReport, "to_json_dict", corrupted)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and "verification failed" in err
 
@@ -941,7 +941,7 @@ def test_cpd_verdict_refuses_nmax_0_before_certifying(monkeypatch, capsys, argv)
     def certify(*args, **kwargs):
         raise AssertionError("a certification ran")
 
-    for module in (cli, posdef):
+    for module in (transform, posdef):
         monkeypatch.setattr(module, "certify_coefficients", certify)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
@@ -1095,7 +1095,7 @@ def test_error_without_text_names_its_type(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise ZeroDivisionError()
 
-    monkeypatch.setattr(cli, "poisson_kernel", fail)
+    monkeypatch.setattr(transform, "poisson_kernel", fail)
     code, out, err = run(capsys, *_BASE_ARGV["poisson"])
     assert (code, out, err) == (1, "", "zonalpd: error: ZeroDivisionError\n")
 
@@ -1273,16 +1273,16 @@ def test_traced_job_matches_plain_run(tmp_path):
     assert {"cli.main", "transform.certify", "kernels.eval_g"} <= seen
 
 
-def _run_child(argv, block_numpy, probe="numpy"):
-    """`zonalpd argv` in a fresh interpreter, optionally one where numpy
-    cannot be imported; the last stderr line, printed by an atexit handler
-    (the CLI ends with `os._exit` after running those), says whether the
-    module named `probe` was loaded."""
+def _run_child(argv, block=(), probes=("numpy",)):
+    """`zonalpd argv` in a fresh interpreter where the modules of `block`
+    cannot be imported; the last stderr lines, one per module of `probes`
+    and printed by an atexit handler (the CLI ends with `os._exit` after
+    running those), say whether that module was loaded."""
     code = "\n".join([
         "import atexit, runpy, sys",
-        "sys.modules['numpy'] = None" if block_numpy else "",
-        f"atexit.register(lambda: print({probe!r}, sys.modules.get({probe!r}) is not None,",
-        "                              file=sys.stderr))",
+        *(f"sys.modules[{name!r}] = None" for name in block),
+        f"atexit.register(lambda: print(*(f'{{m}} {{sys.modules.get(m) is not None}}'",
+        f"                                for m in {list(probes)!r}), sep='\\n', file=sys.stderr))",
         "runpy.run_module('zonalpd', run_name='__main__', alter_sys=True)",
     ])
     return subprocess.run(
@@ -1306,7 +1306,7 @@ CERTIFYING = [
 def test_certifying_commands_run_without_numpy(argv, capsys):
     """The certifying commands run on mpmath and the standard library alone,
     with the output they give where numpy is present."""
-    r = _run_child(argv, block_numpy=True)
+    r = _run_child(argv, block=["numpy"])
     assert r.returncode == 0, r.stderr
     assert r.stderr.splitlines()[-1] == "numpy False"
     code, out, _ = run(capsys, *argv)
@@ -1315,14 +1315,14 @@ def test_certifying_commands_run_without_numpy(argv, capsys):
 
 
 def test_version_runs_without_numpy():
-    r = _run_child(["--version"], block_numpy=True)
+    r = _run_child(["--version"], block=["numpy"])
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == f"zonalpd {__version__}"
 
 
 def test_energy_still_imports_numpy(capsys):
     argv = ["energy", "--space", "S2", "--kernel", "riesz-chordal:s=1"]
-    r = _run_child(argv, block_numpy=False)
+    r = _run_child(argv)
     assert r.returncode == 0, r.stderr
     assert r.stderr.splitlines()[-1] == "numpy True"
     code, out, _ = run(capsys, *argv)
@@ -1341,7 +1341,7 @@ def test_discrete_energy_leaves_numpy_random_unloaded(tmp_path, capsys):
         (["--points", str(path)], False),
         (["--perturb", "n=1,eps=0.1", "--samples", "20000"], True),
     ):
-        r = _run_child(base + extra, block_numpy=False, probe="numpy.random")
+        r = _run_child(base + extra, probes=["numpy.random"])
         assert r.returncode == 0, r.stderr
         assert r.stderr.splitlines()[-1] == f"numpy.random {loaded}"
         code, out, _ = run(capsys, *base, *extra)
@@ -1366,7 +1366,7 @@ def test_posdef_loads_only_for_verdict_commands(tmp_path, capsys):
         (["classify", "--space", "S2", "--kernel", "log-geodesic", "--nmax", "4",
           "--digits", "20"], True),
     ):
-        r = _run_child(argv, block_numpy=False, probe="zonalpd.posdef")
+        r = _run_child(argv, probes=["zonalpd.posdef"])
         assert r.returncode == 0, r.stderr
         assert r.stderr.splitlines()[-1] == f"zonalpd.posdef {loaded}"
         try:
@@ -1375,3 +1375,169 @@ def test_posdef_loads_only_for_verdict_commands(tmp_path, capsys):
             code = exc.code
         assert code == 0
         assert r.stdout == capsys.readouterr().out
+
+
+# the modules that only the mpf arithmetic needs
+ARITHMETIC = ("mpmath", "zonalpd.transform", "zonalpd.jacobi", "zonalpd.posdef")
+_CERTIFIER = {"mpmath", "zonalpd.transform", "zonalpd.jacobi"}
+_ENERGY = ["energy", "--space", "S2", "--kernel", "riesz-chordal:s=1", "--digits", "15"]
+# every family but jacobi, whose float evaluator runs the mpmath-side
+# recurrence, with each argument 1, plus a product and a lincomb
+_POINT_KERNELS = [name + (":" + ",".join(f"{k}=1" for k in kinds) if kinds else "")
+                  for name, (kinds, _) in FAMILIES.items() if name != "jacobi"] + [
+    "product(cospow:n=2,log-chordal)",
+    "lincomb(2*gauss-geodesic:lambda=1+-1*riesz-chordal:s=0.5)"]
+LOADS = [
+    (["--version"], set()),
+    (["--help"], set()),
+    *[(["energy", "--space", "S2", "--kernel", kernel, "--points", "s2.pts", "--verify"], set())
+      for kernel in _POINT_KERNELS],
+    (["energy", "--space", "S2", "--kernel", "riesz-chordal:s=1", "--points", "s2.pts",
+      "--format", "csv", "--verify"], set()),
+    (_ENERGY + ["--verify"], _CERTIFIER),
+    (_ENERGY + ["--perturb", "n=1,eps=0.1", "--samples", "20000", "--verify"], _CERTIFIER),
+    (CERTIFYING[-1], _CERTIFIER),
+    (CERTIFYING[0], _CERTIFIER),
+    *[(argv, set(ARITHMETIC)) for argv in CERTIFYING[1:4]],
+]
+
+
+def _load_id(argv):
+    kernel = [argv[argv.index("--kernel") + 1]] if "--kernel" in argv else []
+    flags = [f[2:] for f in ("--points", "--perturb", "--format") if f in argv]
+    return "-".join([argv[0], *kernel, *flags])
+
+
+@pytest.mark.parametrize("argv,loaded", LOADS, ids=[_load_id(a) for a, _ in LOADS])
+def test_each_command_loads_only_the_arithmetic_it_runs(tmp_path, monkeypatch, capsys,
+                                                        argv, loaded):
+    """`--version`, `--help` and a discrete energy (with `--verify`) load
+    none of mpmath, `transform`, `jacobi` and `posdef`; the uniform and
+    perturbed energies, poisson and the certifying commands load mpmath and
+    the certification modules, and only the verdict commands `posdef`.  Each
+    child prints what the in-process run prints."""
+    monkeypatch.chdir(tmp_path)
+    sp = make_space("S2")
+    save_points("s2.pts", sp, sample_uniform_points(sp, make_rng(5), 20))
+    r = _run_child(argv, probes=ARITHMETIC)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr.splitlines()[-len(ARITHMETIC):] == [
+        f"{name} {name in loaded}" for name in ARITHMETIC]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's --help and --version actions
+        code = exc.code
+    assert code == 0
+    assert r.stdout == capsys.readouterr().out
+
+
+def test_points_energy_and_version_run_without_mpmath(tmp_path, monkeypatch, capsys):
+    """Where mpmath cannot be imported, each of the benchmark's discrete
+    energy jobs and `--version` print what the in-process run prints."""
+    monkeypatch.chdir(tmp_path)
+    jobs = [["--version"]]
+    for task, (space, kernel, count) in enumerate(
+            (("RP2", "gauss-chordal:lambda=1", 150), ("CP2", "riesz-chordal:s=1", 150),
+             ("HP2", "log-geodesic", 100)), start=1):
+        sp = make_space(space)
+        save_points(f"{space}.pts", sp, sample_uniform_points(sp, make_rng(0, task), count))
+        jobs.append(["energy", "--space", space, "--kernel", kernel, "--points", f"{space}.pts"])
+    for argv in jobs:
+        r = _run_child(argv, block=["mpmath"], probes=["mpmath"])
+        assert r.returncode == 0, r.stderr
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 0
+        assert r.stdout == capsys.readouterr().out
+
+
+# one run of each energy method and of poisson, each with --verify
+_VERIFY_ARGV = {
+    "points": ["energy", "--space", "S2", "--kernel", "riesz-chordal:s=1", "--points", "s2.pts"],
+    "mc": _ENERGY + ["--perturb", "n=1,eps=0.1", "--samples", "20000"],
+    "quadrature": _ENERGY,
+    "poisson": ["poisson", "--space", "RP2", "--r", "0.5", "--theta", "0.3"],
+}
+
+
+def _bump_quadrature_value(doc):
+    errors = Fraction(doc["expansion_error"]) + Fraction(doc["quadrature_error"])
+    doc["quadrature_value"] = float(Fraction(doc["energy"]) + 4 * errors)
+    assert abs(Fraction(doc["quadrature_value"]) - Fraction(doc["energy"])) > errors
+
+
+@pytest.mark.parametrize("run_kind,edit,problem", [
+    ("points", lambda d: d.update(method="quadrature"), "method 'quadrature'"),
+    ("mc", lambda d: d.update(method="closed-form"), "method 'closed-form'"),
+    ("quadrature", lambda d: d.update(method="mc"), "method 'mc'"),
+    ("points", lambda d: d.update(stderr=0.5), "stderr 0.5"),
+    ("quadrature", lambda d: d.update(stderr=1e-12), "stderr 1e-12"),
+    ("mc", lambda d: d.update(n=2), "n, epsilon or samples"),
+    ("mc", lambda d: d.update(epsilon=0.2), "n, epsilon or samples"),
+    ("mc", lambda d: d.update(samples=10000), "n, epsilon or samples"),
+    ("quadrature", _bump_quadrature_value, "differ by more than their printed errors"),
+    ("poisson", lambda d: d.update(r=0.25), "r or theta"),
+    ("poisson", lambda d: d.update(theta=0.1), "r or theta"),
+    ("poisson", lambda d: d.update(value=d["closed"] + 1e-9), "or value is not closed"),
+], ids=["points-method", "mc-method", "quadrature-method", "points-stderr",
+        "quadrature-stderr", "mc-n", "mc-epsilon", "mc-samples", "quadrature-gap", "poisson-r",
+        "poisson-theta", "poisson-value"])
+def test_verify_ties_energy_and_poisson_json_to_the_config(tmp_path, monkeypatch, capsys,
+                                                          run_kind, edit, problem):
+    """`--verify` on energy: the method the options pick, a stderr of 0 off
+    Monte Carlo, the Monte Carlo n, epsilon and samples of the config, and a
+    uniform energy within the sum of its printed errors of its quadrature
+    value; on poisson the config's r and theta and a value equal to the
+    closed form.  Each of these edits of the printed JSON exits 1, on the
+    rule it breaks."""
+    monkeypatch.chdir(tmp_path)
+    sp = make_space("S2")
+    save_points("s2.pts", sp, sample_uniform_points(sp, make_rng(5), 20))
+    argv = _VERIFY_ARGV[run_kind] + ["--verify"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    render = cli._render
+
+    def edited(args, payload, rows):
+        doc = json.loads(render(args, payload, rows))
+        edit(doc)
+        return json.dumps(doc)
+
+    monkeypatch.setattr(cli, "_render", edited)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.startswith("zonalpd: verification failed: ")) == (1, "", True)
+    assert problem in err, err
+
+
+@pytest.mark.parametrize("run_kind,method", [
+    ("points", "quadrature"), ("mc", "closed-form"), ("quadrature", "mc")])
+def test_verify_reads_the_energy_csv_method_against_its_config(tmp_path, monkeypatch, capsys,
+                                                                run_kind, method):
+    """The energy CSV row's method is the one its config line picks."""
+    monkeypatch.chdir(tmp_path)
+    sp = make_space("S2")
+    save_points("s2.pts", sp, sample_uniform_points(sp, make_rng(5), 20))
+    argv = _VERIFY_ARGV[run_kind] + ["--format", "csv", "--verify"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    printed = out.splitlines()[-1].split(",")[-1]
+    render = cli._render
+    monkeypatch.setattr(cli, "_render", lambda *args: render(*args).replace(
+        f",{printed}\n", f",{method}\n"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and "does not follow from its config" in err, err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_takes_a_point_file_named_none(tmp_path, monkeypatch, capsys, fmt):
+    """A CSV config line prints `points=None` both without --points and for
+    a point file named None; `--verify` takes the discrete energy of such a
+    file, as it does in JSON."""
+    monkeypatch.chdir(tmp_path)
+    sp = make_space("S2")
+    save_points("None", sp, sample_uniform_points(sp, make_rng(5), 20))
+    code, out, err = run(capsys, "energy", "--space", "S2", "--kernel", "riesz-chordal:s=1",
+                         "--points", "None", "--format", fmt, "--verify")
+    assert (code, err) == (0, "") and "closed-form" in out

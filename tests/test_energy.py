@@ -300,7 +300,7 @@ def test_perturbed_rejects_few_samples_before_certifying(monkeypatch, samples):
     def certify(*args, **kwargs):
         raise AssertionError("certified before checking the sample count")
 
-    monkeypatch.setattr(energy_mod, "certify_coefficients", certify)
+    monkeypatch.setattr("zonalpd.transform.certify_coefficients", certify)
     ker = parse_kernel("riesz-chordal:s=0.5", S2)
     with pytest.raises(ValueError, match="at least 2 samples"):
         energy_perturbed(S2, ker, PerturbedMeasureSpec(1, 0.1), samples=samples)
@@ -316,7 +316,7 @@ def test_perturbed_refuses_space_without_points_before_certifying(monkeypatch, n
 
     sp = make_space(name)
     ker = parse_kernel("riesz-geodesic:s=-0.5", sp)
-    monkeypatch.setattr(energy_mod, "certify_coefficients", certify)
+    monkeypatch.setattr("zonalpd.transform.certify_coefficients", certify)
     with pytest.raises(ValueError, match="has no point model"):
         energy_perturbed(sp, ker, PerturbedMeasureSpec(1, 0.1), samples=100)
     # the closed form needs no points, so without Monte Carlo it certifies

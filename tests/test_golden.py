@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from zonalpd.cli import _verify_output, main
+from zonalpd.spaces import make_rng, make_space, sample_uniform_points, save_points
 from zonalpd.transform import CoefficientReport
 
 RECORDED_MPMATH = "1.3.0"
@@ -117,6 +118,25 @@ GOLDEN = [
       "--s-max", "-0.5", "--step", "0.1", "--bisect", "0.05", "--nmax", "16",
       "--digits", "20", "--format", "csv"], 0,
      "7580a45508e7b90c84af1cd01b1e0f02333104b74c6adb61b9834a30fae31f62"),
+    # the verdict drivers at --digits below the 12-digit sign rung: the bytes
+    # their sign-first ladder gives, which certify at 12 digits first
+    (["table1", "--nmax", "10", "--digits", "5"], 0,
+     "68fbee23ef35db3c8b6a55b597fd6db5cfd3de8ec93b500f22ec335feea150b4"),
+    (["table1", "--nmax", "10", "--digits", "11"], 0,
+     "93104d4e89fa951e2f326aa330d9e4b426a8e6ddb2b86ed21e1ebd3e7585ea85"),
+    (["table1", "--nmax", "16", "--digits", "8"], 0,
+     "ac958d5e11b4f4720b7215685c88a2f376a9fa027a75e1716c1e22c957618d69"),
+    (["scan", "--space", "RP2", "--kernel", "riesz-geodesic", "--s-min", "-0.7",
+      "--s-max", "-0.5", "--step", "0.1", "--bisect", "0.05", "--nmax", "16",
+      "--digits", "5"], 0,
+     "92ac0f95a4fbfc33c3c836540b41c9707e0f58501327235bf811187b62ba7446"),
+    (["scan", "--space", "RP2", "--kernel", "riesz-geodesic", "--s-min", "-0.7",
+      "--s-max", "-0.5", "--step", "0.1", "--bisect", "0.05", "--nmax", "16",
+      "--digits", "11"], 0,
+     "49117d7ee61f955821fb1bf07ee67133e6caf1f1889f48e30d8b0f7f5df32c6e"),
+    (["scan", "--space", "CP2", "--kernel", "riesz-chordal", "--s-min", "-3",
+      "--s-max", "-1", "--step", "0.25", "--nmax", "12", "--digits", "6"], 0,
+     "25307be51fefc6fd9ced08d012fd68e6494beb8eff0cd55aa700ccfb506a7b79"),
 ]
 
 
@@ -136,6 +156,29 @@ GOLDEN_MC = [
     (["energy", "--space", "CP2", "--kernel", "gauss-chordal:lambda=1",
       "--perturb", "n=2,eps=0.1", *_MC, "--format", "csv"], 0,
      "fd357619f324bd7705c3cb09cf6020f5067a3c1aa07d48e3112c9022dc1cac70"),
+]
+
+
+# `energy --points` on the benchmark's three discrete kernels, each on a
+# 40-point file drawn from stream (POINTS_SEED, task); the file is written
+# into the test's working directory under a relative name, because the
+# config echo prints the path
+POINTS_SEED = 29
+POINTS_FILES = {"RP2-40.pts": ("RP2", 1), "CP2-40.pts": ("CP2", 2), "HP2-40.pts": ("HP2", 3)}
+_POINTS = [("RP2", "gauss-chordal:lambda=1"), ("CP2", "riesz-chordal:s=1"),
+           ("HP2", "log-geodesic")]
+GOLDEN_POINTS = [
+    (["energy", "--space", space, "--kernel", kernel, "--points", f"{space}-40.pts", *fmt], 0,
+     digest)
+    for (space, kernel), digests in zip(_POINTS, [
+        ("2e9d430eb460b7c79a6c5669bbe5a47bb94b3c3a5a002bc7ac13724609576911",
+         "6d10d2e773cbc9b029e04823c9554afde808f833be3f1fb709f8a1b764bd2031"),
+        ("95a8980408b221324abfa89c37bb410abbb322debc0d19c33d94264418a9cdf5",
+         "6d590f34f2bfd033b04e8d8e8e2f2331f1579964c2c9b171fd7c2d4132b14eb4"),
+        ("d367a2ff8023c8e07ca51cb056400c0147e4b0f754a57c7a2ab6e927c54c7629",
+         "3ac12a75c3fb2a939f0996734a557c66bb701d2d34c1959b1089182acd0f473e"),
+    ])
+    for fmt, digest in zip(([], ["--format", "csv"]), digests)
 ]
 
 
@@ -162,6 +205,20 @@ def test_stdout_digest(argv, code, digest, capsys):
 @pytest.mark.parametrize("argv,code,digest", GOLDEN_MC,
                          ids=[f"{a[2]}-{i}" for i, (a, _, _) in enumerate(GOLDEN_MC)])
 def test_mc_stdout_digest(argv, code, digest, capsys):
+    _check_digest(argv, code, digest, capsys)
+
+
+@pytest.mark.skipif((mp.__version__, np.__version__) != (RECORDED_MPMATH, RECORDED_NUMPY),
+                    reason=f"digests recorded with mpmath {RECORDED_MPMATH} "
+                           f"and numpy {RECORDED_NUMPY}")
+@pytest.mark.parametrize("argv,code,digest", GOLDEN_POINTS,
+                         ids=[f"{a[2]}-{i}" for i, (a, _, _) in enumerate(GOLDEN_POINTS)])
+def test_points_stdout_digest(argv, code, digest, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    name = argv[argv.index("--points") + 1]
+    space, task = POINTS_FILES[name]
+    sp = make_space(space)
+    save_points(name, sp, sample_uniform_points(sp, make_rng(POINTS_SEED, task), 40))
     _check_digest(argv, code, digest, capsys)
 
 

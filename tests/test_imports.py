@@ -88,3 +88,23 @@ def test_cli_reaches_the_certificate_rules_only_through_the_reader_and_route():
     named |= {a.asname or a.name for n in ast.walk(tree)
               if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
     assert not {"_sign_for", "_power_terms"} & (named | set(vars(cli)))
+
+
+def test_front_modules_import_no_arithmetic_at_module_level():
+    """`cli`, `spaces`, `kernels` and `energy` import none of mpmath,
+    `transform`, `jacobi` and `posdef` at module level (also under an `if`):
+    they import them in the functions that run the mpf arithmetic, so a
+    discrete energy, `--version` and `--help` load none of them."""
+    heavy = {"mpmath", "transform", "jacobi", "posdef"}
+    found = []
+    for name in ("cli", "spaces", "kernels", "energy"):
+        body = list(ast.parse((Path(zonalpd.__file__).parent / f"{name}.py").read_text()).body)
+        for node in body:
+            if isinstance(node, (ast.If, ast.Try)):
+                body.extend(node.body + node.orelse + getattr(node, "finalbody", []))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                # the module, and the names, which `from . import x` makes modules
+                names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                found += [f"{name}: {n} (line {node.lineno})" for n in names
+                          if heavy & set(n.split("."))]
+    assert found == []

@@ -463,14 +463,19 @@ def test_bench_verdicts_decide_on_the_sign_rung(monkeypatch, capsys, argv):
     assert [r.digits() for r in reports] == [12] * len(reports)
 
 
+# the sign-first ladder at each --digits: the 12-digit rung, then the rungs
+# of the ladder above it
+SIGN_LADDERS = {5: (12, 25, 45), 11: (12, 31, 51), 12: (12, 32, 52), 13: (12, 13, 33, 53)}
+
+
 @pytest.mark.parametrize("digits", (5, 11, 12, 13))
 def test_sign_rung_runs_only_below_the_target(monkeypatch, digits):
-    """At --digits <= 12 the sign-first ladder is the ladder; above, it adds
-    one 12-digit rung in front.  Every DE rung table1 runs is on it."""
+    """The sign-first ladder starts at 12 digits whatever --digits is: below
+    12 the 12-digit rung replaces the target's own, above it runs first.
+    Every DE rung table1 runs is on it."""
     ladder = (digits, digits + 20, digits + 40)
     assert transform._precision_ladder(digits) == ladder
-    assert transform._precision_ladder(digits, signs_only=True) == (
-        ladder if digits <= 12 else (12,) + ladder)
+    assert transform._precision_ladder(digits, signs_only=True) == SIGN_LADDERS[digits]
     rungs = []
     de = transform.coefficients_de
 
@@ -482,7 +487,7 @@ def test_sign_rung_runs_only_below_the_target(monkeypatch, digits):
     table1(N=4, digits=digits)
     assert len(rungs) >= 7
     assert set(rungs) <= set(transform._precision_ladder(digits, signs_only=True))
-    assert min(rungs) == min(digits, 12)
+    assert min(rungs) == 12
 
 
 def test_an_undecided_sign_rung_climbs_to_digits(monkeypatch):
