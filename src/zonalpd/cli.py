@@ -10,9 +10,8 @@ can be diffed, and `energy --perturb` gives the same bytes for every
 is inconclusive at the requested precision (so pipelines can tell
 "inconclusive" from "wrong"): an undecided sign (coeffs), verdict
 (classify), grid verdict or transition (scan) or table row (table1);
-energy and poisson never exit 2.  Each command imports the arithmetic it
-runs, so `--version`, `--help` and `energy --points` load neither mpmath
-nor the certification modules.
+energy and poisson never exit 2.  Each command imports only the arithmetic
+it runs: `--version`, `--help` and `energy --points` load no mpmath.
 """
 
 from __future__ import annotations
@@ -270,18 +269,11 @@ def _load_weights(path: str, count: int) -> Optional[List[float]]:
 
 
 def _cmd_energy(args):
-    if args.points is None:
-        # the uniform and perturbed energies certify; their modules compile
-        # before numpy loads, which keeps the job's peak RSS lower
+    if args.points is None:  # certifying: load transform before numpy, for a lower peak RSS
         from . import transform  # noqa: F401
     # the energy module brings numpy; the certifying commands run without it
-    from .energy import (
-        DiscreteMeasure,
-        PerturbedMeasureSpec,
-        energy_discrete,
-        energy_perturbed,
-        energy_uniform_detail,
-    )
+    from .energy import (DiscreteMeasure, PerturbedMeasureSpec, energy_discrete, energy_perturbed,
+                         energy_uniform_detail)
 
     space = make_space(args.space)
     kernel = parse_kernel(args.kernel, space)
@@ -437,9 +429,8 @@ def _check_table1(doc) -> Optional[str]:
 
 
 def _check_energy(doc) -> Optional[str]:
-    """A printed energy against its config: the method its options pick, a
-    stderr of 0 off `mc`, the `mc` n, epsilon and samples, and a uniform
-    energy within the sum of its printed errors of its quadrature value."""
+    """An energy against its config: its method, stderr 0 off `mc`, the `mc` n, epsilon and
+    samples, and a uniform energy within the sum of its printed errors of quadrature_value."""
     config, method = doc["config"], doc["method"]
     if method != ("mc" if config["perturb"] else "closed-form" if config["points"]
                   else "quadrature"):
@@ -464,9 +455,8 @@ def _check_poisson(doc) -> Optional[str]:
     return None
 
 
-# a coeffs, classify or energy config line: its keys are sorted, so kernel,
-# mode, nmax and space come last, and points comes after perturb; a lincomb
-# kernel, a custom space or a point file name may hold spaces
+# a coeffs, classify or energy config line: its keys are sorted, so kernel, mode, nmax
+# and space come last, and points follows perturb; a kernel, space or file may hold spaces
 _COEFFS_CONFIG = re.compile(r"# config: .* kernel=(.*) nmax=(\d+) space=(.*)")
 _CLASSIFY_CONFIG = re.compile(r"# config: .* mode=(\w+) nmax=(\d+) space=.*")
 _ENERGY_CONFIG = re.compile(r"# config: .* perturb=(None|\[.*\]) points=(.*) samples=.*")
@@ -498,12 +488,6 @@ def _check_energy_csv(text: str, lines: List[str]) -> Optional[str]:
     return None
 
 
-# what `--verify` checks beyond the schema: a JSON document, a CSV text and rows
-_CHECKS = {"scan": _check_scan, "table1": _check_table1, "energy": _check_energy,
-           "poisson": _check_poisson}
-_CSV_CHECKS = {"classify": _check_classify_csv, "energy": _check_energy_csv}
-
-
 def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
     """Re-parse rendered output; returns an error message or None.  Coefficient
     tables, JSON or CSV, are read back by `CoefficientReport.from_json_dict`,
@@ -512,7 +496,7 @@ def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
     prints it) are the config's, the method is the kernel's `_route`, and
     `levels.digits` a rung of the precision ladder of the config's digits; a
     scan, a table 1, an energy, a Poisson value or a classify or energy CSV
-    must agree with itself and its config (`_CHECKS`, `_CSV_CHECKS`: they
+    must agree with itself and its config (the `_check_*` functions: they
     certify nothing and load no mpmath)."""
     if fmt == "json":
         try:
@@ -532,8 +516,10 @@ def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
                 return f"CSV row has wrong arity: {ln!r}"
         if not any(ln.startswith("# version=") for ln in text.splitlines()):
             return "CSV output is missing the version line"
-        if command in _CSV_CHECKS:
-            return _CSV_CHECKS[command](text, lines)
+        if command == "classify":
+            return _check_classify_csv(text, lines)
+        if command == "energy":
+            return _check_energy_csv(text, lines)
         if command != "coeffs":
             return None
         match = next(filter(None, map(_COEFFS_CONFIG.fullmatch, text.splitlines())), None)
@@ -542,8 +528,9 @@ def _verify_output(command: str, fmt: str, text: str) -> Optional[str]:
         doc = dict(zip(("kernel", "N", "space"), match.groups()),
                    entries=[dict(zip(header, ln.split(","))) for ln in lines[1:]])
     try:
-        if command in _CHECKS:
-            return _CHECKS[command](doc)
+        if command in ("scan", "table1", "energy", "poisson"):
+            return {"scan": _check_scan, "table1": _check_table1, "energy": _check_energy,
+                    "poisson": _check_poisson}[command](doc)
         from .transform import CoefficientReport, _precision_ladder, _route
         if fmt == "csv":
             doc["space"] = make_space(doc["space"]).descriptor()

@@ -26,9 +26,8 @@ as one whole-array pass.  A batch holds its X sample plus a few MiB; Y is
 drawn block by block from the same stream, which gives the same rows as one
 whole draw.  A discrete energy holds a few MiB whatever its point count.
 
-numpy is the one third-party module imported with this module; mpmath,
-`jacobi` and `transform` are imported by the uniform and perturbed
-energies, so a discrete energy runs on numpy alone.
+numpy is the one third-party module imported with this module; the uniform
+and perturbed energies import mpmath, `jacobi` and `transform`.
 """
 
 from __future__ import annotations

@@ -139,9 +139,8 @@ class ZonalKernel:
 
 def _mpf_consts(cell: list, *xs: float) -> list:
     """Fill an envelope's closure cell with mpmath and the floats xs as mpf,
-    exact at any working precision, and return it.  An envelope reads
-    `cell or _mpf_consts(cell, ...)`, so building a kernel loads no mpmath and
-    no node converts a constant; threads that race fill equal values."""
+    exact at any precision, and return it: an envelope reads `cell or
+    _mpf_consts(cell, ...)`, and threads that race fill equal values."""
     import mpmath
     from mpmath import libmp
     cell[:] = [mpmath, *(mpmath.make_mpf(libmp.from_float(float(x))) for x in xs)]
@@ -172,9 +171,8 @@ def riesz_geodesic(space: Space, s: float) -> ZonalKernel:
     s = float(s)
     if s >= space.dim_D:
         raise ValueError(f"s={s} >= D={space.dim_D}: Riesz kernel not integrable")
-    kappa = space.kappa
+    kappa, cell = space.kappa, []
     sign = 1.0 if s > 0 else -1.0
-    cell = []
 
     def eval_g(u, sin_u, cos_u):
         # (1-t)^{s/2} theta^{-s} = (2 r^2)^{s/2} with r = sin(k theta)/theta;
@@ -240,10 +238,8 @@ def log_geodesic(space: Space) -> ZonalKernel:
 
 
 def log_chordal(space: Space) -> ZonalKernel:
-    cell = []
-
     def eval_g(u, sin_u, cos_u):
-        (mp,) = cell or _mpf_consts(cell)
+        import mpmath as mp
         # (1-t)/2 = sin(u)^2
         return -mp.log(sin_u * sin_u) / 2
 
@@ -266,8 +262,7 @@ def gaussian_kernel(space: Space, metric: str, lam: float) -> ZonalKernel:
         raise ValueError("lambda must be positive")
     if metric not in ("geodesic", "chordal"):
         raise ValueError(f"unknown metric {metric!r}")
-    kappa = space.kappa
-    cell = []
+    kappa, cell = space.kappa, []
 
     if metric == "geodesic":
 

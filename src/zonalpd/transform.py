@@ -648,9 +648,7 @@ def _precision_ladder(target_digits: int, signs_only: bool = False) -> tuple:
     """The working digits of the certification rungs, in the order they run;
     with `signs_only`, `_SIGN_DIGITS` first and then the rungs above it."""
     ladder = (target_digits, target_digits + 20, target_digits + 40)
-    if signs_only:
-        return (_SIGN_DIGITS,) + tuple(d for d in ladder if d > _SIGN_DIGITS)
-    return ladder
+    return (_SIGN_DIGITS, *(d for d in ladder if d > _SIGN_DIGITS)) if signs_only else ladder
 
 
 def _route(kernel: ZonalKernel) -> tuple:

@@ -140,6 +140,77 @@ def test_riesz_chordal_constant_reused_per_precision(s):
         assert k.eval_g(*node_from_t(t)) == sign * (t * 0 + 2) ** (s / 2)
 
 
+ENVELOPE_CONSTANTS = ["riesz-geodesic:s=-0.6", "riesz-geodesic:s=0.7", "log-geodesic",
+                      "gauss-geodesic:lambda=0.3", "gauss-chordal:lambda=0.3"]
+
+
+def _exact(x):
+    return mp.make_mpf(mp.libmp.from_float(x))
+
+
+@pytest.mark.parametrize("text", ENVELOPE_CONSTANTS)
+def test_envelope_converts_its_constants_once_and_exactly(monkeypatch, text):
+    """Building a kernel converts nothing; its envelope converts the
+    builder's floats on the first call and never again, over many nodes and
+    precisions, and exactly: at 12 digits (under 53 bits) a float such as
+    s/2 = -0.3 is not rounded."""
+    from zonalpd import kernels
+
+    calls = []
+    convert = kernels._mpf_consts
+    monkeypatch.setattr(kernels, "_mpf_consts", lambda *a: calls.append(a) or convert(*a))
+    k = parse_kernel(text, RP2)
+    assert calls == []
+    for dps in (12, 30, 12):
+        with mp.workdps(dps):
+            for t in ("-0.7", "0.2", "0.95"):
+                u, su, cu = node_from_t(mp.mpf(t))
+                got = k.eval_g(u, su, cu)
+                if k.family == "riesz-geodesic":
+                    s = dict(k.args)["s"]
+                    r = su / (u / _exact(RP2.kappa))
+                    want = (1 if s > 0 else -1) * (2 * r * r) ** _exact(s / 2)
+                elif k.family == "log-geodesic":
+                    want = -mp.log(u / _exact(RP2.kappa))
+                else:
+                    d2 = (u / _exact(RP2.kappa)) ** 2 if k.family == "gauss-geodesic" else su * su
+                    want = mp.exp(_exact(-0.3) * d2)
+                assert got == want
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text", ENVELOPE_CONSTANTS)
+def test_envelope_constants_under_threads(text):
+    """Threads that race on a fresh kernel's first envelope calls all get
+    the values of a kernel converted on one thread."""
+    import sys
+    import threading
+
+    nodes = [node_from_t(mp.mpf(t) / 8) for t in range(-7, 8)]
+    want = [parse_kernel(text, CP2).eval_g(*node) for node in nodes]
+    for _ in range(5):
+        k, failures = parse_kernel(text, CP2), []
+
+        def work(seed):
+            for i in range(len(nodes)):
+                j = (seed + i) % len(nodes)
+                if k.eval_g(*nodes[j]) != want[j]:
+                    failures.append((seed, j))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,)) for s in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert failures == []
+
+
 def test_riesz_integrability_guard():
     with pytest.raises(ValueError):
         riesz_geodesic(S2, 2.0)  # s >= D = 2
